@@ -1,9 +1,8 @@
 """Trace-driven KV-cache retrieval with activation-aware probes and an
 entropy-guided dynamic budget cut-off."""
 
-from .cache import CacheView, KVChunk, LayerCache, load_spill, rep_key_of
-from .cutoff import (BudgetAllocation, DensityProfile, allocate,
-                     density_profile, layer_density, recall_layer)
+from .cache import CacheView, KVChunk, LayerCache, rep_key_of
+from .cutoff import BudgetAllocation, allocate, layer_density, recall_layer
 from .engine import (ConfigError, Engine, EngineConfig, RunResult,
                      StepRecord, reference_attention, run_trace)
 from .linalg import (DimMismatch, EmptyInput, NotNormalized, ZeroNorm,
@@ -11,8 +10,8 @@ from .linalg import (DimMismatch, EmptyInput, NotNormalized, ZeroNorm,
 from .metrics import (ConfigMismatch, EmptyTruth, build_report, compare_runs,
                       recall_at_budget, report_to_csv, score_perplexity)
 from .probe import (ActivationBias, ProbeQuery, StatsUndefined,
-                    StreamingStats, activation_bias, anchor_score,
-                    build_probe, decoding_probe, uniform_bias, update_stats)
+                    StreamingStats, activation_bias, build_probe,
+                    decoding_probe, uniform_bias)
 from .retrieval import (ScoredChunk, SelectionResult, UnknownChunk,
                         materialize, score_chunks, score_chunks_across_heads,
                         select_topk)
@@ -24,18 +23,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActivationBias", "BudgetAllocation", "CacheView", "ConfigError",
-    "ConfigMismatch", "DensityProfile", "DimMismatch", "EmptyInput",
-    "EmptyTruth", "Engine", "EngineConfig", "KVChunk", "LayerCache",
-    "NotNormalized", "PlantedSpec", "ProbeQuery", "RunResult", "ScoredChunk",
-    "SelectionResult", "SpecOutOfRange", "StatsUndefined", "StepRecord",
-    "StreamingStats", "SyntheticConfig", "TraceData", "TraceFormatError",
-    "TraceHeader", "UnknownChunk", "ZeroNorm", "activation_bias",
-    "allocate", "anchor_score", "build_probe", "build_report",
-    "compare_runs", "cosine", "decoding_probe", "density_profile",
-    "entropy", "generate_synthetic", "l1_norm", "l2_norm", "layer_density",
-    "load_spill", "materialize", "read_trace", "recall_at_budget",
-    "recall_layer", "reference_attention", "rep_key_of", "report_to_csv",
-    "run_trace", "score_chunks", "score_chunks_across_heads",
-    "score_perplexity", "select_topk", "softmax", "uniform_bias",
-    "update_stats", "write_trace",
+    "ConfigMismatch", "DimMismatch", "EmptyInput", "EmptyTruth", "Engine",
+    "EngineConfig", "KVChunk", "LayerCache", "NotNormalized", "PlantedSpec",
+    "ProbeQuery", "RunResult", "ScoredChunk", "SelectionResult",
+    "SpecOutOfRange", "StatsUndefined", "StepRecord", "StreamingStats",
+    "SyntheticConfig", "TraceData", "TraceFormatError", "TraceHeader",
+    "UnknownChunk", "ZeroNorm", "activation_bias", "allocate", "build_probe",
+    "build_report", "compare_runs", "cosine", "decoding_probe", "entropy",
+    "generate_synthetic", "l1_norm", "l2_norm", "layer_density",
+    "materialize", "read_trace", "recall_at_budget", "recall_layer",
+    "reference_attention", "rep_key_of", "report_to_csv", "run_trace",
+    "score_chunks", "score_chunks_across_heads", "score_perplexity",
+    "select_topk", "softmax", "uniform_bias", "write_trace",
 ]

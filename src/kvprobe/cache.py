@@ -15,7 +15,6 @@ attendable and retrieving it again would double-count its pairs.
 
 from __future__ import annotations
 
-import struct
 from collections import deque
 from dataclasses import dataclass
 
@@ -23,21 +22,12 @@ import numpy as np
 
 from .linalg import DimMismatch, as_matrix
 
-SPILL_MAGIC = b"AKVC"
-SPILL_VERSION = 1
-_SPILL_HEADER = struct.Struct("<4sIII16x")  # magic, version, c, d, reserved
-assert _SPILL_HEADER.size == 32
-
-
-def rep_key_of(keys, mode: str = "mean") -> np.ndarray:
+def rep_key_of(keys) -> np.ndarray:
     """Representative key of a chunk: per-dimension mean of its rows.
 
-    Mode "max-score" changes how a chunk is *scored* (max over member-key
-    cosines, see retrieval), not what is stored; the stored representative
-    is the mean in both modes.
+    The "max-score" rep mode changes how a chunk is *scored* (max over
+    member-key cosines, see retrieval), not what is stored.
     """
-    if mode not in ("mean", "max-score"):
-        raise ValueError(f"unknown representative mode {mode!r}")
     k = as_matrix(keys)
     if k.shape[0] < 1:
         raise DimMismatch("representative of an empty key set")
@@ -56,10 +46,6 @@ class KVChunk:
     keys: np.ndarray
     values: np.ndarray
     rep_key: np.ndarray
-
-    @property
-    def token_span(self) -> tuple[int, int]:
-        return (self.start, self.end)
 
     @property
     def rows(self) -> int:
@@ -178,48 +164,3 @@ class LayerCache:
             tail_start=self.tail_start,
             total_pairs=self.total_pairs,
         )
-
-    @property
-    def open_rows(self) -> int:
-        return len(self._open_k)
-
-    def spill(self, path) -> int:
-        """Write sealed full chunks to the cold-tier spill file.
-
-        The format carries raw floats only, so a trailing partial chunk
-        (rows < c) stays in memory. Returns the chunk count written.
-        """
-        full = [ch for ch in self._chunks if ch.rows == self.chunk]
-        with open(path, "wb") as fh:
-            fh.write(_SPILL_HEADER.pack(SPILL_MAGIC, SPILL_VERSION,
-                                        self.chunk, self.dim))
-            for ch in full:
-                fh.write(np.ascontiguousarray(ch.keys, dtype="<f4").tobytes())
-                fh.write(np.ascontiguousarray(ch.values, dtype="<f4").tobytes())
-        return len(full)
-
-
-def load_spill(path) -> tuple[int, int, list[tuple[np.ndarray, np.ndarray]]]:
-    """Read a spill file back to (c, d, [(keys, values), ...]) bit-exactly."""
-    with open(path, "rb") as fh:
-        head = fh.read(_SPILL_HEADER.size)
-        if len(head) < _SPILL_HEADER.size:
-            raise ValueError(f"spill header truncated at byte {len(head)}")
-        magic, version, c, d = _SPILL_HEADER.unpack(head)
-        if magic != SPILL_MAGIC:
-            raise ValueError(f"bad spill magic {magic!r}")
-        if version != SPILL_VERSION:
-            raise ValueError(f"unsupported spill version {version}")
-        payload = fh.read()
-    block = c * d * 4
-    if len(payload) % (2 * block) != 0:
-        raise ValueError(f"spill payload truncated at byte "
-                         f"{_SPILL_HEADER.size + len(payload)}")
-    out = []
-    for off in range(0, len(payload), 2 * block):
-        keys = np.frombuffer(payload, dtype="<f4", count=c * d,
-                             offset=off).reshape(c, d).copy()
-        vals = np.frombuffer(payload, dtype="<f4", count=c * d,
-                             offset=off + block).reshape(c, d).copy()
-        out.append((keys, vals))
-    return c, d, out

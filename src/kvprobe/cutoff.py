@@ -3,14 +3,16 @@
 Each layer's information density is the entropy of its softmax-
 normalized chunk scores: a flat score distribution means the probe
 cannot tell chunks apart and the layer needs a bigger slice of the
-shared budget. Budgets are assigned in one shallow-to-deep pass,
+shared budget. Each layer's real-valued budget is its share of the
+total density,
 
-    B_l = theta_l / (theta_l + sum of remaining layers' theta) * remaining,
+    B_l = theta_l / sum(theta) * total,
 
-decrementing the remaining pool after each layer; the final layer
-absorbs whatever is left, so the real-valued budgets conserve the
-initial total exactly. Integerization uses largest-remainder
-apportionment in chunk units, which preserves that total.
+which is what the sequential rule "each layer takes
+theta_l / (theta_l + remaining layers' theta) of what is left"
+telescopes to. Integerization uses largest-remainder apportionment in
+chunk units (ties go to the shallower layer), which conserves the
+total exactly.
 """
 
 from __future__ import annotations
@@ -21,12 +23,6 @@ from typing import Sequence
 
 from .linalg import entropy, softmax
 from .retrieval import ScoredChunk, SelectionResult, select_topk
-
-
-@dataclass(frozen=True)
-class DensityProfile:
-    theta: tuple[float, ...]
-    n_per_layer: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -48,24 +44,14 @@ def layer_density(scores) -> float:
     return entropy(softmax(vals))
 
 
-def density_profile(per_layer_scores: Sequence[Sequence]) -> DensityProfile:
-    vals = [_score_values(s) for s in per_layer_scores]
-    return DensityProfile(theta=tuple(layer_density(v) for v in vals),
-                          n_per_layer=tuple(len(v) for v in vals))
-
-
 def allocate(theta, initial_total: int, chunk_size: int = 1) -> BudgetAllocation:
     """Split initial_total KV pairs across layers by information density.
 
-    theta may be a DensityProfile or a plain sequence of densities.
     chunk_size > 1 apportions in whole chunks (initial_total must then
     be divisible by it; the engine passes c, which divides L*k). With
     all densities zero the split is equal, the uniform-density limit.
     """
-    if isinstance(theta, DensityProfile):
-        th = [float(t) for t in theta.theta]
-    else:
-        th = [float(t) for t in theta]
+    th = [float(t) for t in theta]
     n_layers = len(th)
     if n_layers < 1:
         raise ValueError("allocate needs at least one layer")
@@ -79,18 +65,11 @@ def allocate(theta, initial_total: int, chunk_size: int = 1) -> BudgetAllocation
     if any(t < 0 for t in th):
         raise ValueError("negative density")
 
-    real = [0.0] * n_layers
-    remaining = float(initial_total)
-    for layer in range(n_layers):
-        denom = th[layer] + sum(th[layer + 1:])
-        if denom <= 0.0:
-            # every remaining layer has zero density: equal split of the rest
-            share = remaining / (n_layers - layer)
-            for j in range(layer, n_layers):
-                real[j] = share
-            break
-        real[layer] = th[layer] / denom * remaining
-        remaining = max(0.0, remaining - real[layer])
+    mass = sum(th)
+    if mass > 0.0:
+        real = [t / mass * initial_total for t in th]
+    else:
+        real = [initial_total / n_layers] * n_layers
 
     units = initial_total // chunk_size
     shares = [r / chunk_size for r in real]

@@ -12,14 +12,15 @@ pre-filling
     values enter the cache only after attention.
 
 decoding
-    One token at a time, two phases. First every layer scores its
-    candidates with the raw query and reports the entropy of the
-    score distribution; then the shared budget (layers x budget) is
-    split across layers, evenly in fixed mode or entropy-proportional
-    in dynamic mode, and each layer retrieves under its share. The
-    token's key/value pair enters the cache before attention so the
-    local tail covers the token itself; the attended set is exactly
-    sinks + retrieved + local.
+    One token at a time, two phases. The token's key/value pair enters
+    the cache first, so the local tail covers the token itself, and
+    each head takes one snapshot that serves both phases. First every
+    layer scores its candidates with the raw query and reports the
+    entropy of the score distribution; then the shared budget
+    (layers x budget) is split across layers, evenly in fixed mode or
+    entropy-proportional in dynamic mode, and each layer retrieves
+    under its share. The attended set is exactly sinks + retrieved +
+    local.
 """
 
 from __future__ import annotations
@@ -203,6 +204,43 @@ class Engine:
             bias = uniform_bias(queries.shape[0], queries.shape[1])
         return build_probe(queries, bias, layer=layer, head=head)
 
+    def _attend_and_record(self, l: int, q: np.ndarray, views: list,
+                           scored: list, theta: float, budget: int,
+                           window_k: np.ndarray | None = None,
+                           window_v: np.ndarray | None = None
+                           ) -> LayerStepRecord:
+        """Select layer l's chunks under budget and attend every head over
+        sinks, retrieved chunks, the local tail and (pre-fill) the window.
+
+        q has shape (heads, rows, d_head); window_k/window_v likewise.
+        """
+        selection = recall_layer(scored, budget, self.config.chunk)
+        checksum = 0.0
+        attended = 0
+        for h, view in enumerate(views):
+            keys_sel, vals_sel = materialize(selection, view)
+            k_parts = [view.sink_keys, keys_sel, view.local_keys]
+            v_parts = [view.sink_values, vals_sel, view.local_values]
+            if window_k is not None:
+                k_parts.append(window_k[h])
+                v_parts.append(window_v[h])
+            k_att = np.concatenate(k_parts)
+            out = reference_attention(q[h], k_att, np.concatenate(v_parts),
+                                      causal=True)
+            checksum += float(out.sum())
+            attended = k_att.shape[0]
+        return LayerStepRecord(
+            layer=l,
+            candidate_ids=tuple(sc.chunk_id for sc in scored),
+            scores=tuple(float(sc.score) for sc in scored),
+            theta=float(theta),
+            budget_pairs=int(budget),
+            selected=selection.selected,
+            pairs_used=selection.pairs_used,
+            attended_pairs=attended,
+            attn_checksum=checksum,
+        )
+
     def prefill_step(self, window_q: np.ndarray, window_k: np.ndarray,
                      window_v: np.ndarray, index: int) -> StepRecord:
         """window_* have shape (layers, heads, rows, d_head)."""
@@ -219,33 +257,11 @@ class Engine:
                 views.append(self.caches[l][h].snapshot())
             scored = score_chunks_across_heads(probes, views,
                                                mode=cfg.rep_mode)
-            theta = layer_density(scored)
-            selection = recall_layer(scored, cfg.budget, cfg.chunk)
-            checksum = 0.0
-            attended = 0
+            recs.append(self._attend_and_record(
+                l, window_q[l], views, scored, layer_density(scored),
+                cfg.budget, window_k[l], window_v[l]))
             for h in range(cfg.heads):
-                view = views[h]
-                keys_sel, vals_sel = materialize(selection, view)
-                k_att = np.concatenate([view.sink_keys, keys_sel,
-                                        view.local_keys, window_k[l, h]])
-                v_att = np.concatenate([view.sink_values, vals_sel,
-                                        view.local_values, window_v[l, h]])
-                out = reference_attention(window_q[l, h], k_att, v_att,
-                                          causal=True)
-                checksum += float(out.sum())
-                attended = k_att.shape[0]
                 self.caches[l][h].append(window_k[l, h], window_v[l, h])
-            recs.append(LayerStepRecord(
-                layer=l,
-                candidate_ids=tuple(sc.chunk_id for sc in scored),
-                scores=tuple(float(sc.score) for sc in scored),
-                theta=float(theta),
-                budget_pairs=cfg.budget,
-                selected=selection.selected,
-                pairs_used=selection.pairs_used,
-                attended_pairs=attended,
-                attn_checksum=checksum,
-            ))
         step = StepRecord(stage="pre-filling", index=index, layers=tuple(recs))
         self.steps.append(step)
         return step
@@ -254,49 +270,26 @@ class Engine:
                     index: int) -> StepRecord:
         """q, k, v have shape (layers, heads, 1, d_head)."""
         cfg = self.config
-        per_layer: list[list] = []
+        per_layer: list[tuple[list, list]] = []
         thetas: list[float] = []
         for l in range(cfg.layers):
             probes, views = [], []
             for h in range(cfg.heads):
                 probes.append(decoding_probe(q[l, h, 0], layer=l, head=h))
+                self.caches[l][h].append(k[l, h], v[l, h])
                 views.append(self.caches[l][h].snapshot())
             scored = score_chunks_across_heads(probes, views,
                                                mode=cfg.rep_mode)
-            per_layer.append(scored)
+            per_layer.append((views, scored))
             thetas.append(layer_density(scored))
         if cfg.cutoff_mode == "dynamic":
             budgets = allocate(thetas, cfg.total_budget,
                                chunk_size=cfg.chunk).budgets
         else:
             budgets = tuple(cfg.budget for _ in range(cfg.layers))
-        recs = []
-        for l in range(cfg.layers):
-            selection = recall_layer(per_layer[l], budgets[l], cfg.chunk)
-            checksum = 0.0
-            attended = 0
-            for h in range(cfg.heads):
-                self.caches[l][h].append(k[l, h], v[l, h])
-                view = self.caches[l][h].snapshot()
-                keys_sel, vals_sel = materialize(selection, view)
-                k_att = np.concatenate([view.sink_keys, keys_sel,
-                                        view.local_keys])
-                v_att = np.concatenate([view.sink_values, vals_sel,
-                                        view.local_values])
-                out = reference_attention(q[l, h], k_att, v_att, causal=True)
-                checksum += float(out.sum())
-                attended = k_att.shape[0]
-            recs.append(LayerStepRecord(
-                layer=l,
-                candidate_ids=tuple(sc.chunk_id for sc in per_layer[l]),
-                scores=tuple(float(sc.score) for sc in per_layer[l]),
-                theta=float(thetas[l]),
-                budget_pairs=int(budgets[l]),
-                selected=selection.selected,
-                pairs_used=selection.pairs_used,
-                attended_pairs=attended,
-                attn_checksum=checksum,
-            ))
+        recs = [self._attend_and_record(l, q[l], views, scored, thetas[l],
+                                        budgets[l])
+                for l, (views, scored) in enumerate(per_layer)]
         step = StepRecord(stage="decoding", index=index, layers=tuple(recs))
         self.steps.append(step)
         return step

@@ -63,17 +63,6 @@ class StreamingStats:
         return np.maximum(var, 0.0)
 
 
-def update_stats(stats: StreamingStats, window_queries) -> StreamingStats:
-    return stats.update(window_queries)
-
-
-def anchor_score(q, stats: StreamingStats) -> float:
-    """L2 distance of a query from the running mean; larger = more anchor-like."""
-    v = as_vector(q, dim=stats.dim).astype(np.float64)
-    delta = stats.mean() - v
-    return float(np.sqrt(np.sum(delta * delta)))
-
-
 @dataclass(frozen=True)
 class ActivationBias:
     phi: np.ndarray       # (m, d), non-negative

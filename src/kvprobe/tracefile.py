@@ -8,12 +8,11 @@ File layout (version 1, all integers little-endian):
     header JSON   shape/flag fields, including payload_bytes so the
                   ground-truth footer can be located without parsing
                   tensors
-    payload       optional task block: per layer, per head, task query
-                  rows (task_rows x d_head) as row-major f32;
-                  then per window: per layer: per head: Q, K, V
-                  (window x d_head each);
-                  then per decode step: per layer: per head: q, k, v
-                  (1 x d_head each)
+    payload       f32le, three sections in order: the optional task
+                  block (L, H, task_rows, d_head); the windows
+                  (T, L, H, 3, window, d_head); the decode steps
+                  (S, L, H, 3, 1, d_head), where the axis of length 3
+                  holds Q, K, V
     footer        ground-truth JSON document (when flagged)
 
 Synthetic traces draw background tensors i.i.d. standard normal and
@@ -35,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 from typing import Iterator
@@ -175,85 +175,26 @@ def write_trace(path, trace: TraceData) -> None:
     if h.has_ground_truth and trace.ground_truth is None:
         raise TraceFormatError("header flags ground truth but none given")
 
-    def dump(fh, arr):
-        fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
     hdr = _header_json(h)
     with open(path, "wb") as fh:
         fh.write(_PREFIX.pack(MAGIC, VERSION, len(hdr)))
         fh.write(hdr)
         if h.has_task_block:
-            dump(fh, trace.task_queries)
-        for t in range(h.num_windows):
-            for l in range(h.layers):
-                for hd in range(h.heads):
-                    dump(fh, trace.window_q[t, l, hd])
-                    dump(fh, trace.window_k[t, l, hd])
-                    dump(fh, trace.window_v[t, l, hd])
-        for s in range(h.num_decode_steps):
-            for l in range(h.layers):
-                for hd in range(h.heads):
-                    dump(fh, trace.decode_q[s, l, hd])
-                    dump(fh, trace.decode_k[s, l, hd])
-                    dump(fh, trace.decode_v[s, l, hd])
+            np.ascontiguousarray(trace.task_queries, dtype="<f4").tofile(fh)
+        for blk in trace.blocks():
+            np.stack((blk.q, blk.k, blk.v), axis=2, dtype="<f4").tofile(fh)
         if h.has_ground_truth:
             fh.write(json.dumps(trace.ground_truth, sort_keys=True,
                                 separators=(",", ":")).encode())
 
 
 class TraceReader:
-    """Streaming access to one trace file; iterators may run concurrently
-    (each holds its own handle over the immutable file)."""
+    """Access to one trace file whose header has been validated."""
 
     def __init__(self, path, header: TraceHeader, payload_start: int):
         self.path = path
         self.header = header
         self._payload_start = payload_start
-
-    def _read_tensor(self, fh, rows: int) -> np.ndarray:
-        h = self.header
-        need = rows * h.d_head * 4
-        at = fh.tell()
-        buf = fh.read(need)
-        if len(buf) < need:
-            raise TruncatedFile(at + len(buf), "tensor block")
-        return np.frombuffer(buf, dtype="<f4").reshape(rows, h.d_head).copy()
-
-    def _read_group(self, fh, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        h = self.header
-        q = np.empty((h.layers, h.heads, rows, h.d_head), dtype=np.float32)
-        k = np.empty_like(q)
-        v = np.empty_like(q)
-        for l in range(h.layers):
-            for hd in range(h.heads):
-                q[l, hd] = self._read_tensor(fh, rows)
-                k[l, hd] = self._read_tensor(fh, rows)
-                v[l, hd] = self._read_tensor(fh, rows)
-        return q, k, v
-
-    def task_queries(self) -> np.ndarray | None:
-        h = self.header
-        if not h.has_task_block:
-            return None
-        out = np.empty((h.layers, h.heads, h.task_rows, h.d_head),
-                       dtype=np.float32)
-        with open(self.path, "rb") as fh:
-            fh.seek(self._payload_start)
-            for l in range(h.layers):
-                for hd in range(h.heads):
-                    out[l, hd] = self._read_tensor(fh, h.task_rows)
-        return out
-
-    def blocks(self) -> Iterator[StepBlock]:
-        h = self.header
-        with open(self.path, "rb") as fh:
-            fh.seek(self._payload_start + h.task_bytes())
-            for t in range(h.num_windows):
-                q, k, v = self._read_group(fh, h.window)
-                yield StepBlock("pre-filling", t, q, k, v)
-            for s in range(h.num_decode_steps):
-                q, k, v = self._read_group(fh, 1)
-                yield StepBlock("decoding", s, q, k, v)
 
     def ground_truth(self) -> dict | None:
         h = self.header
@@ -271,23 +212,31 @@ class TraceReader:
             raise TraceFormatError(f"ground-truth footer not valid JSON: {e}")
 
     def load(self) -> TraceData:
+        """Read the whole payload with one call; the returned tensors are
+        views into it."""
         h = self.header
-        wq = np.empty((h.num_windows, h.layers, h.heads, h.window, h.d_head),
-                      dtype=np.float32)
-        wk = np.empty_like(wq)
-        wv = np.empty_like(wq)
-        dq = np.empty((h.num_decode_steps, h.layers, h.heads, 1, h.d_head),
-                      dtype=np.float32)
-        dk = np.empty_like(dq)
-        dv = np.empty_like(dq)
-        for blk in self.blocks():
-            if blk.stage == "pre-filling":
-                wq[blk.index], wk[blk.index], wv[blk.index] = blk.q, blk.k, blk.v
-            else:
-                dq[blk.index], dk[blk.index], dv[blk.index] = blk.q, blk.k, blk.v
-        return TraceData(header=h, window_q=wq, window_k=wk, window_v=wv,
-                         decode_q=dq, decode_k=dk, decode_v=dv,
-                         task_queries=self.task_queries(),
+        size = os.path.getsize(self.path)
+        if size < self._payload_start + h.payload_bytes():
+            raise TruncatedFile(size, "tensor payload")
+        flat = np.fromfile(self.path, dtype="<f4",
+                           count=h.payload_bytes() // 4,
+                           offset=self._payload_start)
+        # float64 accumulation cannot overflow on finite float32 inputs,
+        # so a non-finite sum means a NaN or infinity in the payload
+        if not np.isfinite(flat.sum(dtype=np.float64)):
+            raise TraceFormatError("trace payload holds NaN or infinity")
+        L, H, dh = h.layers, h.heads, h.d_head
+        n_task = L * H * h.task_rows * dh
+        n_win = h.num_windows * L * H * 3 * h.window * dh
+        win = flat[n_task:n_task + n_win].reshape(
+            h.num_windows, L, H, 3, h.window, dh)
+        dec = flat[n_task + n_win:].reshape(h.num_decode_steps, L, H, 3, 1, dh)
+        task = (flat[:n_task].reshape(L, H, h.task_rows, dh)
+                if h.has_task_block else None)
+        return TraceData(header=h, window_q=win[:, :, :, 0],
+                         window_k=win[:, :, :, 1], window_v=win[:, :, :, 2],
+                         decode_q=dec[:, :, :, 0], decode_k=dec[:, :, :, 1],
+                         decode_v=dec[:, :, :, 2], task_queries=task,
                          ground_truth=self.ground_truth())
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kvprobe.cache import LayerCache, load_spill, rep_key_of
+from kvprobe.cache import LayerCache, rep_key_of
 
 
 def fill(cache: LayerCache, n: int, dim: int, start: int = 0) -> None:
@@ -18,8 +18,6 @@ def fill(cache: LayerCache, n: int, dim: int, start: int = 0) -> None:
 def test_rep_key_is_member_mean():
     keys = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]], dtype=np.float32)
     assert rep_key_of(keys) == pytest.approx([1.0, 1.0])
-    # max-score retrieval still stores the mean representative
-    assert rep_key_of(keys, mode="max-score") == pytest.approx([1.0, 1.0])
 
 
 def test_routing_example():
@@ -30,7 +28,6 @@ def test_routing_example():
     view = cache.snapshot()
     assert view.sink_keys.shape[0] == 2
     assert [(c.chunk_id, c.rows) for c in view.chunks] == [(0, 2), (1, 1)]
-    assert cache.open_rows == 1
     assert cache.total_pairs == 5
 
 
@@ -98,51 +95,6 @@ def test_conservation(total, n_sink, chunk, n_local):
     # every full chunk has exactly `chunk` rows; only the last may be short
     for ch in view.chunks[:-1]:
         assert ch.rows == chunk
-
-
-def test_spill_round_trip(tmp_path):
-    cache = LayerCache(dim=3, n_sink=2, n_local=4, chunk=2)
-    fill(cache, 11, 3)
-    path = tmp_path / "cold.akvc"
-    wrote = cache.spill(path)
-    full = [c for c in cache.snapshot().chunks if c.rows == 2]
-    assert wrote == len(full)
-    chunk, dim, pairs = load_spill(path)
-    assert (chunk, dim) == (2, 3)
-    assert len(pairs) == wrote
-    for (keys, values), ch in zip(pairs, full):
-        assert np.array_equal(keys, ch.keys)
-        assert np.array_equal(values, ch.values)
-        # representative recomputed from members matches the original
-        assert rep_key_of(keys) == pytest.approx(ch.rep_key)
-
-
-def test_spill_partial_chunk_stays_in_memory(tmp_path):
-    cache = LayerCache(dim=2, n_sink=0, n_local=2, chunk=4)
-    fill(cache, 6, 2)
-    path = tmp_path / "cold.akvc"
-    assert cache.spill(path) == 1  # 4 full + 2 open
-
-
-def test_spill_rejects_bad_magic(tmp_path):
-    path = tmp_path / "cold.akvc"
-    LayerCache(dim=2, n_sink=0, n_local=2, chunk=2).spill(path)
-    raw = bytearray(path.read_bytes())
-    raw[:4] = b"NOPE"
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="magic"):
-        load_spill(path)
-
-
-def test_spill_rejects_truncation(tmp_path):
-    cache = LayerCache(dim=2, n_sink=0, n_local=2, chunk=2)
-    fill(cache, 4, 2)
-    path = tmp_path / "cold.akvc"
-    cache.spill(path)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-3])
-    with pytest.raises(ValueError, match=r"byte"):
-        load_spill(path)
 
 
 def test_snapshot_is_isolated_from_later_appends():

@@ -1,4 +1,5 @@
 import json
+import struct
 
 from kvprobe.cli import main
 
@@ -83,6 +84,18 @@ def test_truncated_trace_exits_2(tmp_path):
     trace.write_bytes(raw[: len(raw) // 2])
     assert main(["run", "--trace", str(trace),
                  "--report", str(tmp_path / "r.json")] + RUN_GEOM) == 2
+
+
+def test_non_finite_trace_exits_2(tmp_path):
+    trace = gen(tmp_path)
+    raw = bytearray(trace.read_bytes())
+    payload = 12 + struct.unpack("<I", raw[8:12])[0]
+    raw[payload + 400:payload + 404] = struct.pack("<f", float("nan"))
+    trace.write_bytes(bytes(raw))
+    report = tmp_path / "r.json"
+    assert main(["run", "--trace", str(trace), "--report", str(report)]
+                + RUN_GEOM) == 2
+    assert not report.exists()
 
 
 def test_bad_engine_config_exits_3(tmp_path):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kvprobe.cutoff import (allocate, density_profile, layer_density,
-                            recall_layer)
+from kvprobe.cutoff import allocate, layer_density, recall_layer
 from kvprobe.linalg import entropy, softmax
 from kvprobe.retrieval import ScoredChunk
 
@@ -105,13 +104,6 @@ def test_layer_density_is_score_entropy():
                          for i, s in enumerate(scores)])
     assert got == pytest.approx(want, abs=1e-12)
     assert layer_density([]) == 0.0
-
-
-def test_density_profile_collects_layers():
-    prof = density_profile([[ScoredChunk(0, 0.5), ScoredChunk(1, 0.5)], []])
-    assert prof.theta[0] == pytest.approx(math.log(2.0))
-    assert prof.theta[1] == 0.0
-    assert prof.n_per_layer == (2, 0)
 
 
 def test_recall_layer_respects_budget():

@@ -116,6 +116,18 @@ def test_candidates_exclude_local_tail():
             assert rec.candidate_ids == tuple(range(want))
 
 
+def test_chunk_leaving_the_tail_is_a_candidate_at_once():
+    """Decode step 31 appends pair 1055 and moves tail_start from 543 to
+    544, so chunk 14 (pairs 512..543) leaves the local tail in that step
+    and must be a candidate in it, or no tier covers pair 543."""
+    cfg = SyntheticConfig(layers=1, num_windows=4, num_decode_steps=40)
+    result = run_trace(generate_synthetic(cfg, None, seed=0),
+                       EngineConfig(d=cfg.d, layers=1))
+    decode = [s for s in result.steps if s.stage == "decoding"]
+    assert 14 not in decode[30].layers[0].candidate_ids
+    assert 14 in decode[31].layers[0].candidate_ids
+
+
 def test_decode_attended_pairs_bounded():
     result = run_trace(tiny_trace(), tiny_config())
     cfg = tiny_config()

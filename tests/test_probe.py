@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kvprobe.probe import (LengthMismatch, StatsUndefined, StreamingStats,
-                           activation_bias, anchor_score, build_probe,
-                           decoding_probe, uniform_bias, update_stats)
+                           activation_bias, build_probe, decoding_probe,
+                           uniform_bias)
 
 finite = st.floats(min_value=-100.0, max_value=100.0,
                    allow_nan=False, allow_infinity=False)
@@ -34,11 +34,6 @@ def test_stats_undefined_until_two_rows():
     assert s.variance() == pytest.approx([0.0, 0.0])
 
 
-def test_update_stats_function_wrapper():
-    s = update_stats(StreamingStats(1), np.array([[3.0], [5.0]]))
-    assert s.mean() == pytest.approx([4.0])
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(matrices(2, 3), min_size=1, max_size=5))
 def test_streaming_matches_batch(groups):
@@ -50,11 +45,6 @@ def test_streaming_matches_batch(groups):
     if full.shape[0] >= 2:
         want = full.var(axis=0, ddof=1)
         assert s.variance() == pytest.approx(want, abs=1e-4)
-
-
-def test_anchor_score_is_distance_from_running_mean():
-    s = StreamingStats(2).update(np.zeros((2, 2)))
-    assert anchor_score(np.array([3.0, 4.0]), s) == pytest.approx(5.0)
 
 
 def test_activation_bias_example():

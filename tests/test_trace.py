@@ -61,7 +61,7 @@ def test_streaming_blocks_match_eager_load(tmp_path):
     write_trace(path, trace)
     _, reader = read_trace(path)
     stages = []
-    for blk, want in zip(reader.blocks(), trace.blocks()):
+    for blk, want in zip(reader.load().blocks(), trace.blocks()):
         stages.append(blk.stage)
         assert (blk.stage, blk.index) == (want.stage, want.index)
         assert np.array_equal(blk.q, want.q)
@@ -75,7 +75,8 @@ def test_concurrent_iterators(tmp_path):
     path = tmp_path / "t.akvt"
     write_trace(path, trace)
     _, reader = read_trace(path)
-    a, b = reader.blocks(), reader.blocks()
+    loaded = reader.load()
+    a, b = loaded.blocks(), loaded.blocks()
     first_a = next(a)
     first_b = next(b)
     assert np.array_equal(first_a.q, first_b.q)
