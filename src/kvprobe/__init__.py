@@ -5,8 +5,8 @@ from .cache import CacheView, KVChunk, LayerCache, rep_key_of
 from .cutoff import BudgetAllocation, allocate, layer_density, recall_layer
 from .engine import (ConfigError, Engine, EngineConfig, RunResult,
                      StepRecord, reference_attention, run_trace)
-from .linalg import (DimMismatch, EmptyInput, NotNormalized, ZeroNorm,
-                     cosine, entropy, l1_norm, l2_norm, softmax)
+from .linalg import (DimMismatch, EmptyInput, NonFinite, NotNormalized,
+                     ZeroNorm, cosine, entropy, l1_norm, l2_norm, softmax)
 from .metrics import (ConfigMismatch, EmptyTruth, build_report, compare_runs,
                       recall_at_budget, report_to_csv, score_perplexity)
 from .probe import (ActivationBias, ProbeQuery, StatsUndefined,
@@ -24,8 +24,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ActivationBias", "BudgetAllocation", "CacheView", "ConfigError",
     "ConfigMismatch", "DimMismatch", "EmptyInput", "EmptyTruth", "Engine",
-    "EngineConfig", "KVChunk", "LayerCache", "NotNormalized", "PlantedSpec",
-    "ProbeQuery", "RunResult", "ScoredChunk", "SelectionResult",
+    "EngineConfig", "KVChunk", "LayerCache", "NonFinite", "NotNormalized",
+    "PlantedSpec", "ProbeQuery", "RunResult", "ScoredChunk", "SelectionResult",
     "SpecOutOfRange", "StatsUndefined", "StepRecord", "StreamingStats",
     "SyntheticConfig", "TraceData", "TraceFormatError", "TraceHeader",
     "UnknownChunk", "ZeroNorm", "activation_bias", "allocate", "build_probe",

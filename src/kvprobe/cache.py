@@ -1,26 +1,36 @@
 """Chunked, tiered KV cache per (layer, head) stream.
 
-Incoming pairs route to three tiers: the first n_sink pairs become
-attention sinks (immutable once filled), everything after accumulates
-into an open chunk that seals every c pairs into the retrievable cold
-tier, and a ring of the most recent n_local non-sink pairs forms the
-hot local tail. The tail is a view for attention purposes: its pairs
-also live in sealed chunks or the open buffer, which is where the
-"every pair in exactly one tier" bookkeeping happens.
+Each stream lives in one token-ordered float32 K buffer and one V
+buffer of shape (capacity, dim); every tier is a row range of them:
 
-Chunks whose token span has fully left the local tail are the
-retrieval candidates; a chunk still overlapping the tail is already
-attendable and retrieving it again would double-count its pairs.
+    sinks       [0, n_sink)
+    chunk j     [n_sink + j*c, n_sink + (j+1)*c), sealed once full;
+                only the last chunk may be open (partly filled)
+    local tail  [tail_start, total), the newest n_local non-sink pairs
+
+Appends only write rows past the current total, so a snapshot is a set
+of read-only slices and copies nothing; a later regrowth moves the
+cache to new buffers and leaves old snapshots on the old ones. When a
+chunk seals, its representative key and that key's float64 norm are
+written to a (chunks, dim) matrix; every appended row's float64 key
+norm is written at append time. Scoring reads only these arrays.
+
+The retrieval candidates are the chunks whose span ends before
+tail_start. A chunk that straddles tail_start is not one, and its
+rows before tail_start are neither retrievable nor in the tail, so no
+step attends them. With n_local = 0 the tail is empty and the open
+partial chunk is a candidate too.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimMismatch, as_matrix
+from .linalg import DimMismatch, as_matrix, l2_norm, row_norms
+
 
 def rep_key_of(keys) -> np.ndarray:
     """Representative key of a chunk: per-dimension mean of its rows.
@@ -36,16 +46,13 @@ def rep_key_of(keys) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KVChunk:
-    """A sealed group of consecutive KV pairs with its representative key."""
+    """One chunk's rows of a snapshot (slices, built only when read)."""
 
     chunk_id: int
-    layer: int
-    head: int
     start: int  # inclusive token positions
     end: int
     keys: np.ndarray
     values: np.ndarray
-    rep_key: np.ndarray
 
     @property
     def rows(self) -> int:
@@ -56,24 +63,97 @@ class KVChunk:
 class CacheView:
     """Immutable snapshot of one (layer, head) stream.
 
-    chunks includes the trailing partial chunk (if the open buffer is
-    non-empty) so it can be scored like any other; retrievable filters
-    to chunks whose span ends before tail_start.
+    keys, values and key_norms hold every cached pair in token order;
+    rep_keys (float64) and rep_norms hold one row per sealed chunk.
+    All are read-only slices of the cache's buffers.
     """
 
     layer: int
     head: int
-    sink_keys: np.ndarray
-    sink_values: np.ndarray
-    chunks: tuple[KVChunk, ...]
-    local_keys: np.ndarray
-    local_values: np.ndarray
+    n_sink: int
+    chunk: int
+    keys: np.ndarray
+    values: np.ndarray
+    key_norms: np.ndarray
+    rep_keys: np.ndarray
+    rep_norms: np.ndarray
     tail_start: int
-    total_pairs: int
 
     @property
-    def retrievable(self) -> tuple[KVChunk, ...]:
-        return tuple(ch for ch in self.chunks if ch.end < self.tail_start)
+    def total_pairs(self) -> int:
+        return int(self.keys.shape[0])
+
+    @property
+    def sink_keys(self) -> np.ndarray:
+        return self.keys[:self.n_sink]
+
+    @property
+    def sink_values(self) -> np.ndarray:
+        return self.values[:self.n_sink]
+
+    @property
+    def local_keys(self) -> np.ndarray:
+        return self.keys[self.tail_start:]
+
+    @property
+    def local_values(self) -> np.ndarray:
+        return self.values[self.tail_start:]
+
+    @property
+    def n_candidates(self) -> int:
+        """Chunks whose span ends before tail_start: the sealed chunks
+        fully behind the tail, plus the open one when the tail is empty."""
+        span = max(0, self.tail_start - self.n_sink)
+        if self.tail_start == self.total_pairs:
+            return -(-span // self.chunk)
+        return span // self.chunk
+
+    def chunk_rows(self, chunk_id: int) -> tuple[int, int]:
+        """[start, stop) rows of a chunk; the open chunk stops at total."""
+        start = self.n_sink + chunk_id * self.chunk
+        return start, min(start + self.chunk, self.total_pairs)
+
+    @property
+    def chunks(self) -> Sequence[KVChunk]:
+        """Every chunk, the open partial one included."""
+        return _Chunks(self, -(-max(0, self.total_pairs - self.n_sink)
+                               // self.chunk))
+
+    @property
+    def retrievable(self) -> Sequence[KVChunk]:
+        return _Chunks(self, self.n_candidates)
+
+
+class _Chunks(Sequence):
+    """The first n chunks of a view, each built when it is read."""
+
+    def __init__(self, view: CacheView, n: int):
+        self._view = view
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(self._n)[i])
+        j = range(self._n)[i]
+        start, stop = self._view.chunk_rows(j)
+        return KVChunk(chunk_id=j, start=start, end=stop - 1,
+                       keys=self._view.keys[start:stop],
+                       values=self._view.values[start:stop])
+
+
+def _resized(a: np.ndarray, rows: int, keep: int) -> np.ndarray:
+    """A new `rows`-row buffer holding the first `keep` rows of a."""
+    out = np.empty((rows,) + a.shape[1:], dtype=a.dtype)
+    out[:keep] = a[:keep]
+    return out
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class LayerCache:
@@ -89,13 +169,30 @@ class LayerCache:
         self.chunk = chunk
         self.layer = layer
         self.head = head
-        self._sink_k: list[np.ndarray] = []
-        self._sink_v: list[np.ndarray] = []
-        self._chunks: list[KVChunk] = []
-        self._open_k: list[np.ndarray] = []
-        self._open_v: list[np.ndarray] = []
-        self._tail: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=n_local)
         self.total_pairs = 0
+        self._sealed = 0
+        self._k = np.empty((0, dim), dtype=np.float32)
+        self._v = np.empty((0, dim), dtype=np.float32)
+        self._knorm = np.empty(0)
+        self._rep = np.empty((0, dim))
+        self._rep_norm = np.empty(0)
+
+    @property
+    def capacity(self) -> int:
+        return int(self._k.shape[0])
+
+    def reserve(self, rows: int) -> None:
+        """Size the buffers for at least `rows` pairs, so appends up to
+        that total never regrow them."""
+        if rows <= self.capacity:
+            return
+        chunks = -(-max(0, rows - self.n_sink) // self.chunk)
+        n, sealed = self.total_pairs, self._sealed
+        self._k = _resized(self._k, rows, n)
+        self._v = _resized(self._v, rows, n)
+        self._knorm = _resized(self._knorm, rows, n)
+        self._rep = _resized(self._rep, chunks, sealed)
+        self._rep_norm = _resized(self._rep_norm, chunks, sealed)
 
     def append(self, keys, values) -> int:
         """Append KV pairs; returns how many chunks this call sealed."""
@@ -105,36 +202,22 @@ class LayerCache:
             raise DimMismatch(f"keys {k.shape} vs values {v.shape}")
         if k.shape[0] < 1:
             raise DimMismatch("append of zero rows")
-        sealed = 0
-        for row in range(k.shape[0]):
-            kr = k[row].copy()
-            vr = v[row].copy()
-            if len(self._sink_k) < self.n_sink:
-                self._sink_k.append(kr)
-                self._sink_v.append(vr)
-            else:
-                self._open_k.append(kr)
-                self._open_v.append(vr)
-                if self.n_local > 0:
-                    self._tail.append((kr, vr))
-                if len(self._open_k) == self.chunk:
-                    self._seal()
-                    sealed += 1
-            self.total_pairs += 1
-        return sealed
-
-    def _seal(self) -> None:
-        cid = len(self._chunks)
-        start = self.n_sink + cid * self.chunk
-        keys = np.stack(self._open_k)
-        vals = np.stack(self._open_v)
-        self._chunks.append(KVChunk(
-            chunk_id=cid, layer=self.layer, head=self.head,
-            start=start, end=start + keys.shape[0] - 1,
-            keys=keys, values=vals, rep_key=rep_key_of(keys),
-        ))
-        self._open_k = []
-        self._open_v = []
+        start, stop = self.total_pairs, self.total_pairs + k.shape[0]
+        if stop > self.capacity:
+            self.reserve(max(stop, 2 * self.capacity))
+        self._k[start:stop] = k
+        self._v[start:stop] = v
+        self._knorm[start:stop] = row_norms(k)
+        self.total_pairs = stop
+        full = max(0, stop - self.n_sink) // self.chunk
+        first = self._sealed
+        for j in range(first, full):
+            lo = self.n_sink + j * self.chunk
+            rep = rep_key_of(self._k[lo:lo + self.chunk]).astype(np.float64)
+            self._rep[j] = rep
+            self._rep_norm[j] = l2_norm(rep)
+        self._sealed = full
+        return full - first
 
     @property
     def tail_start(self) -> int:
@@ -142,25 +225,14 @@ class LayerCache:
                    self.total_pairs - self.n_local)
 
     def snapshot(self) -> CacheView:
-        chunks = list(self._chunks)
-        if self._open_k:
-            cid = len(self._chunks)
-            start = self.n_sink + cid * self.chunk
-            keys = np.stack(self._open_k)
-            vals = np.stack(self._open_v)
-            chunks.append(KVChunk(
-                chunk_id=cid, layer=self.layer, head=self.head,
-                start=start, end=start + keys.shape[0] - 1,
-                keys=keys, values=vals, rep_key=rep_key_of(keys),
-            ))
-        empty = np.zeros((0, self.dim), dtype=np.float32)
+        n = self.total_pairs
         return CacheView(
             layer=self.layer, head=self.head,
-            sink_keys=np.stack(self._sink_k) if self._sink_k else empty,
-            sink_values=np.stack(self._sink_v) if self._sink_v else empty,
-            chunks=tuple(chunks),
-            local_keys=np.stack([k for k, _ in self._tail]) if self._tail else empty,
-            local_values=np.stack([v for _, v in self._tail]) if self._tail else empty,
+            n_sink=self.n_sink, chunk=self.chunk,
+            keys=_read_only(self._k[:n]),
+            values=_read_only(self._v[:n]),
+            key_norms=_read_only(self._knorm[:n]),
+            rep_keys=_read_only(self._rep[:self._sealed]),
+            rep_norms=_read_only(self._rep_norm[:self._sealed]),
             tail_start=self.tail_start,
-            total_pairs=self.total_pairs,
         )

@@ -36,7 +36,9 @@ EXIT_MISMATCH = 4
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    # strict JSON: a NaN or infinity raises instead of reaching a report
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False) + "\n"
 
 
 def _emit(path: str | None, obj) -> None:

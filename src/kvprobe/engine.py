@@ -306,6 +306,12 @@ class Engine:
         if h.window != cfg.window:
             raise ConfigError(f"trace window {h.window} != configured "
                               f"{cfg.window}")
+        # presized, so no append regrows a buffer (a regrowth briefly
+        # holds the old and the new copy of a stream)
+        rows = h.num_windows * h.window + h.num_decode_steps
+        for layer in self.caches:
+            for cache in layer:
+                cache.reserve(rows)
         for blk in trace.blocks():
             if blk.stage == "pre-filling":
                 self.prefill_step(blk.q, blk.k, blk.v, blk.index)

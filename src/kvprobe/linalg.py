@@ -29,6 +29,10 @@ class DimMismatch(ValueError):
     pass
 
 
+class NonFinite(ValueError):
+    """A similarity came out NaN or infinite."""
+
+
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     v = np.asarray(x, dtype=np.float32)
     if v.ndim != 1:
@@ -56,6 +60,12 @@ def l2_norm(v) -> float:
     return float(np.sqrt(np.sum(x * x)))
 
 
+def row_norms(m) -> np.ndarray:
+    """float64 L2 norm of each row of a matrix, as l2_norm of that row."""
+    x = np.asarray(m, dtype=np.float64)
+    return np.sqrt(np.sum(x * x, axis=1))
+
+
 def cosine(a, b) -> float:
     """Cosine similarity of two vectors, in [-1, 1].
 
@@ -75,6 +85,8 @@ def cosine(a, b) -> float:
     if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
         return 0.0
     c = float(np.dot(av, bv) / (na * nb))
+    if not np.isfinite(c):
+        raise NonFinite(f"cosine is {c}")
     # guard float round-off just outside the interval
     return min(1.0, max(-1.0, c))
 

@@ -1,11 +1,14 @@
 """Chunk scoring against a probe and budgeted top-k selection.
 
-Scores are cosines between the probe and each chunk's representative
-key ("mean" mode) or the best cosine over the chunk's member keys
-("max-score" mode). Selection is greedy by descending score in whole
-chunks, ties broken toward the older (smaller id) chunk, stopping as
-soon as the next chunk would overflow the pair budget. Materialized
-K*/V* rows come out in original token order, not score order.
+Scores are cosines between the probe and each candidate chunk's
+representative key ("mean" mode) or the best cosine over the chunk's
+member keys ("max-score" mode), one matrix-vector product per head
+over the cache view's arrays. A cosine is 0 when either norm is below
+1e-12, as in linalg.cosine. Selection is greedy by descending score in
+whole chunks, ties broken toward the older (smaller id) chunk,
+stopping as soon as the next chunk would overflow the pair budget.
+Materialized K*/V* rows come out in original token order, not score
+order.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cache import CacheView, KVChunk
-from .linalg import ZeroNorm, cosine
+from .cache import CacheView, rep_key_of
+from .linalg import ZERO_NORM_EPS, NonFinite, l2_norm
 from .probe import ProbeQuery
 
 
@@ -41,72 +44,79 @@ class SelectionResult:
 
 def _probe_vector(probe) -> np.ndarray:
     if isinstance(probe, ProbeQuery):
-        return probe.vector
-    return np.asarray(probe)
+        probe = probe.vector
+    return np.asarray(probe, dtype=np.float64)
 
 
-def _chunk_list(source) -> Sequence[KVChunk]:
-    # a cache view offers only chunks fully behind the local tail;
-    # anything newer is already attendable and must not be retrieved twice
-    if isinstance(source, CacheView):
-        return source.retrievable
-    return source
+def _cosines(dots: np.ndarray, norms: np.ndarray,
+             probe_norm: float) -> np.ndarray:
+    """dots / (probe_norm * norms), 0 where either norm is ~0."""
+    if probe_norm < ZERO_NORM_EPS:
+        return np.zeros_like(dots)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = dots / (probe_norm * norms)
+    cos[norms < ZERO_NORM_EPS] = 0.0
+    if not np.all(np.isfinite(cos)):
+        raise NonFinite("non-finite chunk score")
+    # guard float round-off just outside the interval
+    return np.clip(cos, -1.0, 1.0, out=cos)
 
 
-def _chunk_score(vec: np.ndarray, chunk: KVChunk, mode: str) -> float:
-    try:
-        if mode == "mean":
-            return cosine(vec, chunk.rep_key)
-        if mode == "max-score":
-            return max(_safe_cosine(vec, row) for row in chunk.keys)
-    except ZeroNorm:
-        return 0.0
+def _head_scores(probe, view: CacheView, mode: str) -> np.ndarray:
+    """float64 score of each of a view's candidate chunks for one head."""
+    vec = _probe_vector(probe)
+    norm = l2_norm(vec)
+    n = view.n_candidates
+    if mode == "mean":
+        sealed = min(n, view.rep_keys.shape[0])
+        dots = view.rep_keys[:sealed] @ vec
+        norms = view.rep_norms[:sealed]
+        if n > sealed:  # the open chunk, a candidate when the tail is empty
+            rep = rep_key_of(view.keys[slice(*view.chunk_rows(sealed))])
+            dots = np.append(dots, rep.astype(np.float64) @ vec)
+            norms = np.append(norms, l2_norm(rep))
+        return _cosines(dots, norms, norm)
+    if mode == "max-score":
+        if n == 0:
+            return np.zeros(0)
+        lo, hi = view.n_sink, view.chunk_rows(n - 1)[1]
+        cos = _cosines(view.keys[lo:hi].astype(np.float64) @ vec,
+                       view.key_norms[lo:hi], norm)
+        return np.maximum.reduceat(cos, np.arange(0, hi - lo, view.chunk))
     raise ValueError(f"unknown representative mode {mode!r}")
 
 
-def _safe_cosine(a, b) -> float:
-    try:
-        return cosine(a, b)
-    except ZeroNorm:
-        return 0.0
+def _scored(view: CacheView, scores: np.ndarray) -> list[ScoredChunk]:
+    rows = [view.chunk] * len(scores)
+    if rows:
+        start, stop = view.chunk_rows(len(rows) - 1)
+        rows[-1] = stop - start
+    return [ScoredChunk(chunk_id=j, score=s, rows=r)
+            for j, (s, r) in enumerate(zip(scores.tolist(), rows))]
 
 
-def score_chunks(probe, view, mode: str = "mean") -> list[ScoredChunk]:
-    """One score per chunk of a view (or plain chunk sequence).
+def score_chunks(probe, view: CacheView, mode: str = "mean"
+                 ) -> list[ScoredChunk]:
+    """One score per retrieval candidate of a view, in chunk order.
 
-    Degenerate zero-norm pairs score 0. Empty view -> empty list.
+    Degenerate zero-norm pairs score 0. No candidates -> empty list.
     """
-    vec = _probe_vector(probe)
-    return [ScoredChunk(chunk_id=ch.chunk_id,
-                        score=_chunk_score(vec, ch, mode),
-                        rows=ch.rows)
-            for ch in _chunk_list(view)]
+    return _scored(view, _head_scores(probe, view, mode))
 
 
-def score_chunks_across_heads(probes, views, mode: str = "mean") -> list[ScoredChunk]:
-    """Layer-level scores: arithmetic mean of per-head cosines per token span.
+def score_chunks_across_heads(probes, views: Sequence[CacheView],
+                              mode: str = "mean") -> list[ScoredChunk]:
+    """Layer-level scores: arithmetic mean of per-head cosines per chunk.
 
-    probes and views are parallel sequences over heads; chunk lists must
-    align (same spans in the same order), which holds for streams fed in
-    lockstep by the engine.
+    probes and views are parallel sequences over heads. Heads fed in
+    lockstep share one geometry, so chunk j is the same token span in
+    every view; views with different candidate counts raise ValueError.
     """
-    per_head = [score_chunks(p, v, mode) for p, v in zip(probes, views)]
+    per_head = [_head_scores(p, v, mode) for p, v in zip(probes, views)]
     if not per_head:
         return []
-    n = len(per_head[0])
-    if any(len(s) != n for s in per_head):
-        raise ValueError("head chunk lists are not aligned")
-    out = []
-    for i in range(n):
-        ids = {s[i].chunk_id for s in per_head}
-        if len(ids) != 1:
-            raise ValueError("head chunk ids disagree at position %d" % i)
-        out.append(ScoredChunk(
-            chunk_id=per_head[0][i].chunk_id,
-            score=float(np.mean([s[i].score for s in per_head])),
-            rows=per_head[0][i].rows,
-        ))
-    return out
+    # summing along the contiguous head axis adds in np.mean's order
+    return _scored(views[0], np.stack(per_head, axis=1).mean(axis=1))
 
 
 def select_topk(scored: Sequence[ScoredChunk], budget_pairs: int,
@@ -130,24 +140,14 @@ def select_topk(scored: Sequence[ScoredChunk], budget_pairs: int,
     return SelectionResult(selected=tuple(taken), pairs_used=used)
 
 
-def materialize(selection: SelectionResult, view) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate selected chunks' K/V in ascending token position."""
-    chunks = _chunk_list(view)
-    by_id = {ch.chunk_id: ch for ch in chunks}
-    picked = []
-    for cid in selection.selected:
-        if cid not in by_id:
-            raise UnknownChunk(cid)
-        picked.append(by_id[cid])
-    picked.sort(key=lambda ch: ch.start)
-    if chunks:
-        dim = chunks[0].keys.shape[1]
-    else:
-        sinks = getattr(view, "sink_keys", None)
-        dim = sinks.shape[1] if sinks is not None else 0
-    if not picked:
-        z = np.zeros((0, dim), dtype=np.float32)
-        return z, z.copy()
-    keys = np.concatenate([ch.keys for ch in picked], axis=0)
-    values = np.concatenate([ch.values for ch in picked], axis=0)
-    return keys, values
+def materialize(selection: SelectionResult, view: CacheView
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Gather the selected chunks' K/V rows in ascending token position."""
+    ids = np.sort(np.asarray(selection.selected, dtype=np.int64))
+    bad = ids[(ids < 0) | (ids >= view.n_candidates)]
+    if bad.size:
+        raise UnknownChunk(int(bad[0]))
+    rows = (view.n_sink + view.chunk * ids[:, None]
+            + np.arange(view.chunk)).ravel()
+    rows = rows[rows < view.total_pairs]
+    return view.keys[rows], view.values[rows]

@@ -99,8 +99,27 @@ def test_conservation(total, n_sink, chunk, n_local):
 
 def test_snapshot_is_isolated_from_later_appends():
     cache = LayerCache(dim=2, n_sink=1, n_local=2, chunk=2)
-    fill(cache, 4, 2)
+    cache.reserve(6)
+    fill(cache, 4, 2)  # sink 0, chunk 0 = [1, 2], open chunk 1 = [3]
     before = cache.snapshot()
-    fill(cache, 4, 2, start=4)
+
+    def contents(view):
+        return ([view.sink_keys.copy(), view.sink_values.copy(),
+                 view.local_keys.copy(), view.local_values.copy()] +
+                [a.copy() for ch in view.chunks for a in (ch.keys, ch.values)])
+
+    saved = contents(before)
+    fill(cache, 2, 2, start=4)  # seals chunk 1 in the same buffers
+    assert cache.capacity == 6
+    fill(cache, 10, 2, start=6)  # regrows the buffers
+    assert cache.capacity > 6
     assert before.total_pairs == 4
-    assert cache.snapshot().total_pairs == 8
+    now = cache.snapshot()
+    assert now.total_pairs == 16
+    assert now.keys[:, 0] == pytest.approx(np.arange(16))  # regrowth kept rows
+    assert [(c.chunk_id, c.rows) for c in before.chunks] == [(0, 2), (1, 1)]
+    for old, now in zip(saved, contents(before), strict=True):
+        assert np.array_equal(old, now)
+    assert before.local_keys[:, 0] == pytest.approx([2.0, 3.0])
+    with pytest.raises(ValueError):  # snapshots are read-only
+        before.keys[0, 0] = 1.0

@@ -1,7 +1,10 @@
 import json
+import math
 import struct
 
-from kvprobe.cli import main
+import pytest
+
+from kvprobe.cli import _dumps, main
 
 GEN = ["gen-trace", "--dim", "16", "--layers", "2", "--heads", "2",
        "--window-size", "16", "--windows", "6", "--decode-steps", "2",
@@ -139,6 +142,12 @@ def test_report_to_stdout_when_no_path(tmp_path, capsys):
     assert main(["run", "--trace", str(trace)] + RUN_GEOM) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["version"] == 1
+
+
+def test_reports_never_carry_nan_or_infinity():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            _dumps({"overall": {"recall": {"mean": bad}}})
 
 
 def test_gen_trace_without_planting(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kvprobe.linalg import (DimMismatch, EmptyInput, NotNormalized, ZeroNorm,
+from kvprobe.linalg import (DimMismatch, EmptyInput, NonFinite, NotNormalized,
+                            ZeroNorm,
                             as_matrix, as_vector, cosine, entropy, l1_norm,
                             l2_norm, softmax)
 
@@ -29,6 +30,14 @@ def test_cosine_zero_vector_rules():
     # a single degenerate side scores zero instead of raising
     assert cosine([0.0, 0.0], [1.0, 2.0]) == 0.0
     assert cosine([1.0, 2.0], [0.0, 0.0]) == 0.0
+
+
+def test_cosine_rejects_non_finite_input():
+    """NaN used to come out as -1.0 through the [-1, 1] clamp."""
+    with pytest.raises(NonFinite):
+        cosine([math.nan, 1.0], [1.0, 1.0])
+    with pytest.raises(NonFinite):
+        cosine([math.inf, 1.0], [1.0, 1.0])
 
 
 def test_cosine_dim_mismatch():

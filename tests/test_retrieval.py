@@ -2,27 +2,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kvprobe.cache import KVChunk, rep_key_of
-from kvprobe.linalg import cosine
+from kvprobe.cache import LayerCache, rep_key_of
+from kvprobe.linalg import NonFinite, ZeroNorm, cosine
 from kvprobe.probe import decoding_probe
 from kvprobe.retrieval import (ScoredChunk, UnknownChunk, materialize,
                                score_chunks, score_chunks_across_heads,
                                select_topk)
 
 
-def mk_chunk(cid, keys, start=None):
+def view_of(keys, chunk, n_sink=0, n_local=0):
+    """Snapshot of a cache fed `keys` (values are keys + 100). With the
+    default n_local = 0 every chunk after the sinks is a candidate."""
     keys = np.asarray(keys, dtype=np.float32)
-    start = 10 * cid if start is None else start
-    return KVChunk(chunk_id=cid, layer=0, head=0, start=start,
-                   end=start + keys.shape[0] - 1, keys=keys,
-                   values=keys + 100.0, rep_key=rep_key_of(keys))
+    cache = LayerCache(dim=keys.shape[1], n_sink=n_sink, n_local=n_local,
+                       chunk=chunk)
+    cache.append(keys, keys + 100.0)
+    return cache.snapshot()
 
 
 def test_mean_mode_scores_probe_against_representative():
     probe = np.array([1.0, 0.0], dtype=np.float32)
-    chunks = [mk_chunk(0, [[1.0, 0.0], [1.0, 0.0]]),
-              mk_chunk(1, [[0.0, 1.0], [0.0, 1.0]])]
-    scored = score_chunks(probe, chunks, mode="mean")
+    view = view_of([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], 2)
+    scored = score_chunks(probe, view, mode="mean")
     assert [s.chunk_id for s in scored] == [0, 1]
     assert scored[0].score == pytest.approx(1.0)
     assert scored[1].score == pytest.approx(0.0, abs=1e-12)
@@ -31,29 +32,38 @@ def test_mean_mode_scores_probe_against_representative():
 def test_max_score_mode_takes_best_member():
     probe = np.array([1.0, 0.0], dtype=np.float32)
     # representative mean is (0.5, 0.5) but one member aligns exactly
-    ch = mk_chunk(0, [[1.0, 0.0], [0.0, 1.0]])
-    mean_scored = score_chunks(probe, [ch], mode="mean")[0]
-    max_scored = score_chunks(probe, [ch], mode="max-score")[0]
+    view = view_of([[1.0, 0.0], [0.0, 1.0]], 2)
+    mean_scored = score_chunks(probe, view, mode="mean")[0]
+    max_scored = score_chunks(probe, view, mode="max-score")[0]
     assert mean_scored.score == pytest.approx(cosine([1, 0], [0.5, 0.5]))
     assert max_scored.score == pytest.approx(1.0)
 
 
 def test_zero_representative_scores_zero():
     probe = np.array([1.0, 0.0], dtype=np.float32)
-    ch = mk_chunk(0, [[1.0, 1.0], [-1.0, -1.0]])  # mean is the zero vector
-    assert score_chunks(probe, [ch])[0].score == pytest.approx(0.0)
+    view = view_of([[1.0, 1.0], [-1.0, -1.0]], 2)  # mean is the zero vector
+    assert score_chunks(probe, view)[0].score == pytest.approx(0.0)
 
 
 def test_score_accepts_probe_query_objects():
     probe = decoding_probe(np.array([0.0, 2.0], dtype=np.float32))
-    ch = mk_chunk(0, [[0.0, 1.0]])
-    assert score_chunks(probe, [ch])[0].score == pytest.approx(1.0)
+    assert score_chunks(probe, view_of([[0.0, 1.0]], 1))[0].score == \
+        pytest.approx(1.0)
+
+
+def test_non_finite_score_raises():
+    """A NaN key used to score -1.0 through cosine's clamp."""
+    view = view_of([[1.0, 0.0], [np.nan, 0.0]], 1)
+    probe = np.array([1.0, 0.0], dtype=np.float32)
+    for mode in ("mean", "max-score"):
+        with pytest.raises(NonFinite):
+            score_chunks(probe, view, mode=mode)
 
 
 def test_across_heads_averages_per_head_scores():
     probes = [np.array([1.0, 0.0], dtype=np.float32),
               np.array([0.0, 1.0], dtype=np.float32)]
-    views = [[mk_chunk(0, [[1.0, 0.0]])], [mk_chunk(0, [[1.0, 0.0]])]]
+    views = [view_of([[1.0, 0.0]], 1), view_of([[1.0, 0.0]], 1)]
     scored = score_chunks_across_heads(probes, views)
     assert len(scored) == 1
     assert scored[0].score == pytest.approx(0.5)  # (1.0 + 0.0) / 2
@@ -61,7 +71,7 @@ def test_across_heads_averages_per_head_scores():
 
 def test_across_heads_rejects_misaligned_views():
     probes = [np.array([1.0, 0.0], dtype=np.float32)] * 2
-    views = [[mk_chunk(0, [[1.0, 0.0]])], [mk_chunk(1, [[1.0, 0.0]])]]
+    views = [view_of([[1.0, 0.0]], 1), view_of([[1.0, 0.0]] * 2, 1)]
     with pytest.raises(ValueError):
         score_chunks_across_heads(probes, views)
 
@@ -108,17 +118,87 @@ def test_select_topk_equals_brute_force(levels, budget_chunks, c):
 
 
 def test_materialize_orders_by_position():
-    chunks = [mk_chunk(0, [[1.0, 0.0]], start=30),
-              mk_chunk(1, [[0.0, 1.0]], start=10),
-              mk_chunk(2, [[1.0, 1.0]], start=20)]
-    sel = select_topk(score_chunks(np.array([1.0, 1.0], np.float32), chunks),
+    # one sink, then chunks of one row each
+    view = view_of([[5.0, 5.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], 1,
+                   n_sink=1)
+    sel = select_topk(score_chunks(np.array([1.0, 1.0], np.float32), view),
                       budget_pairs=3, c=1)
-    keys, values = materialize(sel, chunks)
-    assert np.allclose(keys, [[0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
+    assert sel.selected == (2, 0, 1)
+    keys, values = materialize(sel, view)
+    assert np.allclose(keys, [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     assert np.allclose(values, keys + 100.0)
 
 
 def test_materialize_unknown_chunk():
     sel = select_topk([ScoredChunk(chunk_id=7, score=1.0)], 4, c=4)
     with pytest.raises(UnknownChunk):
-        materialize(sel, [mk_chunk(0, [[1.0, 0.0]])])
+        materialize(sel, view_of([[1.0, 0.0]], 1))
+    # chunk 1 is still in the local tail, so it is not a candidate
+    view = view_of([[1.0, 0.0]] * 4, 2, n_local=2)
+    with pytest.raises(UnknownChunk):
+        materialize(select_topk([ScoredChunk(chunk_id=1, score=1.0)], 2,
+                                c=2), view)
+
+
+def safe_cosine(a, b) -> float:
+    try:
+        return cosine(a, b)
+    except ZeroNorm:
+        return 0.0
+
+
+def oracle_scores(probe, view, mode) -> list[float]:
+    """One linalg.cosine call per chunk (per member key in max-score)."""
+    if mode == "mean":
+        return [safe_cosine(probe, rep_key_of(ch.keys))
+                for ch in view.retrievable]
+    return [max(safe_cosine(probe, row) for row in ch.keys)
+            for ch in view.retrievable]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_sink=st.integers(0, 8), chunk=st.integers(1, 6),
+       n_local=st.integers(0, 12), heads=st.sampled_from([1, 2, 8]),
+       mode=st.sampled_from(["mean", "max-score"]),
+       total=st.integers(0, 60), zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+       budget_chunks=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+def test_vectorized_scores_match_cosine_oracle(n_sink, chunk, n_local, heads,
+                                               mode, total, zero_share,
+                                               budget_chunks, seed):
+    rng = np.random.default_rng(seed)
+    dim = 3
+    probes, views = [], []
+    for _ in range(heads):
+        keys = rng.standard_normal((total, dim)).astype(np.float32)
+        keys[rng.random(total) < zero_share] = 0.0
+        cache = LayerCache(dim=dim, n_sink=n_sink, n_local=n_local,
+                           chunk=chunk)
+        for lo in range(0, total, 7):  # several appends, several regrowths
+            cache.append(keys[lo:lo + 7], keys[lo:lo + 7] + 1.0)
+        views.append(cache.snapshot())
+        probe = rng.standard_normal(dim).astype(np.float32)
+        probes.append(probe * (rng.random() >= zero_share))
+
+    got = score_chunks_across_heads(probes, views, mode=mode)
+    per_head = [oracle_scores(p, v, mode) for p, v in zip(probes, views)]
+    want = [ScoredChunk(chunk_id=ch.chunk_id, rows=ch.rows,
+                        score=float(np.mean([s[i] for s in per_head])))
+            for i, ch in enumerate(views[0].retrievable)]
+    assert [s.chunk_id for s in got] == [s.chunk_id for s in want]
+    assert [s.rows for s in got] == [s.rows for s in want]
+    assert np.allclose([s.score for s in got], [s.score for s in want],
+                       rtol=0.0, atol=1e-12)
+    # with n_local = 0 the open partial chunk is a candidate as well
+    if n_local == 0 and total > n_sink:
+        assert sum(s.rows for s in got) == total - n_sink
+
+    budget = budget_chunks * chunk
+    sel = select_topk(got, budget, chunk)
+    assert sel == select_topk(want, budget, chunk)
+    keys, values = materialize(sel, views[0])
+    picked = sorted(sel.selected)
+    chunks = views[0].retrievable
+    assert np.array_equal(keys, np.concatenate(
+        [chunks[j].keys for j in picked] or [np.zeros((0, dim))]))
+    assert np.array_equal(values, np.concatenate(
+        [chunks[j].values for j in picked] or [np.zeros((0, dim))]))
