@@ -12,9 +12,8 @@ from .metrics import (ConfigMismatch, EmptyTruth, build_report, compare_runs,
 from .probe import (ActivationBias, ProbeQuery, StatsUndefined,
                     StreamingStats, activation_bias, build_probe,
                     decoding_probe, uniform_bias)
-from .retrieval import (ScoredChunk, SelectionResult, UnknownChunk,
-                        materialize, score_chunks, score_chunks_across_heads,
-                        select_topk)
+from .retrieval import (SelectionResult, UnknownChunk, materialize,
+                        score_chunks_across_heads, select_topk)
 from .tracefile import (PlantedSpec, SpecOutOfRange, SyntheticConfig,
                         TraceData, TraceFormatError, TraceHeader,
                         generate_synthetic, read_trace, write_trace)
@@ -25,7 +24,7 @@ __all__ = [
     "ActivationBias", "BudgetAllocation", "CacheView", "ConfigError",
     "ConfigMismatch", "DimMismatch", "EmptyInput", "EmptyTruth", "Engine",
     "EngineConfig", "KVChunk", "LayerCache", "NonFinite", "NotNormalized",
-    "PlantedSpec", "ProbeQuery", "RunResult", "ScoredChunk", "SelectionResult",
+    "PlantedSpec", "ProbeQuery", "RunResult", "SelectionResult",
     "SpecOutOfRange", "StatsUndefined", "StepRecord", "StreamingStats",
     "SyntheticConfig", "TraceData", "TraceFormatError", "TraceHeader",
     "UnknownChunk", "ZeroNorm", "activation_bias", "allocate", "build_probe",
@@ -33,6 +32,6 @@ __all__ = [
     "generate_synthetic", "l1_norm", "l2_norm", "layer_density",
     "materialize", "read_trace", "recall_at_budget", "recall_layer",
     "reference_attention", "rep_key_of", "report_to_csv", "run_trace",
-    "score_chunks", "score_chunks_across_heads", "score_perplexity",
-    "select_topk", "softmax", "uniform_bias", "write_trace",
+    "score_chunks_across_heads", "score_perplexity", "select_topk",
+    "softmax", "uniform_bias", "write_trace",
 ]

@@ -114,6 +114,15 @@ class CacheView:
         return start, min(start + self.chunk, self.total_pairs)
 
     @property
+    def candidate_rows(self) -> np.ndarray:
+        """Pair count of each candidate chunk: c, except a partial open one."""
+        rows = np.full(self.n_candidates, self.chunk)
+        if rows.size:
+            start, stop = self.chunk_rows(rows.size - 1)
+            rows[-1] = stop - start
+        return rows
+
+    @property
     def chunks(self) -> Sequence[KVChunk]:
         """Every chunk, the open partial one included."""
         return _Chunks(self, -(-max(0, self.total_pairs - self.n_sink)

@@ -173,14 +173,26 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _is_report(doc) -> bool:
+    """Whether doc has the per-layer and overall means compare reads."""
+    try:
+        cells = [doc["overall"]] + [lay["metrics"] for lay in doc["layers"]]
+        return all(isinstance(cell[m]["mean"], (int, float, type(None)))
+                   for cell in cells for m in ("recall", "perplexity"))
+    except (KeyError, TypeError):
+        return False
+
+
 def _load_reports(paths: list[str]):
     reports = []
     for path in paths:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 reports.append(json.load(fh))
-        except json.JSONDecodeError as e:
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise TraceFormatError(f"{path}: not valid JSON: {e}")
+        if not _is_report(reports[-1]):
+            raise TraceFormatError(f"{path}: not a kvprobe report")
     return reports[0] if len(reports) == 1 else reports
 
 

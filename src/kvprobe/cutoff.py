@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+
+import numpy as np
 
 from .linalg import entropy, softmax
-from .retrieval import ScoredChunk, SelectionResult, select_topk
+from .retrieval import SelectionResult, select_topk
 
 
 @dataclass(frozen=True)
@@ -31,17 +32,12 @@ class BudgetAllocation:
     initial_total: int
 
 
-def _score_values(scores) -> list[float]:
-    return [s.score if isinstance(s, ScoredChunk) else float(s) for s in scores]
-
-
-def layer_density(scores) -> float:
+def layer_density(scores: np.ndarray) -> float:
     """Entropy (nats) of softmax over one layer's chunk scores; 0 for an
     empty layer (nothing cached to tell apart)."""
-    vals = _score_values(scores)
-    if not vals:
+    if len(scores) == 0:
         return 0.0
-    return entropy(softmax(vals))
+    return entropy(softmax(scores))
 
 
 def allocate(theta, initial_total: int, chunk_size: int = 1) -> BudgetAllocation:
@@ -84,7 +80,8 @@ def allocate(theta, initial_total: int, chunk_size: int = 1) -> BudgetAllocation
                             initial_total=initial_total)
 
 
-def recall_layer(scored: Sequence[ScoredChunk], budget_pairs: int,
-                 c: int) -> SelectionResult:
-    """Select one layer's chunks under its dynamic budget."""
-    return select_topk(scored, budget_pairs, c)
+def recall_layer(scores: np.ndarray, budget_pairs: int,
+                 rows) -> SelectionResult:
+    """Select one layer's chunks under its dynamic budget (rows as in
+    select_topk)."""
+    return select_topk(scores, budget_pairs, rows)

@@ -205,7 +205,7 @@ class Engine:
         return build_probe(queries, bias, layer=layer, head=head)
 
     def _attend_and_record(self, l: int, q: np.ndarray, views: list,
-                           scored: list, theta: float, budget: int,
+                           scores: np.ndarray, theta: float, budget: int,
                            window_k: np.ndarray | None = None,
                            window_v: np.ndarray | None = None
                            ) -> LayerStepRecord:
@@ -214,7 +214,7 @@ class Engine:
 
         q has shape (heads, rows, d_head); window_k/window_v likewise.
         """
-        selection = recall_layer(scored, budget, self.config.chunk)
+        selection = recall_layer(scores, budget, views[0].candidate_rows)
         checksum = 0.0
         attended = 0
         for h, view in enumerate(views):
@@ -231,8 +231,8 @@ class Engine:
             attended = k_att.shape[0]
         return LayerStepRecord(
             layer=l,
-            candidate_ids=tuple(sc.chunk_id for sc in scored),
-            scores=tuple(float(sc.score) for sc in scored),
+            candidate_ids=tuple(range(len(scores))),
+            scores=tuple(scores.tolist()),
             theta=float(theta),
             budget_pairs=int(budget),
             selected=selection.selected,
@@ -253,12 +253,12 @@ class Engine:
                 if self.task_queries is not None:
                     q_eff = np.concatenate([q_eff, self.task_queries[l, h]])
                 self.stats[l][h].update(q_eff)
-                probes.append(self._probe_for(l, h, q_eff))
+                probes.append(self._probe_for(l, h, q_eff).vector)
                 views.append(self.caches[l][h].snapshot())
-            scored = score_chunks_across_heads(probes, views,
+            scores = score_chunks_across_heads(probes, views,
                                                mode=cfg.rep_mode)
             recs.append(self._attend_and_record(
-                l, window_q[l], views, scored, layer_density(scored),
+                l, window_q[l], views, scores, layer_density(scores),
                 cfg.budget, window_k[l], window_v[l]))
             for h in range(cfg.heads):
                 self.caches[l][h].append(window_k[l, h], window_v[l, h])
@@ -270,26 +270,27 @@ class Engine:
                     index: int) -> StepRecord:
         """q, k, v have shape (layers, heads, 1, d_head)."""
         cfg = self.config
-        per_layer: list[tuple[list, list]] = []
+        per_layer: list[tuple[list, np.ndarray]] = []
         thetas: list[float] = []
         for l in range(cfg.layers):
             probes, views = [], []
             for h in range(cfg.heads):
-                probes.append(decoding_probe(q[l, h, 0], layer=l, head=h))
+                probes.append(
+                    decoding_probe(q[l, h, 0], layer=l, head=h).vector)
                 self.caches[l][h].append(k[l, h], v[l, h])
                 views.append(self.caches[l][h].snapshot())
-            scored = score_chunks_across_heads(probes, views,
+            scores = score_chunks_across_heads(probes, views,
                                                mode=cfg.rep_mode)
-            per_layer.append((views, scored))
-            thetas.append(layer_density(scored))
+            per_layer.append((views, scores))
+            thetas.append(layer_density(scores))
         if cfg.cutoff_mode == "dynamic":
             budgets = allocate(thetas, cfg.total_budget,
                                chunk_size=cfg.chunk).budgets
         else:
             budgets = tuple(cfg.budget for _ in range(cfg.layers))
-        recs = [self._attend_and_record(l, q[l], views, scored, thetas[l],
+        recs = [self._attend_and_record(l, q[l], views, scores, thetas[l],
                                         budgets[l])
-                for l, (views, scored) in enumerate(per_layer)]
+                for l, (views, scores) in enumerate(per_layer)]
         step = StepRecord(stage="decoding", index=index, layers=tuple(recs))
         self.steps.append(step)
         return step

@@ -4,11 +4,16 @@ Scores are cosines between the probe and each candidate chunk's
 representative key ("mean" mode) or the best cosine over the chunk's
 member keys ("max-score" mode), one matrix-vector product per head
 over the cache view's arrays. A cosine is 0 when either norm is below
-1e-12, as in linalg.cosine. Selection is greedy by descending score in
-whole chunks, ties broken toward the older (smaller id) chunk,
-stopping as soon as the next chunk would overflow the pair budget.
-Materialized K*/V* rows come out in original token order, not score
-order.
+1e-12, as in linalg.cosine. A layer's scores are one float64 array
+indexed by chunk id (candidates are chunks 0..n-1), from scoring to
+the step record.
+
+Selection is greedy by descending score in whole chunks, ties broken
+toward the older (smaller id) chunk, stopping as soon as the next
+chunk would overflow the pair budget: a stable argsort of the negated
+scores, a cumulative sum of the pair counts in that order, and a
+search for the first prefix over budget. Materialized K*/V* rows come
+out in original token order, not score order.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import numpy as np
 
 from .cache import CacheView, rep_key_of
 from .linalg import ZERO_NORM_EPS, NonFinite, l2_norm
-from .probe import ProbeQuery
 
 
 class UnknownChunk(KeyError):
@@ -28,24 +32,9 @@ class UnknownChunk(KeyError):
 
 
 @dataclass(frozen=True)
-class ScoredChunk:
-    chunk_id: int
-    score: float
-    # pair count of the chunk; selection assumes the full chunk size c
-    # when this is omitted (only trailing partial chunks differ)
-    rows: int | None = None
-
-
-@dataclass(frozen=True)
 class SelectionResult:
     selected: tuple[int, ...]  # descending score order
     pairs_used: int
-
-
-def _probe_vector(probe) -> np.ndarray:
-    if isinstance(probe, ProbeQuery):
-        probe = probe.vector
-    return np.asarray(probe, dtype=np.float64)
 
 
 def _cosines(dots: np.ndarray, norms: np.ndarray,
@@ -64,7 +53,7 @@ def _cosines(dots: np.ndarray, norms: np.ndarray,
 
 def _head_scores(probe, view: CacheView, mode: str) -> np.ndarray:
     """float64 score of each of a view's candidate chunks for one head."""
-    vec = _probe_vector(probe)
+    vec = np.asarray(probe, dtype=np.float64)
     norm = l2_norm(vec)
     n = view.n_candidates
     if mode == "mean":
@@ -86,58 +75,40 @@ def _head_scores(probe, view: CacheView, mode: str) -> np.ndarray:
     raise ValueError(f"unknown representative mode {mode!r}")
 
 
-def _scored(view: CacheView, scores: np.ndarray) -> list[ScoredChunk]:
-    rows = [view.chunk] * len(scores)
-    if rows:
-        start, stop = view.chunk_rows(len(rows) - 1)
-        rows[-1] = stop - start
-    return [ScoredChunk(chunk_id=j, score=s, rows=r)
-            for j, (s, r) in enumerate(zip(scores.tolist(), rows))]
-
-
-def score_chunks(probe, view: CacheView, mode: str = "mean"
-                 ) -> list[ScoredChunk]:
-    """One score per retrieval candidate of a view, in chunk order.
-
-    Degenerate zero-norm pairs score 0. No candidates -> empty list.
-    """
-    return _scored(view, _head_scores(probe, view, mode))
-
-
 def score_chunks_across_heads(probes, views: Sequence[CacheView],
-                              mode: str = "mean") -> list[ScoredChunk]:
+                              mode: str = "mean") -> np.ndarray:
     """Layer-level scores: arithmetic mean of per-head cosines per chunk.
 
-    probes and views are parallel sequences over heads. Heads fed in
+    probes (vectors) and views are parallel sequences over heads; one
+    head is exact, as a mean over one value is that value. Heads fed in
     lockstep share one geometry, so chunk j is the same token span in
     every view; views with different candidate counts raise ValueError.
+    No candidates -> an empty array.
     """
     per_head = [_head_scores(p, v, mode) for p, v in zip(probes, views)]
     if not per_head:
-        return []
+        return np.zeros(0)
     # summing along the contiguous head axis adds in np.mean's order
-    return _scored(views[0], np.stack(per_head, axis=1).mean(axis=1))
+    return np.stack(per_head, axis=1).mean(axis=1)
 
 
-def select_topk(scored: Sequence[ScoredChunk], budget_pairs: int,
-                c: int) -> SelectionResult:
+def select_topk(scores: np.ndarray, budget_pairs: int,
+                rows) -> SelectionResult:
     """Greedy descending-score selection in whole chunks.
 
-    Stops at the first chunk that would overflow budget_pairs; with
-    uniform chunk size this equals the brute-force top floor(budget/c).
+    scores[j] is chunk j's score; rows is its pair count, an int or an
+    array broadcast against scores. Stops at the first chunk that
+    would overflow budget_pairs; with uniform chunk size this equals
+    the brute-force top floor(budget/c).
     """
     if budget_pairs < 0:
         raise ValueError("negative budget")
-    order = sorted(scored, key=lambda s: (-s.score, s.chunk_id))
-    taken: list[int] = []
-    used = 0
-    for s in order:
-        rows = s.rows if s.rows is not None else c
-        if used + rows > budget_pairs:
-            break
-        taken.append(s.chunk_id)
-        used += rows
-    return SelectionResult(selected=tuple(taken), pairs_used=used)
+    # stable, so equal scores (0.0 and -0.0 included) keep id order
+    order = np.argsort(-scores, kind="stable")
+    used = np.cumsum(np.broadcast_to(rows, scores.shape)[order])
+    k = int(np.searchsorted(used, budget_pairs, side="right"))
+    return SelectionResult(selected=tuple(order[:k].tolist()),
+                           pairs_used=int(used[k - 1]) if k else 0)
 
 
 def materialize(selection: SelectionResult, view: CacheView

@@ -68,7 +68,7 @@ class TruncatedFile(TraceFormatError):
 
 
 class SpecOutOfRange(ValueError):
-    """Planted-relevance spec incompatible with the trace geometry."""
+    """Synthetic trace geometry or planted-relevance spec rejected."""
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,8 @@ class TraceHeader:
     def __post_init__(self):
         if min(self.d, self.layers, self.heads, self.window) < 1:
             raise TraceFormatError("all dimensions must be positive")
-        if self.num_windows < 0 or self.num_decode_steps < 0:
-            raise TraceFormatError("negative block counts")
+        if min(self.num_windows, self.num_decode_steps, self.task_rows) < 0:
+            raise TraceFormatError("negative block counts or task rows")
         if self.d % self.heads != 0:
             raise TraceFormatError(
                 f"d={self.d} not divisible by heads={self.heads}")
@@ -288,6 +288,17 @@ class SyntheticConfig:
     chunk: int = 32
     n_local: int = 512
     task_rows: int = 0
+
+    def __post_init__(self):
+        if min(self.d, self.layers, self.heads, self.window, self.chunk) < 1:
+            raise SpecOutOfRange("dimensions, window and chunk must be "
+                                 "positive")
+        if min(self.num_windows, self.num_decode_steps, self.n_sink,
+               self.n_local, self.task_rows) < 0:
+            raise SpecOutOfRange("counts and capacities must be non-negative")
+        if self.d % self.heads != 0:
+            raise SpecOutOfRange(
+                f"d={self.d} not divisible by heads={self.heads}")
 
     @property
     def d_head(self) -> int:

@@ -11,7 +11,7 @@ from kvprobe.engine import Engine, EngineConfig, run_trace
 from kvprobe.linalg import entropy, softmax
 from kvprobe.metrics import build_report
 from kvprobe.probe import StreamingStats, activation_bias, build_probe, uniform_bias
-from kvprobe.retrieval import ScoredChunk, select_topk
+from kvprobe.retrieval import select_topk
 from kvprobe.tracefile import (PlantedSpec, SyntheticConfig,
                                generate_synthetic, read_trace, write_trace)
 
@@ -136,11 +136,9 @@ def test_criterion_3_topk_oracle():
         levels = int(rng.integers(1, 8))
         scores = rng.integers(0, levels, size=n) / max(levels - 1, 1)
         budget_chunks = int(rng.integers(0, n + 2))
-        scored = [ScoredChunk(chunk_id=j, score=float(scores[j]))
-                  for j in range(n)]
-        got = select_topk(scored, budget_chunks * c, c)
-        order = sorted(scored, key=lambda s: (-s.score, s.chunk_id))
-        want = tuple(s.chunk_id for s in order[:budget_chunks])
+        got = select_topk(scores, budget_chunks * c, c)
+        order = sorted(range(n), key=lambda j: (-scores[j], j))
+        want = tuple(order[:budget_chunks])
         assert got.selected == want
         assert got.pairs_used == len(want) * c
     print("criterion 3 PASS: 10^3 instances match brute force, "

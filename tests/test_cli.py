@@ -74,6 +74,20 @@ def test_malformed_trace_exits_2(tmp_path):
     bad.write_bytes(b"this is not a trace")
     assert main(["run", "--trace", str(bad),
                  "--report", str(tmp_path / "r.json")]) == 2
+    # a header with negative task_rows used to pass validation and die
+    # in the payload reshape (exit 1)
+    trace = gen(tmp_path)
+    raw = trace.read_bytes()
+    hlen = struct.unpack("<I", raw[8:12])[0]
+    doc = json.loads(raw[12:12 + hlen])
+    doc["task_rows"] = -2
+    header = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    trace.write_bytes(raw[:8] + struct.pack("<I", len(header)) + header +
+                      raw[12 + hlen:])
+    report = tmp_path / "r.json"
+    assert main(["run", "--trace", str(trace), "--report", str(report)]
+                + RUN_GEOM) == 2
+    assert not report.exists()
 
 
 def test_missing_file_exits_2(tmp_path):
@@ -108,8 +122,15 @@ def test_bad_engine_config_exits_3(tmp_path):
 
 
 def test_bad_generator_spec_exits_3(tmp_path):
-    assert main(GEN + ["--signal", "1.5",
-                       "--out", str(tmp_path / "t.akvt")]) == 3
+    """Zero chunk or window sizes used to crash with ZeroDivisionError,
+    and negative sizes wrote a trace (or ground truth) no run can use."""
+    for bad in (["--signal", "1.5"], ["--task-rows", "-2"], ["--chunk", "0"],
+                ["--window-size", "0"], ["--sinks", "-1"], ["--local", "-5"],
+                ["--windows", "-1"], ["--decode-steps", "-1"],
+                ["--heads", "0"], ["--heads", "3"]):
+        out = tmp_path / "t.akvt"
+        assert main(GEN + bad + ["--out", str(out)]) == 3, bad
+        assert not out.exists(), bad
 
 
 def test_comparing_unrelated_runs_exits_4(tmp_path):
@@ -131,9 +152,14 @@ def test_compare_rejects_invalid_report_json(tmp_path):
     assert main(["run", "--trace", str(trace), "--report", str(good)]
                 + RUN_GEOM) == 0
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["compare", "--a", str(good), "--b", str(bad),
-                 "--out", str(tmp_path / "d.json")]) == 2
+    # not JSON; JSON that is not a report; bytes that are not UTF-8
+    for content in (b"{not json", b'{"config":{},"trace_sha256":"x"}',
+                    b"\xff\xfe\x00 not text"):
+        bad.write_bytes(content)
+        assert main(["compare", "--a", str(good), "--b", str(bad),
+                     "--out", str(tmp_path / "d.json")]) == 2, content
+        assert main(["compare", "--a", str(bad), "--b", str(bad),
+                     "--out", str(tmp_path / "d.json")]) == 2, content
 
 
 def test_report_to_stdout_when_no_path(tmp_path, capsys):

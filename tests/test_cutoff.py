@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from kvprobe.cutoff import allocate, layer_density, recall_layer
 from kvprobe.linalg import entropy, softmax
-from kvprobe.retrieval import ScoredChunk
 
 densities = st.lists(st.floats(min_value=0.0, max_value=10.0,
                                allow_nan=False), min_size=1, max_size=32)
@@ -100,14 +99,13 @@ def test_allocation_tracks_hand_recurrence(theta, total):
 def test_layer_density_is_score_entropy():
     scores = [0.0, math.log(3.0)]
     want = entropy(softmax(np.asarray(scores)))
-    got = layer_density([ScoredChunk(chunk_id=i, score=s)
-                         for i, s in enumerate(scores)])
+    got = layer_density(np.asarray(scores))
     assert got == pytest.approx(want, abs=1e-12)
-    assert layer_density([]) == 0.0
+    assert layer_density(np.zeros(0)) == 0.0
 
 
 def test_recall_layer_respects_budget():
-    scored = [ScoredChunk(chunk_id=i, score=1.0 - 0.1 * i) for i in range(5)]
-    sel = recall_layer(scored, budget_pairs=8, c=4)
+    scores = 1.0 - 0.1 * np.arange(5)
+    sel = recall_layer(scores, budget_pairs=8, rows=4)
     assert sel.selected == (0, 1)
     assert sel.pairs_used == 8

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kvprobe.engine import (ConfigError, Engine, EngineConfig,
                             reference_attention, run_trace)
@@ -126,6 +127,58 @@ def test_chunk_leaving_the_tail_is_a_candidate_at_once():
     decode = [s for s in result.steps if s.stage == "decoding"]
     assert 14 not in decode[30].layers[0].candidate_ids
     assert 14 in decode[31].layers[0].candidate_ids
+
+
+def tier_cover(view, candidate_ids, window_rows: int) -> np.ndarray:
+    """How many tiers hold each position: sinks, candidate chunks, the
+    local tail, and the pre-fill window's rows after the cached ones."""
+    n = view.total_pairs
+    cover = np.zeros(n + window_rows, dtype=np.int64)
+    cover[:view.sink_keys.shape[0]] += 1
+    for j in candidate_ids:
+        cover[slice(*view.chunk_rows(j))] += 1
+    cover[view.tail_start:n] += 1
+    cover[n:] += 1
+    return cover
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the chunk straddling tail_start is not a candidate, and its rows "
+    "before tail_start are not in the local tail either: on the "
+    "criterion-5 geometry decode step s leaves s+1 rows of chunk 46 in "
+    "no tier (ROADMAP item 3)"))
+@settings(max_examples=60, deadline=None)
+@given(window=st.integers(1, 8), windows=st.integers(1, 6),
+       decode_steps=st.integers(0, 12), n_sink=st.integers(0, 6),
+       chunk=st.integers(1, 5), n_local=st.integers(0, 12),
+       heads=st.sampled_from([1, 2]))
+@example(window=256, windows=8, decode_steps=16, n_sink=64, chunk=32,
+         n_local=512, heads=1)  # criterion 5's cache geometry
+def test_every_position_is_in_exactly_one_tier(window, windows, decode_steps,
+                                               n_sink, chunk, n_local, heads):
+    """At every step each cached position lies in exactly one of the
+    sinks, the local tail, the candidate chunks or (pre-fill) the
+    current window."""
+    cfg = SyntheticConfig(d=2 * heads, layers=1, heads=heads, window=window,
+                          num_windows=windows, num_decode_steps=decode_steps,
+                          n_sink=n_sink, chunk=chunk, n_local=n_local)
+    engine = Engine(EngineConfig(d=cfg.d, layers=1, heads=heads,
+                                 window=window, chunk=chunk, n_sink=n_sink,
+                                 n_local=n_local, budget=chunk))
+    for blk in generate_synthetic(cfg, None, seed=0).blocks():
+        if blk.stage == "pre-filling":
+            views = [cache.snapshot() for cache in engine.caches[0]]
+            step = engine.prefill_step(blk.q, blk.k, blk.v, blk.index)
+            window_rows = window
+        else:
+            step = engine.decode_step(blk.q, blk.k, blk.v, blk.index)
+            views = [cache.snapshot() for cache in engine.caches[0]]
+            window_rows = 0
+        for view in views:
+            cover = tier_cover(view, step.layers[0].candidate_ids,
+                               window_rows)
+            assert (cover == 1).all(), (blk.stage, blk.index,
+                                        np.flatnonzero(cover != 1))
 
 
 def test_decode_attended_pairs_bounded():

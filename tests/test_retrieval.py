@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kvprobe.cache import LayerCache, rep_key_of
 from kvprobe.linalg import NonFinite, ZeroNorm, cosine
-from kvprobe.probe import decoding_probe
-from kvprobe.retrieval import (ScoredChunk, UnknownChunk, materialize,
-                               score_chunks, score_chunks_across_heads,
-                               select_topk)
+from kvprobe.retrieval import (SelectionResult, UnknownChunk, materialize,
+                               score_chunks_across_heads, select_topk)
 
 
 def view_of(keys, chunk, n_sink=0, n_local=0):
@@ -20,35 +18,33 @@ def view_of(keys, chunk, n_sink=0, n_local=0):
     return cache.snapshot()
 
 
+def scores_of(probe, view, mode="mean") -> np.ndarray:
+    return score_chunks_across_heads([probe], [view], mode=mode)
+
+
 def test_mean_mode_scores_probe_against_representative():
     probe = np.array([1.0, 0.0], dtype=np.float32)
     view = view_of([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], 2)
-    scored = score_chunks(probe, view, mode="mean")
-    assert [s.chunk_id for s in scored] == [0, 1]
-    assert scored[0].score == pytest.approx(1.0)
-    assert scored[1].score == pytest.approx(0.0, abs=1e-12)
+    scores = scores_of(probe, view, mode="mean")
+    assert scores.shape == (2,)
+    assert scores[0] == pytest.approx(1.0)
+    assert scores[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_max_score_mode_takes_best_member():
     probe = np.array([1.0, 0.0], dtype=np.float32)
     # representative mean is (0.5, 0.5) but one member aligns exactly
     view = view_of([[1.0, 0.0], [0.0, 1.0]], 2)
-    mean_scored = score_chunks(probe, view, mode="mean")[0]
-    max_scored = score_chunks(probe, view, mode="max-score")[0]
-    assert mean_scored.score == pytest.approx(cosine([1, 0], [0.5, 0.5]))
-    assert max_scored.score == pytest.approx(1.0)
+    mean_score = scores_of(probe, view, mode="mean")[0]
+    max_score = scores_of(probe, view, mode="max-score")[0]
+    assert mean_score == pytest.approx(cosine([1, 0], [0.5, 0.5]))
+    assert max_score == pytest.approx(1.0)
 
 
 def test_zero_representative_scores_zero():
     probe = np.array([1.0, 0.0], dtype=np.float32)
     view = view_of([[1.0, 1.0], [-1.0, -1.0]], 2)  # mean is the zero vector
-    assert score_chunks(probe, view)[0].score == pytest.approx(0.0)
-
-
-def test_score_accepts_probe_query_objects():
-    probe = decoding_probe(np.array([0.0, 2.0], dtype=np.float32))
-    assert score_chunks(probe, view_of([[0.0, 1.0]], 1))[0].score == \
-        pytest.approx(1.0)
+    assert scores_of(probe, view)[0] == pytest.approx(0.0)
 
 
 def test_non_finite_score_raises():
@@ -57,16 +53,16 @@ def test_non_finite_score_raises():
     probe = np.array([1.0, 0.0], dtype=np.float32)
     for mode in ("mean", "max-score"):
         with pytest.raises(NonFinite):
-            score_chunks(probe, view, mode=mode)
+            scores_of(probe, view, mode=mode)
 
 
 def test_across_heads_averages_per_head_scores():
     probes = [np.array([1.0, 0.0], dtype=np.float32),
               np.array([0.0, 1.0], dtype=np.float32)]
     views = [view_of([[1.0, 0.0]], 1), view_of([[1.0, 0.0]], 1)]
-    scored = score_chunks_across_heads(probes, views)
-    assert len(scored) == 1
-    assert scored[0].score == pytest.approx(0.5)  # (1.0 + 0.0) / 2
+    scores = score_chunks_across_heads(probes, views)
+    assert scores.shape == (1,)
+    assert scores[0] == pytest.approx(0.5)  # (1.0 + 0.0) / 2
 
 
 def test_across_heads_rejects_misaligned_views():
@@ -77,52 +73,72 @@ def test_across_heads_rejects_misaligned_views():
 
 
 def test_select_topk_orders_by_score_then_id():
-    scored = [ScoredChunk(chunk_id=0, score=0.5),
-              ScoredChunk(chunk_id=1, score=0.9),
-              ScoredChunk(chunk_id=2, score=0.5),
-              ScoredChunk(chunk_id=3, score=0.1)]
-    sel = select_topk(scored, budget_pairs=6, c=2)
+    sel = select_topk(np.array([0.5, 0.9, 0.5, 0.1]), budget_pairs=6, rows=2)
     assert sel.selected == (1, 0, 2)  # tie between 0 and 2 goes to lower id
     assert sel.pairs_used == 6
 
 
 def test_select_topk_stops_at_first_overflow():
-    scored = [ScoredChunk(chunk_id=0, score=0.9, rows=3),
-              ScoredChunk(chunk_id=1, score=0.8, rows=3),
-              ScoredChunk(chunk_id=2, score=0.7, rows=1)]
-    sel = select_topk(scored, budget_pairs=4, c=3)
+    sel = select_topk(np.array([0.9, 0.8, 0.7]), budget_pairs=4,
+                      rows=np.array([3, 3, 1]))
     # the second chunk overflows; selection stops rather than skipping it
     assert sel.selected == (0,)
     assert sel.pairs_used == 3
 
 
 def test_select_topk_zero_budget():
-    sel = select_topk([ScoredChunk(chunk_id=0, score=1.0)], 0, c=4)
+    sel = select_topk(np.array([1.0]), 0, rows=4)
     assert sel.selected == ()
     assert sel.pairs_used == 0
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 5), min_size=0, max_size=40),
-       st.integers(0, 30), st.integers(1, 4))
-def test_select_topk_equals_brute_force(levels, budget_chunks, c):
-    """Quantized scores force ties; greedy selection must equal the
-    documented sort's prefix."""
-    scored = [ScoredChunk(chunk_id=i, score=lv / 5.0)
-              for i, lv in enumerate(levels)]
-    sel = select_topk(scored, budget_chunks * c, c)
-    order = sorted(scored, key=lambda s: (-s.score, s.chunk_id))
-    want = tuple(s.chunk_id for s in order[:budget_chunks])
+def greedy_oracle(scores, rows, budget):
+    """The documented rule as a loop: visit chunks by (-score, id), take
+    each that fits, stop at the first that does not."""
+    taken, used = [], 0
+    for j in sorted(range(len(scores)), key=lambda j: (-scores[j], j)):
+        if used + rows[j] > budget:
+            break
+        taken.append(j)
+        used += rows[j]
+    return tuple(taken), used
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([-1.0, -0.4, -0.0, 0.0, 0.4, 1.0]),
+                max_size=40),
+       st.integers(-2, 130), st.integers(1, 4), st.integers(0, 3))
+@example([], 0, 1, 0)
+@example([1.0, 0.4], 0, 2, 1)
+@example([-0.0, 0.0, -0.0, 0.0], 3, 1, 0)
+@example([0.4, 1.0, 0.0, 0.4], 5, 3, 2)
+@example([1.0], -1, 1, 0)
+def test_select_topk_equals_brute_force(scores, budget, c, partial):
+    """Quantized scores, 0.0 and -0.0 among them, force ties; selection
+    must equal the greedy loop, also when the last chunk has only
+    partial (1..c-1) rows, as the open chunk does with no local tail."""
+    rows = np.full(len(scores), c)
+    if scores and partial % c:
+        rows[-1] = partial % c
+    if budget < 0:
+        with pytest.raises(ValueError):
+            select_topk(np.array(scores), budget, rows)
+        return
+    sel = select_topk(np.array(scores), budget, rows)
+    want, used = greedy_oracle(scores, rows.tolist(), budget)
     assert sel.selected == want
-    assert sel.pairs_used == len(want) * c
+    assert sel.pairs_used == used
+    if (rows == c).all():  # uniform chunks: the sorted prefix of floor(b/c)
+        assert sel == select_topk(np.array(scores), budget, c)
+        assert len(want) == min(len(scores), budget // c)
 
 
 def test_materialize_orders_by_position():
     # one sink, then chunks of one row each
     view = view_of([[5.0, 5.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], 1,
                    n_sink=1)
-    sel = select_topk(score_chunks(np.array([1.0, 1.0], np.float32), view),
-                      budget_pairs=3, c=1)
+    sel = select_topk(scores_of(np.array([1.0, 1.0], np.float32), view),
+                      budget_pairs=3, rows=view.candidate_rows)
     assert sel.selected == (2, 0, 1)
     keys, values = materialize(sel, view)
     assert np.allclose(keys, [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -130,14 +146,13 @@ def test_materialize_orders_by_position():
 
 
 def test_materialize_unknown_chunk():
-    sel = select_topk([ScoredChunk(chunk_id=7, score=1.0)], 4, c=4)
     with pytest.raises(UnknownChunk):
-        materialize(sel, view_of([[1.0, 0.0]], 1))
+        materialize(SelectionResult(selected=(7,), pairs_used=4),
+                    view_of([[1.0, 0.0]], 1))
     # chunk 1 is still in the local tail, so it is not a candidate
     view = view_of([[1.0, 0.0]] * 4, 2, n_local=2)
     with pytest.raises(UnknownChunk):
-        materialize(select_topk([ScoredChunk(chunk_id=1, score=1.0)], 2,
-                                c=2), view)
+        materialize(SelectionResult(selected=(1,), pairs_used=2), view)
 
 
 def safe_cosine(a, b) -> float:
@@ -181,23 +196,23 @@ def test_vectorized_scores_match_cosine_oracle(n_sink, chunk, n_local, heads,
 
     got = score_chunks_across_heads(probes, views, mode=mode)
     per_head = [oracle_scores(p, v, mode) for p, v in zip(probes, views)]
-    want = [ScoredChunk(chunk_id=ch.chunk_id, rows=ch.rows,
-                        score=float(np.mean([s[i] for s in per_head])))
-            for i, ch in enumerate(views[0].retrievable)]
-    assert [s.chunk_id for s in got] == [s.chunk_id for s in want]
-    assert [s.rows for s in got] == [s.rows for s in want]
-    assert np.allclose([s.score for s in got], [s.score for s in want],
-                       rtol=0.0, atol=1e-12)
+    chunks = views[0].retrievable
+    want = np.array([np.mean([s[i] for s in per_head])
+                     for i in range(len(chunks))])
+    want_rows = np.array([ch.rows for ch in chunks], dtype=np.int64)
+    assert [ch.chunk_id for ch in chunks] == list(range(len(chunks)))
+    assert got.shape == want.shape
+    assert np.array_equal(views[0].candidate_rows, want_rows)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
     # with n_local = 0 the open partial chunk is a candidate as well
     if n_local == 0 and total > n_sink:
-        assert sum(s.rows for s in got) == total - n_sink
+        assert views[0].candidate_rows.sum() == total - n_sink
 
     budget = budget_chunks * chunk
-    sel = select_topk(got, budget, chunk)
-    assert sel == select_topk(want, budget, chunk)
+    sel = select_topk(got, budget, views[0].candidate_rows)
+    assert sel == select_topk(want, budget, want_rows)
     keys, values = materialize(sel, views[0])
     picked = sorted(sel.selected)
-    chunks = views[0].retrievable
     assert np.array_equal(keys, np.concatenate(
         [chunks[j].keys for j in picked] or [np.zeros((0, dim))]))
     assert np.array_equal(values, np.concatenate(

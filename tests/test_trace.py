@@ -31,6 +31,9 @@ def test_header_validation():
     with pytest.raises(TraceFormatError):
         TraceHeader(d=8, layers=1, heads=2, window=4, num_windows=1,
                     num_decode_steps=0, has_task_block=True, task_rows=0)
+    with pytest.raises(TraceFormatError):
+        TraceHeader(d=8, layers=1, heads=2, window=4, num_windows=1,
+                    num_decode_steps=0, task_rows=-2)
     h = TraceHeader(d=8, layers=2, heads=2, window=4, num_windows=3,
                     num_decode_steps=2)
     assert h.d_head == 4
