@@ -1,7 +1,8 @@
-"""Chunked, tiered KV cache per (layer, head) stream.
+"""Chunked, tiered KV cache, one per layer.
 
-Each stream lives in one token-ordered float32 K buffer and one V
-buffer of shape (capacity, dim); every tier is a row range of them:
+A layer's stream lives in one token-ordered float32 K buffer and one V
+buffer of shape (capacity, *dim), dim being (heads, d_head) or an int;
+every tier is a row range of them:
 
     sinks       [0, n_sink)
     chunk j     [n_sink + j*c, n_sink + (j+1)*c), sealed once full;
@@ -11,9 +12,9 @@ buffer of shape (capacity, dim); every tier is a row range of them:
 Appends only write rows past the current total, so a snapshot is a set
 of read-only slices and copies nothing; a later regrowth moves the
 cache to new buffers and leaves old snapshots on the old ones. When a
-chunk seals, its representative key and that key's float64 norm are
-written to a (chunks, dim) matrix; every appended row's float64 key
-norm is written at append time. Scoring reads only these arrays.
+chunk seals, its representative key and that key's float64 norms (one
+per head) go to (chunks, *dim) arrays; every appended row's float64
+key norms are written at append time. Scoring reads only these arrays.
 
 The retrieval candidates are the chunks whose span ends before
 tail_start. A chunk that straddles tail_start is not one, and its
@@ -29,18 +30,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimMismatch, as_matrix, l2_norm, row_norms
+from .linalg import DimMismatch, row_norms
 
 
 def rep_key_of(keys) -> np.ndarray:
-    """Representative key of a chunk: per-dimension mean of its rows.
+    """Representative key of a chunk: per-dimension mean of its rows
+    (the first axis), per head when rows are (heads, d_head).
 
     The "max-score" rep mode changes how a chunk is *scored* (max over
     member-key cosines, see retrieval), not what is stored.
     """
-    k = as_matrix(keys)
-    if k.shape[0] < 1:
-        raise DimMismatch("representative of an empty key set")
+    k = np.asarray(keys, dtype=np.float32)
+    if k.ndim < 2 or k.shape[0] < 1:
+        raise DimMismatch(f"representative of keys shaped {k.shape}")
     return np.mean(k.astype(np.float64), axis=0).astype(np.float32)
 
 
@@ -61,15 +63,13 @@ class KVChunk:
 
 @dataclass(frozen=True)
 class CacheView:
-    """Immutable snapshot of one (layer, head) stream.
+    """Immutable snapshot of one layer's stream.
 
     keys, values and key_norms hold every cached pair in token order;
     rep_keys (float64) and rep_norms hold one row per sealed chunk.
     All are read-only slices of the cache's buffers.
     """
 
-    layer: int
-    head: int
     n_sink: int
     chunk: int
     keys: np.ndarray
@@ -166,25 +166,23 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class LayerCache:
-    """Single-writer cache for one (layer, head) stream."""
+    """Single-writer cache for one layer's stream of rows shaped dim."""
 
-    def __init__(self, dim: int, n_sink: int = 64, n_local: int = 512,
-                 chunk: int = 32, layer: int = 0, head: int = 0):
-        if dim < 1 or chunk < 1 or n_sink < 0 or n_local < 0:
+    def __init__(self, dim: int | tuple[int, int], n_sink: int = 64,
+                 n_local: int = 512, chunk: int = 32):
+        if np.min(dim) < 1 or chunk < 1 or n_sink < 0 or n_local < 0:
             raise ValueError("cache geometry must be positive")
-        self.dim = dim
         self.n_sink = n_sink
         self.n_local = n_local
         self.chunk = chunk
-        self.layer = layer
-        self.head = head
         self.total_pairs = 0
         self._sealed = 0
-        self._k = np.empty((0, dim), dtype=np.float32)
-        self._v = np.empty((0, dim), dtype=np.float32)
-        self._knorm = np.empty(0)
-        self._rep = np.empty((0, dim))
-        self._rep_norm = np.empty(0)
+        row = np.empty(dim).shape  # dim as a shape tuple
+        self._k = np.empty((0, *row), dtype=np.float32)
+        self._v = np.empty((0, *row), dtype=np.float32)
+        self._knorm = np.empty((0, *row[:-1]))
+        self._rep = np.empty((0, *row))
+        self._rep_norm = np.empty((0, *row[:-1]))
 
     @property
     def capacity(self) -> int:
@@ -205,10 +203,11 @@ class LayerCache:
 
     def append(self, keys, values) -> int:
         """Append KV pairs; returns how many chunks this call sealed."""
-        k = as_matrix(keys, cols=self.dim)
-        v = as_matrix(values, cols=self.dim)
-        if k.shape != v.shape:
-            raise DimMismatch(f"keys {k.shape} vs values {v.shape}")
+        k = np.asarray(keys, dtype=np.float32)
+        v = np.asarray(values, dtype=np.float32)
+        if k.shape[1:] != self._k.shape[1:] or v.shape != k.shape:
+            raise DimMismatch(f"keys {k.shape}, values {v.shape} for rows "
+                              f"{self._k.shape[1:]}")
         if k.shape[0] < 1:
             raise DimMismatch("append of zero rows")
         start, stop = self.total_pairs, self.total_pairs + k.shape[0]
@@ -216,7 +215,7 @@ class LayerCache:
             self.reserve(max(stop, 2 * self.capacity))
         self._k[start:stop] = k
         self._v[start:stop] = v
-        self._knorm[start:stop] = row_norms(k)
+        self._knorm[start:stop] = row_norms(self._k[start:stop])
         self.total_pairs = stop
         full = max(0, stop - self.n_sink) // self.chunk
         first = self._sealed
@@ -224,7 +223,7 @@ class LayerCache:
             lo = self.n_sink + j * self.chunk
             rep = rep_key_of(self._k[lo:lo + self.chunk]).astype(np.float64)
             self._rep[j] = rep
-            self._rep_norm[j] = l2_norm(rep)
+            self._rep_norm[j] = row_norms(rep)
         self._sealed = full
         return full - first
 
@@ -236,7 +235,6 @@ class LayerCache:
     def snapshot(self) -> CacheView:
         n = self.total_pairs
         return CacheView(
-            layer=self.layer, head=self.head,
             n_sink=self.n_sink, chunk=self.chunk,
             keys=_read_only(self._k[:n]),
             values=_read_only(self._v[:n]),

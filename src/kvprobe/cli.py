@@ -10,7 +10,8 @@ Subcommands:
     compare     diff two reports, or two equal-length report sweeps
 
 Exit codes: 0 success, 2 malformed input file, 3 rejected
-configuration, 4 mismatched comparison inputs. Reports are written
+configuration, 4 mismatched comparison inputs or run flags that
+disagree with the trace's ground truth. Reports are written
 with sorted keys and fixed separators so identical runs produce
 byte-identical files; wall-clock timing only ever goes to the
 separate manifest file.

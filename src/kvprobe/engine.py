@@ -5,16 +5,16 @@ Two stages over a trace:
 pre-filling
     Windows arrive a block of rows at a time. Each layer folds the
     window's queries (plus any task queries) into its running
-    statistics, builds one probe per head, scores the retrievable
-    chunks, greedily selects up to the layer budget, and runs
-    reference attention over [sinks, retrieved, local tail, window]
+    statistics, builds one (heads, d_head) probe, scores the
+    retrievable chunks, greedily selects up to the layer budget, and
+    runs reference attention over [sinks, retrieved, local tail, window]
     with a causal mask on the window rows. The window's keys and
     values enter the cache only after attention.
 
 decoding
     One token at a time, two phases. The token's key/value pair enters
     the cache first, so the local tail covers the token itself, and
-    each head takes one snapshot that serves both phases. First every
+    each layer takes one snapshot that serves both phases. First every
     layer scores its candidates with the raw query and reports the
     entropy of the score distribution; then the shared budget
     (layers x budget) is split across layers, evenly in fixed mode or
@@ -31,7 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .cache import LayerCache
+from .cache import CacheView, LayerCache
 from .cutoff import allocate, layer_density, recall_layer
 from .linalg import EmptyInput, as_matrix
 from .probe import (ProbeQuery, StatsUndefined, StreamingStats,
@@ -175,12 +175,11 @@ class Engine:
                  task_queries: np.ndarray | None = None):
         self.config = config
         L, H = config.layers, config.heads
-        self.caches = [[LayerCache(dim=config.d_head, n_sink=config.n_sink,
-                                   n_local=config.n_local, chunk=config.chunk,
-                                   layer=l, head=h)
-                        for h in range(H)] for l in range(L)]
-        self.stats = [[StreamingStats(config.d_head) for _ in range(H)]
-                      for _ in range(L)]
+        rows = (H, config.d_head)
+        self.caches = [LayerCache(dim=rows, n_sink=config.n_sink,
+                                  n_local=config.n_local, chunk=config.chunk)
+                       for _ in range(L)]
+        self.stats = [StreamingStats(rows) for _ in range(L)]
         if task_queries is not None:
             task_queries = np.asarray(task_queries, dtype=np.float32)
             want = (L, H, task_queries.shape[2], config.d_head)
@@ -192,19 +191,18 @@ class Engine:
 
     # -- stage steps --------------------------------------------------
 
-    def _probe_for(self, layer: int, head: int,
-                   queries: np.ndarray) -> ProbeQuery:
-        stats = self.stats[layer][head]
+    def _probe_for(self, layer: int, queries: np.ndarray) -> ProbeQuery:
+        """One (heads, d_head) probe from (heads, rows, d_head) queries."""
         if self.config.probe_mode == "act":
             try:
-                bias = activation_bias(queries, stats)
+                bias = activation_bias(queries, self.stats[layer])
+                return build_probe(queries, bias, layer=layer)
             except StatsUndefined:
-                bias = uniform_bias(queries.shape[0], queries.shape[1])
-        else:
-            bias = uniform_bias(queries.shape[0], queries.shape[1])
-        return build_probe(queries, bias, layer=layer, head=head)
+                pass
+        bias = uniform_bias(*queries.shape[-2:])
+        return build_probe(queries, bias, layer=layer)
 
-    def _attend_and_record(self, l: int, q: np.ndarray, views: list,
+    def _attend_and_record(self, l: int, q: np.ndarray, view: CacheView,
                            scores: np.ndarray, theta: float, budget: int,
                            window_k: np.ndarray | None = None,
                            window_v: np.ndarray | None = None
@@ -214,13 +212,16 @@ class Engine:
 
         q has shape (heads, rows, d_head); window_k/window_v likewise.
         """
-        selection = recall_layer(scores, budget, views[0].candidate_rows)
+        selection = recall_layer(scores, budget, view.candidate_rows)
+        keys_sel, vals_sel = materialize(selection, view)
         checksum = 0.0
         attended = 0
-        for h, view in enumerate(views):
-            keys_sel, vals_sel = materialize(selection, view)
-            k_parts = [view.sink_keys, keys_sel, view.local_keys]
-            v_parts = [view.sink_values, vals_sel, view.local_values]
+        # per head, so attention's float64 temporaries stay one head's size
+        for h in range(self.config.heads):
+            k_parts = [view.sink_keys[:, h], keys_sel[:, h],
+                       view.local_keys[:, h]]
+            v_parts = [view.sink_values[:, h], vals_sel[:, h],
+                       view.local_values[:, h]]
             if window_k is not None:
                 k_parts.append(window_k[h])
                 v_parts.append(window_v[h])
@@ -247,21 +248,19 @@ class Engine:
         cfg = self.config
         recs = []
         for l in range(cfg.layers):
-            probes, views = [], []
-            for h in range(cfg.heads):
-                q_eff = window_q[l, h]
-                if self.task_queries is not None:
-                    q_eff = np.concatenate([q_eff, self.task_queries[l, h]])
-                self.stats[l][h].update(q_eff)
-                probes.append(self._probe_for(l, h, q_eff).vector)
-                views.append(self.caches[l][h].snapshot())
-            scores = score_chunks_across_heads(probes, views,
-                                               mode=cfg.rep_mode)
+            q_eff = window_q[l]
+            if self.task_queries is not None:
+                q_eff = np.concatenate([q_eff, self.task_queries[l]], axis=1)
+            self.stats[l].update(q_eff)
+            view = self.caches[l].snapshot()
+            probe = self._probe_for(l, q_eff).vector
+            scores = score_chunks_across_heads(probe, view, mode=cfg.rep_mode)
             recs.append(self._attend_and_record(
-                l, window_q[l], views, scores, layer_density(scores),
+                l, window_q[l], view, scores, layer_density(scores),
                 cfg.budget, window_k[l], window_v[l]))
-            for h in range(cfg.heads):
-                self.caches[l][h].append(window_k[l, h], window_v[l, h])
+            # the cache is token-major: (rows, heads, d_head)
+            self.caches[l].append(window_k[l].transpose(1, 0, 2),
+                                  window_v[l].transpose(1, 0, 2))
         step = StepRecord(stage="pre-filling", index=index, layers=tuple(recs))
         self.steps.append(step)
         return step
@@ -270,27 +269,24 @@ class Engine:
                     index: int) -> StepRecord:
         """q, k, v have shape (layers, heads, 1, d_head)."""
         cfg = self.config
-        per_layer: list[tuple[list, np.ndarray]] = []
+        per_layer: list[tuple[CacheView, np.ndarray]] = []
         thetas: list[float] = []
         for l in range(cfg.layers):
-            probes, views = [], []
-            for h in range(cfg.heads):
-                probes.append(
-                    decoding_probe(q[l, h, 0], layer=l, head=h).vector)
-                self.caches[l][h].append(k[l, h], v[l, h])
-                views.append(self.caches[l][h].snapshot())
-            scores = score_chunks_across_heads(probes, views,
-                                               mode=cfg.rep_mode)
-            per_layer.append((views, scores))
+            probe = decoding_probe(q[l, :, 0], layer=l).vector
+            self.caches[l].append(k[l].transpose(1, 0, 2),
+                                  v[l].transpose(1, 0, 2))
+            view = self.caches[l].snapshot()
+            scores = score_chunks_across_heads(probe, view, mode=cfg.rep_mode)
+            per_layer.append((view, scores))
             thetas.append(layer_density(scores))
         if cfg.cutoff_mode == "dynamic":
             budgets = allocate(thetas, cfg.total_budget,
                                chunk_size=cfg.chunk).budgets
         else:
             budgets = tuple(cfg.budget for _ in range(cfg.layers))
-        recs = [self._attend_and_record(l, q[l], views, scores, thetas[l],
+        recs = [self._attend_and_record(l, q[l], view, scores, thetas[l],
                                         budgets[l])
-                for l, (views, scores) in enumerate(per_layer)]
+                for l, (view, scores) in enumerate(per_layer)]
         step = StepRecord(stage="decoding", index=index, layers=tuple(recs))
         self.steps.append(step)
         return step
@@ -310,9 +306,8 @@ class Engine:
         # presized, so no append regrows a buffer (a regrowth briefly
         # holds the old and the new copy of a stream)
         rows = h.num_windows * h.window + h.num_decode_steps
-        for layer in self.caches:
-            for cache in layer:
-                cache.reserve(rows)
+        for cache in self.caches:
+            cache.reserve(rows)
         for blk in trace.blocks():
             if blk.stage == "pre-filling":
                 self.prefill_step(blk.q, blk.k, blk.v, blk.index)

@@ -33,15 +33,6 @@ class NonFinite(ValueError):
     """A similarity came out NaN or infinite."""
 
 
-def as_vector(x, dim: int | None = None) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float32)
-    if v.ndim != 1:
-        raise DimMismatch(f"expected 1-D vector, got shape {v.shape}")
-    if dim is not None and v.shape[0] != dim:
-        raise DimMismatch(f"expected dim {dim}, got {v.shape[0]}")
-    return v
-
-
 def as_matrix(x, cols: int | None = None) -> np.ndarray:
     m = np.asarray(x, dtype=np.float32)
     if m.ndim != 2:
@@ -61,9 +52,9 @@ def l2_norm(v) -> float:
 
 
 def row_norms(m) -> np.ndarray:
-    """float64 L2 norm of each row of a matrix, as l2_norm of that row."""
+    """float64 L2 norm along the last axis, as l2_norm of each row."""
     x = np.asarray(m, dtype=np.float64)
-    return np.sqrt(np.sum(x * x, axis=1))
+    return np.sqrt(np.sum(x * x, axis=-1))
 
 
 def cosine(a, b) -> float:

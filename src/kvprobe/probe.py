@@ -7,8 +7,10 @@ query tokens that deviate strongly from what the stream has seen so
 far (anchor tokens) dominate the probe. Forcing uniform weights
 recovers plain mean pooling, which is the comparison baseline.
 
-Statistics are kept per (layer, head) and accumulate over all windows
-seen so far, including the window whose bias is being computed.
+Statistics are kept per layer and accumulate over all windows seen so
+far, including the window whose bias is being computed. Queries are
+(rows, d), or (heads, rows, d) with (heads, d) statistics; each head
+then gets the same arithmetic as a call of its own.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimMismatch, as_matrix, as_vector
+from .linalg import DimMismatch
 
 VAR_FLOOR = 1e-6
 
@@ -30,24 +32,31 @@ class LengthMismatch(ValueError):
     pass
 
 
+def _queries(window_queries, row_shape=None) -> np.ndarray:
+    """(..., rows, d) queries as float64; rows checked against row_shape."""
+    q = np.asarray(window_queries, dtype=np.float32)
+    if q.ndim < 2 or row_shape not in (None, q.shape[:-2] + q.shape[-1:]):
+        raise DimMismatch(f"queries {q.shape} for rows {row_shape}")
+    return q.astype(np.float64)
+
+
 class StreamingStats:
     """Running per-dimension sum and sum of squares over query vectors.
 
-    Accumulators are float64; variance uses the Bessel-corrected
-    denominator (count - 1) and is clamped at zero per dimension.
+    Accumulators are float64 arrays of shape dim; variance uses the
+    Bessel-corrected denominator (count - 1), clamped at zero.
     """
 
-    def __init__(self, dim: int):
-        self.dim = dim
+    def __init__(self, dim: int | tuple[int, int]):
         self.count = 0
         self.sum = np.zeros(dim, dtype=np.float64)
         self.sumsq = np.zeros(dim, dtype=np.float64)
 
     def update(self, window_queries) -> "StreamingStats":
-        q = as_matrix(window_queries, cols=self.dim).astype(np.float64)
-        self.count += q.shape[0]
-        self.sum += q.sum(axis=0)
-        self.sumsq += (q * q).sum(axis=0)
+        q = _queries(window_queries, self.sum.shape)
+        self.count += q.shape[-2]
+        self.sum += q.sum(axis=-2)
+        self.sumsq += (q * q).sum(axis=-2)
         return self
 
     def mean(self) -> np.ndarray:
@@ -65,15 +74,14 @@ class StreamingStats:
 
 @dataclass(frozen=True)
 class ActivationBias:
-    phi: np.ndarray       # (m, d), non-negative
-    weights: np.ndarray   # (m,), sums to 1
+    phi: np.ndarray       # (..., m, d), non-negative
+    weights: np.ndarray   # (..., m), each row sums to 1
 
 
 @dataclass(frozen=True)
 class ProbeQuery:
-    vector: np.ndarray
+    vector: np.ndarray    # (d,) or (heads, d)
     layer: int = 0
-    head: int = 0
     stage: str = "pre-filling"
 
 
@@ -89,35 +97,36 @@ def activation_bias(window_queries, stats: StreamingStats) -> ActivationBias:
 
     Precondition: stats already include this window's queries. Raises
     StatsUndefined when fewer than two samples exist; callers fall back
-    to uniform weights. An all-zero bias (every query equal to the
-    mean) also falls back to uniform weights.
+    to uniform weights. A head whose bias is all zero (every query
+    equal to the mean) also falls back to uniform weights.
     """
-    q = as_matrix(window_queries, cols=stats.dim).astype(np.float64)
-    if q.shape[0] < 1:
+    q = _queries(window_queries, stats.sum.shape)
+    if q.shape[-2] < 1:
         raise DimMismatch("bias of an empty window")
-    z = stats.mean()  # raises StatsUndefined when count < 1
-    var = stats.variance()  # raises StatsUndefined when count < 2
+    z = stats.mean()[..., None, :]  # raises StatsUndefined when count < 1
+    var = stats.variance()[..., None, :]  # StatsUndefined when count < 2
     delta = q - z
     phi = (delta * delta) / np.maximum(var, VAR_FLOOR)
-    row_mass = phi.sum(axis=1)  # ||phi_j||_1; phi is non-negative
-    total = row_mass.sum()
-    if total <= 0.0:
-        return uniform_bias(q.shape[0], stats.dim)
-    return ActivationBias(phi=phi.astype(np.float32), weights=row_mass / total)
+    row_mass = phi.sum(axis=-1)  # ||phi_j||_1; phi is non-negative
+    total = row_mass.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = np.where(total <= 0.0, 1.0 / q.shape[-2], row_mass / total)
+    return ActivationBias(phi=phi.astype(np.float32), weights=weights)
 
 
 def build_probe(window_queries, bias: ActivationBias,
-                layer: int = 0, head: int = 0) -> ProbeQuery:
+                layer: int = 0) -> ProbeQuery:
     """Pre-filling probe: convex combination of the window's queries."""
-    q = as_matrix(window_queries).astype(np.float64)
+    q = _queries(window_queries)
     w = np.asarray(bias.weights, dtype=np.float64)
-    if w.shape[0] != q.shape[0]:
-        raise LengthMismatch(f"{w.shape[0]} weights for {q.shape[0]} queries")
-    vec = (w[:, None] * q).sum(axis=0).astype(np.float32)
-    return ProbeQuery(vector=vec, layer=layer, head=head, stage="pre-filling")
+    if w.shape[-1] != q.shape[-2]:
+        raise LengthMismatch(f"{w.shape[-1]} weights for "
+                             f"{q.shape[-2]} queries")
+    vec = (w[..., None] * q).sum(axis=-2).astype(np.float32)
+    return ProbeQuery(vector=vec, layer=layer, stage="pre-filling")
 
 
-def decoding_probe(q, layer: int = 0, head: int = 0) -> ProbeQuery:
-    """Decoding probe is the current query vector itself, unweighted."""
-    return ProbeQuery(vector=as_vector(q).copy(), layer=layer, head=head,
+def decoding_probe(q, layer: int = 0) -> ProbeQuery:
+    """Decoding probe is the current query itself, unweighted."""
+    return ProbeQuery(vector=np.array(q, dtype=np.float32), layer=layer,
                       stage="decoding")

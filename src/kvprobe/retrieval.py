@@ -2,11 +2,12 @@
 
 Scores are cosines between the probe and each candidate chunk's
 representative key ("mean" mode) or the best cosine over the chunk's
-member keys ("max-score" mode), one matrix-vector product per head
-over the cache view's arrays. A cosine is 0 when either norm is below
-1e-12, as in linalg.cosine. A layer's scores are one float64 array
-indexed by chunk id (candidates are chunks 0..n-1), from scoring to
-the step record.
+member keys ("max-score" mode): one call per layer over the cache
+view's (rows, heads, d_head) arrays, which makes one matrix-vector
+product per head and averages the heads' cosines. A cosine is 0 when
+either norm is below 1e-12, as in linalg.cosine. A layer's scores are
+one float64 array indexed by chunk id (candidates are chunks 0..n-1),
+from scoring to the step record.
 
 Selection is greedy by descending score in whole chunks, ties broken
 toward the older (smaller id) chunk, stopping as soon as the next
@@ -19,12 +20,11 @@ out in original token order, not score order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .cache import CacheView, rep_key_of
-from .linalg import ZERO_NORM_EPS, NonFinite, l2_norm
+from .linalg import ZERO_NORM_EPS, DimMismatch, NonFinite, row_norms
 
 
 class UnknownChunk(KeyError):
@@ -38,58 +38,62 @@ class SelectionResult:
 
 
 def _cosines(dots: np.ndarray, norms: np.ndarray,
-             probe_norm: float) -> np.ndarray:
-    """dots / (probe_norm * norms), 0 where either norm is ~0."""
-    if probe_norm < ZERO_NORM_EPS:
-        return np.zeros_like(dots)
+             probe_norms: np.ndarray) -> np.ndarray:
+    """dots / (probe_norm * norm) per (row, head), 0 where either norm
+    is ~0."""
+    norms = norms.reshape(dots.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos = dots / (probe_norm * norms)
-    cos[norms < ZERO_NORM_EPS] = 0.0
+        cos = dots / (probe_norms * norms)
+    cos[(norms < ZERO_NORM_EPS) | (probe_norms < ZERO_NORM_EPS)] = 0.0
     if not np.all(np.isfinite(cos)):
         raise NonFinite("non-finite chunk score")
     # guard float round-off just outside the interval
     return np.clip(cos, -1.0, 1.0, out=cos)
 
 
-def _head_scores(probe, view: CacheView, mode: str) -> np.ndarray:
-    """float64 score of each of a view's candidate chunks for one head."""
+def _dots(rows: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """(n, heads) dots of n float64 rows with the (heads, d) probe: one
+    matrix-vector product per head."""
+    per_head = rows.reshape(-1, *probe.shape).transpose(1, 0, 2)
+    return np.matmul(per_head, probe[:, :, None])[:, :, 0].T
+
+
+def score_chunks_across_heads(probe, view: CacheView,
+                              mode: str = "mean") -> np.ndarray:
+    """Layer-level scores: arithmetic mean over heads of each candidate
+    chunk's cosine with that head's probe.
+
+    probe has the view's row shape, (heads, d_head), or (d,) for a
+    cache of d-wide rows (one head). Chunk j is the same token span in
+    every head. No candidates -> an empty array.
+    """
     vec = np.asarray(probe, dtype=np.float64)
-    norm = l2_norm(vec)
+    if vec.shape != view.keys.shape[1:]:
+        raise DimMismatch(f"probe {vec.shape} for rows {view.keys.shape[1:]}")
+    vec = vec.reshape(-1, vec.shape[-1])
+    norm = row_norms(vec)
     n = view.n_candidates
     if mode == "mean":
         sealed = min(n, view.rep_keys.shape[0])
-        dots = view.rep_keys[:sealed] @ vec
+        dots = _dots(view.rep_keys[:sealed], vec)
         norms = view.rep_norms[:sealed]
         if n > sealed:  # the open chunk, a candidate when the tail is empty
-            rep = rep_key_of(view.keys[slice(*view.chunk_rows(sealed))])
-            dots = np.append(dots, rep.astype(np.float64) @ vec)
-            norms = np.append(norms, l2_norm(rep))
-        return _cosines(dots, norms, norm)
-    if mode == "max-score":
-        if n == 0:
-            return np.zeros(0)
-        lo, hi = view.n_sink, view.chunk_rows(n - 1)[1]
-        cos = _cosines(view.keys[lo:hi].astype(np.float64) @ vec,
+            rep = rep_key_of(view.keys[slice(*view.chunk_rows(sealed))]
+                             ).astype(np.float64)
+            dots = np.concatenate([dots, _dots(rep, vec)])
+            norms = np.append(norms, row_norms(rep))
+        cos = _cosines(dots, norms, norm)
+    elif mode == "max-score":
+        lo = view.n_sink
+        hi = view.chunk_rows(n - 1)[1] if n else lo
+        cos = _cosines(_dots(view.keys[lo:hi].astype(np.float64), vec),
                        view.key_norms[lo:hi], norm)
-        return np.maximum.reduceat(cos, np.arange(0, hi - lo, view.chunk))
-    raise ValueError(f"unknown representative mode {mode!r}")
-
-
-def score_chunks_across_heads(probes, views: Sequence[CacheView],
-                              mode: str = "mean") -> np.ndarray:
-    """Layer-level scores: arithmetic mean of per-head cosines per chunk.
-
-    probes (vectors) and views are parallel sequences over heads; one
-    head is exact, as a mean over one value is that value. Heads fed in
-    lockstep share one geometry, so chunk j is the same token span in
-    every view; views with different candidate counts raise ValueError.
-    No candidates -> an empty array.
-    """
-    per_head = [_head_scores(p, v, mode) for p, v in zip(probes, views)]
-    if not per_head:
-        return np.zeros(0)
-    # summing along the contiguous head axis adds in np.mean's order
-    return np.stack(per_head, axis=1).mean(axis=1)
+        cos = np.maximum.reduceat(cos, np.arange(0, hi - lo, view.chunk))
+    else:
+        raise ValueError(f"unknown representative mode {mode!r}")
+    # C order makes numpy sum each chunk's heads pairwise; another layout
+    # sums them in sequence, which can change the last bit of a score
+    return np.ascontiguousarray(cos).mean(axis=1)
 
 
 def select_topk(scores: np.ndarray, budget_pairs: int,

@@ -36,7 +36,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -85,6 +85,9 @@ class TraceHeader:
     task_rows: int = 0
 
     def __post_init__(self):
+        for f in fields(self):  # exactly int, bool or str: 64.0 or 1 fail
+            if type(getattr(self, f.name)).__name__ != f.type:
+                raise TraceFormatError(f"{f.name} must be {f.type}")
         if min(self.d, self.layers, self.heads, self.window) < 1:
             raise TraceFormatError("all dimensions must be positive")
         if min(self.num_windows, self.num_decode_steps, self.task_rows) < 0:
@@ -207,9 +210,11 @@ class TraceReader:
         if not raw:
             raise TruncatedFile(at, "ground-truth footer")
         try:
-            return json.loads(raw.decode())
+            gt = json.loads(raw.decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise TraceFormatError(f"ground-truth footer not valid JSON: {e}")
+        _check_footer(gt, h)
+        return gt
 
     def load(self) -> TraceData:
         """Read the whole payload with one call; the returned tensors are
@@ -238,6 +243,42 @@ class TraceReader:
                          decode_q=dec[:, :, :, 0], decode_k=dec[:, :, :, 1],
                          decode_v=dec[:, :, :, 2], task_queries=task,
                          ground_truth=self.ground_truth())
+
+
+def _check_footer(gt, h: TraceHeader) -> None:
+    """The footer's documented shape, and every chunk id one that the
+    pre-fill windows seal under the footer's geometry."""
+
+    def bad(what: str) -> TraceFormatError:
+        return TraceFormatError(f"ground-truth footer: {what}")
+
+    if not isinstance(gt, dict):
+        raise bad("not a JSON object")
+    for key in ("version", "n_sink", "chunk", "n_local"):
+        if type(gt.get(key)) is not int:
+            raise bad(f"{key} is not an int")
+    if gt["chunk"] < 1 or gt["n_sink"] < 0 or gt["n_local"] < 0:
+        raise bad("chunk must be positive, n_sink and n_local non-negative")
+    entries = gt.get("entries")
+    if not (isinstance(entries, list)
+            and all(isinstance(e, dict) for e in entries)):
+        raise bad("entries is not a list of objects")
+    n_chunks = max(0, h.num_windows * h.window - gt["n_sink"]) // gt["chunk"]
+    for i, e in enumerate(entries):
+        window = e.get("probe_window")
+        layers = e.get("layers")
+        ok = (type(e.get("decode_step")) is int
+              and "probe_window" in e and type(window) in (int, type(None))
+              and isinstance(layers, list)
+              and all(isinstance(ids, list)
+                      and all(type(j) is int for j in ids) for ids in layers))
+        if not ok:
+            raise bad(f"entry {i} needs an int decode_step, an int or null "
+                      "probe_window and layers as lists of ints")
+        out = [j for ids in layers for j in ids if not 0 <= j < n_chunks]
+        if out:
+            raise bad(f"entry {i} names chunk {out[0]}; pre-fill seals "
+                      f"{n_chunks}")
 
 
 def read_trace(path) -> tuple[TraceHeader, TraceReader]:

@@ -74,19 +74,41 @@ def test_malformed_trace_exits_2(tmp_path):
     bad.write_bytes(b"this is not a trace")
     assert main(["run", "--trace", str(bad),
                  "--report", str(tmp_path / "r.json")]) == 2
-    # a header with negative task_rows used to pass validation and die
-    # in the payload reshape (exit 1)
-    trace = gen(tmp_path)
-    raw = trace.read_bytes()
-    hlen = struct.unpack("<I", raw[8:12])[0]
-    doc = json.loads(raw[12:12 + hlen])
-    doc["task_rows"] = -2
-    header = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    trace.write_bytes(raw[:8] + struct.pack("<I", len(header)) + header +
-                      raw[12 + hlen:])
     report = tmp_path / "r.json"
-    assert main(["run", "--trace", str(trace), "--report", str(report)]
-                + RUN_GEOM) == 2
+    original = gen(tmp_path).read_bytes()
+    hlen = struct.unpack("<I", original[8:12])[0]
+    footer_at = 12 + hlen + json.loads(original[12:12 + hlen])["payload_bytes"]
+    footer = json.loads(original[footer_at:])
+
+    def run_with(header_edit=None, footer=footer) -> int:
+        doc = json.loads(original[12:12 + hlen])
+        doc.update(header_edit or {})
+        header = json.dumps(doc, sort_keys=True,
+                            separators=(",", ":")).encode()
+        trace = tmp_path / "edited.akvt"
+        trace.write_bytes(original[:8] + struct.pack("<I", len(header)) +
+                          header + original[12 + hlen:footer_at] +
+                          json.dumps(footer).encode())
+        return main(["run", "--trace", str(trace), "--report", str(report)]
+                    + RUN_GEOM)
+
+    assert run_with() == 0  # the rewrite itself keeps the trace valid
+    report.unlink()
+    # a header with negative task_rows used to pass validation and die
+    # in the payload reshape (exit 1); a float d died in np.fromfile
+    for edit in ({"task_rows": -2}, {"d": 16.0}):
+        assert run_with(header_edit=edit) == 2, edit
+    # footers that are valid JSON but the wrong shape raised KeyError or
+    # AttributeError (exit 1); a chunk id no pre-fill seals (6 windows of
+    # 16 rows behind 4 sinks seal 23 chunks of 4) gave a recall of 0.0
+    entry = footer["entries"][0]
+    no_step = {k: v for k, v in entry.items() if k != "decode_step"}
+    far = dict(entry, layers=[[9999]] * len(entry["layers"]))
+    edge = dict(entry, layers=[[23]] * len(entry["layers"]))
+    for gt in (dict(footer, entries=[no_step]), dict(footer, entries=[1, 2]),
+               [footer], dict(footer, entries=[far]),
+               dict(footer, entries=[edge])):
+        assert run_with(footer=gt) == 2, gt
     assert not report.exists()
 
 

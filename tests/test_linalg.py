@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from kvprobe.linalg import (DimMismatch, EmptyInput, NonFinite, NotNormalized,
                             ZeroNorm,
-                            as_matrix, as_vector, cosine, entropy, l1_norm,
+                            as_matrix, cosine, entropy, l1_norm,
                             l2_norm, softmax)
 
 finite = st.floats(min_value=-1e6, max_value=1e6,
@@ -115,10 +115,8 @@ def test_l2_never_exceeds_l1(v):
 
 def test_validators_enforce_shapes():
     with pytest.raises(DimMismatch):
-        as_vector([[1.0, 2.0]])
-    with pytest.raises(DimMismatch):
-        as_vector([1.0, 2.0], dim=3)
-    with pytest.raises(DimMismatch):
         as_matrix([1.0, 2.0])
+    with pytest.raises(DimMismatch):
+        as_matrix([[1.0, 2.0]], cols=3)
     m = as_matrix([[1.0, 2.0]], cols=2)
     assert m.dtype == np.float32

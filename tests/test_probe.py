@@ -96,9 +96,9 @@ def test_build_probe_example():
     bias = uniform_bias(2, 2)
     bias = type(bias)(phi=bias.phi,
                       weights=np.array([0.25, 0.75], dtype=np.float32))
-    probe = build_probe(q, bias, layer=1, head=2)
+    probe = build_probe(q, bias, layer=1)
     assert probe.vector == pytest.approx([1.0, 3.0])
-    assert (probe.layer, probe.head, probe.stage) == (1, 2, "pre-filling")
+    assert (probe.layer, probe.stage) == (1, "pre-filling")
 
 
 def test_build_probe_rejects_length_mismatch():
@@ -119,8 +119,63 @@ def test_probe_stays_in_row_convex_hull(history, window):
 
 def test_decoding_probe_is_identity():
     q = np.array([1.0, -2.0, 3.0], dtype=np.float32)
-    probe = decoding_probe(q, layer=3, head=1)
+    probe = decoding_probe(q, layer=3)
     assert probe.vector == pytest.approx(q)
     assert probe.stage == "decoding"
     q[0] = 99.0  # the probe must hold its own copy
     assert probe.vector[0] == pytest.approx(1.0)
+
+
+def bias_or_error(window, stats):
+    try:
+        return activation_bias(window, stats)
+    except StatsUndefined:
+        return StatsUndefined
+
+
+@settings(max_examples=150, deadline=None)
+@given(heads=st.integers(1, 4), rows=st.integers(1, 6), d=st.integers(1, 5),
+       history=st.integers(0, 6), flat_head=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_probe_math_equals_per_head_calls(heads, rows, d, history,
+                                                  flat_head, seed):
+    """Stats, bias and probe on (heads, rows, d) queries are bit for bit
+    H separate 2-D calls; a head whose queries all equal its running
+    mean falls back to uniform weights on its own."""
+    rng = np.random.default_rng(seed)
+    hist = (rng.standard_normal((heads, history, d)) * 3).astype(np.float32)
+    window = rng.standard_normal((heads, rows, d)).astype(np.float32)
+    if flat_head < heads:
+        row = rng.standard_normal(d).astype(np.float32)
+        hist[flat_head] = row
+        window[flat_head] = row
+
+    batched = StreamingStats((heads, d))
+    singles = [StreamingStats(d) for _ in range(heads)]
+    for block in (hist, window):
+        batched.update(block)
+        for h, s in enumerate(singles):
+            s.update(block[h])
+    assert batched.count == singles[0].count == history + rows
+    assert np.array_equal(batched.sum, np.stack([s.sum for s in singles]))
+    assert np.array_equal(batched.sumsq,
+                          np.stack([s.sumsq for s in singles]))
+
+    bias = bias_or_error(window, batched)
+    per_head = [bias_or_error(window[h], s) for h, s in enumerate(singles)]
+    if bias is StatsUndefined:  # a single sample in all
+        assert all(b is StatsUndefined for b in per_head)
+        bias = uniform_bias(rows, d)
+        per_head = [bias] * heads
+    else:
+        assert np.array_equal(bias.phi, np.stack([b.phi for b in per_head]))
+        assert np.array_equal(bias.weights,
+                              np.stack([b.weights for b in per_head]))
+        if flat_head < heads:
+            assert np.array_equal(bias.weights[flat_head],
+                                  np.full(rows, 1.0 / rows))
+    probe = build_probe(window, bias)
+    want = np.stack([build_probe(window[h], b).vector
+                     for h, b in enumerate(per_head)])
+    assert probe.vector.shape == (heads, d)
+    assert np.array_equal(probe.vector, want)

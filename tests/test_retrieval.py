@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kvprobe.cache import LayerCache, rep_key_of
-from kvprobe.linalg import NonFinite, ZeroNorm, cosine
+from kvprobe.linalg import DimMismatch, NonFinite, ZeroNorm, cosine
 from kvprobe.retrieval import (SelectionResult, UnknownChunk, materialize,
                                score_chunks_across_heads, select_topk)
 
@@ -12,14 +12,14 @@ def view_of(keys, chunk, n_sink=0, n_local=0):
     """Snapshot of a cache fed `keys` (values are keys + 100). With the
     default n_local = 0 every chunk after the sinks is a candidate."""
     keys = np.asarray(keys, dtype=np.float32)
-    cache = LayerCache(dim=keys.shape[1], n_sink=n_sink, n_local=n_local,
+    cache = LayerCache(dim=keys.shape[1:], n_sink=n_sink, n_local=n_local,
                        chunk=chunk)
     cache.append(keys, keys + 100.0)
     return cache.snapshot()
 
 
 def scores_of(probe, view, mode="mean") -> np.ndarray:
-    return score_chunks_across_heads([probe], [view], mode=mode)
+    return score_chunks_across_heads(probe, view, mode=mode)
 
 
 def test_mean_mode_scores_probe_against_representative():
@@ -57,19 +57,18 @@ def test_non_finite_score_raises():
 
 
 def test_across_heads_averages_per_head_scores():
-    probes = [np.array([1.0, 0.0], dtype=np.float32),
-              np.array([0.0, 1.0], dtype=np.float32)]
-    views = [view_of([[1.0, 0.0]], 1), view_of([[1.0, 0.0]], 1)]
-    scores = score_chunks_across_heads(probes, views)
+    probe = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
+    view = view_of([[[1.0, 0.0], [1.0, 0.0]]], 1)  # one row, two heads
+    scores = score_chunks_across_heads(probe, view)
     assert scores.shape == (1,)
     assert scores[0] == pytest.approx(0.5)  # (1.0 + 0.0) / 2
 
 
-def test_across_heads_rejects_misaligned_views():
-    probes = [np.array([1.0, 0.0], dtype=np.float32)] * 2
-    views = [view_of([[1.0, 0.0]], 1), view_of([[1.0, 0.0]] * 2, 1)]
-    with pytest.raises(ValueError):
-        score_chunks_across_heads(probes, views)
+def test_probe_must_match_the_row_shape():
+    view = view_of([[[1.0, 0.0], [1.0, 0.0]]], 1)  # (heads, d) = (2, 2)
+    for probe in ([1.0, 0.0], [[1.0, 0.0]], [[1.0, 0.0, 0.0]] * 2):
+        with pytest.raises(DimMismatch):
+            score_chunks_across_heads(np.array(probe), view)
 
 
 def test_select_topk_orders_by_score_then_id():
@@ -162,12 +161,13 @@ def safe_cosine(a, b) -> float:
         return 0.0
 
 
-def oracle_scores(probe, view, mode) -> list[float]:
-    """One linalg.cosine call per chunk (per member key in max-score)."""
+def oracle_scores(probe, view, mode, head) -> list[float]:
+    """One linalg.cosine call per chunk (per member key in max-score)
+    on one head's keys."""
     if mode == "mean":
-        return [safe_cosine(probe, rep_key_of(ch.keys))
+        return [safe_cosine(probe, rep_key_of(ch.keys[:, head]))
                 for ch in view.retrievable]
-    return [max(safe_cosine(probe, row) for row in ch.keys)
+    return [max(safe_cosine(probe, row) for row in ch.keys[:, head])
             for ch in view.retrievable]
 
 
@@ -182,38 +182,37 @@ def test_vectorized_scores_match_cosine_oracle(n_sink, chunk, n_local, heads,
                                                budget_chunks, seed):
     rng = np.random.default_rng(seed)
     dim = 3
-    probes, views = [], []
-    for _ in range(heads):
-        keys = rng.standard_normal((total, dim)).astype(np.float32)
-        keys[rng.random(total) < zero_share] = 0.0
-        cache = LayerCache(dim=dim, n_sink=n_sink, n_local=n_local,
-                           chunk=chunk)
-        for lo in range(0, total, 7):  # several appends, several regrowths
-            cache.append(keys[lo:lo + 7], keys[lo:lo + 7] + 1.0)
-        views.append(cache.snapshot())
-        probe = rng.standard_normal(dim).astype(np.float32)
-        probes.append(probe * (rng.random() >= zero_share))
+    keys = rng.standard_normal((total, heads, dim)).astype(np.float32)
+    keys[rng.random((total, heads)) < zero_share] = 0.0
+    cache = LayerCache(dim=(heads, dim), n_sink=n_sink, n_local=n_local,
+                       chunk=chunk)
+    for lo in range(0, total, 7):  # several appends, several regrowths
+        cache.append(keys[lo:lo + 7], keys[lo:lo + 7] + 1.0)
+    view = cache.snapshot()
+    probe = rng.standard_normal((heads, dim)).astype(np.float32)
+    probe *= rng.random((heads, 1)) >= zero_share
 
-    got = score_chunks_across_heads(probes, views, mode=mode)
-    per_head = [oracle_scores(p, v, mode) for p, v in zip(probes, views)]
-    chunks = views[0].retrievable
+    got = score_chunks_across_heads(probe, view, mode=mode)
+    per_head = [oracle_scores(probe[h], view, mode, h) for h in range(heads)]
+    chunks = view.retrievable
     want = np.array([np.mean([s[i] for s in per_head])
                      for i in range(len(chunks))])
     want_rows = np.array([ch.rows for ch in chunks], dtype=np.int64)
     assert [ch.chunk_id for ch in chunks] == list(range(len(chunks)))
     assert got.shape == want.shape
-    assert np.array_equal(views[0].candidate_rows, want_rows)
+    assert np.array_equal(view.candidate_rows, want_rows)
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
     # with n_local = 0 the open partial chunk is a candidate as well
     if n_local == 0 and total > n_sink:
-        assert views[0].candidate_rows.sum() == total - n_sink
+        assert view.candidate_rows.sum() == total - n_sink
 
     budget = budget_chunks * chunk
-    sel = select_topk(got, budget, views[0].candidate_rows)
+    sel = select_topk(got, budget, view.candidate_rows)
     assert sel == select_topk(want, budget, want_rows)
-    keys, values = materialize(sel, views[0])
+    keys, values = materialize(sel, view)
     picked = sorted(sel.selected)
+    empty = [np.zeros((0, heads, dim))]
     assert np.array_equal(keys, np.concatenate(
-        [chunks[j].keys for j in picked] or [np.zeros((0, dim))]))
+        [chunks[j].keys for j in picked] or empty))
     assert np.array_equal(values, np.concatenate(
-        [chunks[j].values for j in picked] or [np.zeros((0, dim))]))
+        [chunks[j].values for j in picked] or empty))

@@ -34,6 +34,13 @@ def test_header_validation():
     with pytest.raises(TraceFormatError):
         TraceHeader(d=8, layers=1, heads=2, window=4, num_windows=1,
                     num_decode_steps=0, task_rows=-2)
+    # a float or bool count, or a flag that is not a bool
+    for bad in ({"d": 8.0}, {"window": 4.0}, {"layers": True},
+                {"has_ground_truth": 1}):
+        fields = dict(d=8, layers=1, heads=2, window=4, num_windows=1,
+                      num_decode_steps=0)
+        with pytest.raises(TraceFormatError):
+            TraceHeader(**{**fields, **bad})
     h = TraceHeader(d=8, layers=2, heads=2, window=4, num_windows=3,
                     num_decode_steps=2)
     assert h.d_head == 4
