@@ -6,7 +6,7 @@ from .cutoff import BudgetAllocation, allocate, layer_density, recall_layer
 from .engine import (ConfigError, Engine, EngineConfig, RunResult,
                      StepRecord, reference_attention, run_trace)
 from .linalg import (DimMismatch, EmptyInput, NonFinite, NotNormalized,
-                     ZeroNorm, cosine, entropy, l1_norm, l2_norm, softmax)
+                     entropy, softmax)
 from .metrics import (ConfigMismatch, EmptyTruth, build_report, compare_runs,
                       recall_at_budget, report_to_csv, score_perplexity)
 from .probe import (ActivationBias, ProbeQuery, StatsUndefined,
@@ -27,10 +27,10 @@ __all__ = [
     "PlantedSpec", "ProbeQuery", "RunResult", "SelectionResult",
     "SpecOutOfRange", "StatsUndefined", "StepRecord", "StreamingStats",
     "SyntheticConfig", "TraceData", "TraceFormatError", "TraceHeader",
-    "UnknownChunk", "ZeroNorm", "activation_bias", "allocate", "build_probe",
-    "build_report", "compare_runs", "cosine", "decoding_probe", "entropy",
-    "generate_synthetic", "l1_norm", "l2_norm", "layer_density",
-    "materialize", "read_trace", "recall_at_budget", "recall_layer",
+    "UnknownChunk", "activation_bias", "allocate", "build_probe",
+    "build_report", "compare_runs", "decoding_probe", "entropy",
+    "generate_synthetic", "layer_density", "materialize", "read_trace",
+    "recall_at_budget", "recall_layer",
     "reference_attention", "rep_key_of", "report_to_csv", "run_trace",
     "score_chunks_across_heads", "score_perplexity", "select_topk",
     "softmax", "uniform_bias", "write_trace",

@@ -138,16 +138,18 @@ def _cmd_gen_trace(args) -> int:
 def _cmd_run(args) -> int:
     started = time.monotonic()
     header, reader = read_trace(args.trace)
-    trace = reader.load()
+    ground_truth = reader.ground_truth()
     config = EngineConfig(d=header.d, layers=header.layers,
                           heads=header.heads, window=header.window,
                           chunk=args.chunk, n_sink=args.sinks,
                           n_local=args.local, budget=args.budget,
                           probe_mode=args.probe, cutoff_mode=args.cutoff,
                           rep_mode=args.rep)
-    result = run_trace(trace, config)
+    # streamed: the payload is read one step block at a time, and any
+    # NaN it holds stops the run before a file is written
+    result = run_trace(reader, config)
     digest = _sha256(args.trace)
-    report = build_report(result, ground_truth=trace.ground_truth,
+    report = build_report(result, ground_truth=ground_truth,
                           trace_sha256=digest)
     if args.records:
         with open(args.records, "w") as fh:

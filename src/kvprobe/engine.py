@@ -38,7 +38,7 @@ from .probe import (ProbeQuery, StatsUndefined, StreamingStats,
                     activation_bias, build_probe, decoding_probe,
                     uniform_bias)
 from .retrieval import materialize, score_chunks_across_heads
-from .tracefile import TraceData
+from .tracefile import TraceData, TraceReader
 
 PROBE_MODES = ("act", "mean")
 CUTOFF_MODES = ("dynamic", "fixed")
@@ -293,7 +293,9 @@ class Engine:
 
     # -- drivers ------------------------------------------------------
 
-    def run(self, trace: TraceData) -> RunResult:
+    def run(self, trace: TraceData | TraceReader) -> RunResult:
+        """Replay every step block of trace, read one at a time from a
+        TraceReader or taken from a TraceData in memory."""
         h = trace.header
         cfg = self.config
         if (h.d, h.layers, h.heads) != (cfg.d, cfg.layers, cfg.heads):
@@ -313,9 +315,11 @@ class Engine:
                 self.prefill_step(blk.q, blk.k, blk.v, blk.index)
             else:
                 self.decode_step(blk.q, blk.k, blk.v, blk.index)
+            del blk  # a reader's next block is not read while this one is held
         return RunResult(config=cfg, steps=tuple(self.steps))
 
 
-def run_trace(trace: TraceData, config: EngineConfig) -> RunResult:
+def run_trace(trace: TraceData | TraceReader,
+              config: EngineConfig) -> RunResult:
     engine = Engine(config, task_queries=trace.task_queries)
     return engine.run(trace)

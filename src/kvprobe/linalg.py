@@ -13,10 +13,6 @@ import numpy as np
 ZERO_NORM_EPS = 1e-12
 
 
-class ZeroNorm(ValueError):
-    """Both vectors are numerically zero; no direction to compare."""
-
-
 class EmptyInput(ValueError):
     pass
 
@@ -42,44 +38,10 @@ def as_matrix(x, cols: int | None = None) -> np.ndarray:
     return m
 
 
-def l1_norm(v) -> float:
-    return float(np.sum(np.abs(np.asarray(v, dtype=np.float64))))
-
-
-def l2_norm(v) -> float:
-    x = np.asarray(v, dtype=np.float64)
-    return float(np.sqrt(np.sum(x * x)))
-
-
 def row_norms(m) -> np.ndarray:
-    """float64 L2 norm along the last axis, as l2_norm of each row."""
+    """float64 L2 norm along the last axis."""
     x = np.asarray(m, dtype=np.float64)
     return np.sqrt(np.sum(x * x, axis=-1))
-
-
-def cosine(a, b) -> float:
-    """Cosine similarity of two vectors, in [-1, 1].
-
-    Raises ZeroNorm when both norms fall below 1e-12 (degenerate pair;
-    callers scoring chunks substitute 0). If exactly one side is zero
-    the pair carries no directional information either, and the score
-    is 0 by convention.
-    """
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape:
-        raise DimMismatch(f"cosine dims differ: {av.shape} vs {bv.shape}")
-    na = np.sqrt(np.sum(av * av))
-    nb = np.sqrt(np.sum(bv * bv))
-    if na < ZERO_NORM_EPS and nb < ZERO_NORM_EPS:
-        raise ZeroNorm("both vectors have norm below 1e-12")
-    if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
-        return 0.0
-    c = float(np.dot(av, bv) / (na * nb))
-    if not np.isfinite(c):
-        raise NonFinite(f"cosine is {c}")
-    # guard float round-off just outside the interval
-    return min(1.0, max(-1.0, c))
 
 
 def softmax(scores) -> np.ndarray:

@@ -5,9 +5,9 @@ representative key ("mean" mode) or the best cosine over the chunk's
 member keys ("max-score" mode): one call per layer over the cache
 view's (rows, heads, d_head) arrays, which makes one matrix-vector
 product per head and averages the heads' cosines. A cosine is 0 when
-either norm is below 1e-12, as in linalg.cosine. A layer's scores are
-one float64 array indexed by chunk id (candidates are chunks 0..n-1),
-from scoring to the step record.
+either norm is below 1e-12, and a NaN or infinite one raises
+NonFinite. A layer's scores are one float64 array indexed by chunk id
+(candidates are chunks 0..n-1), from scoring to the step record.
 
 Selection is greedy by descending score in whole chunks, ties broken
 toward the older (smaller id) chunk, stopping as soon as the next

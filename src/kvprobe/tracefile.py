@@ -15,6 +15,12 @@ File layout (version 1, all integers little-endian):
                   holds Q, K, V
     footer        ground-truth JSON document (when flagged)
 
+The payload is read in one place, ``TraceReader.blocks()``: one step
+block (window or decode token) at a time, in file order, each checked
+for NaN and infinity as it is read. A replay therefore holds one step
+block of the payload, plus the task block, never the whole payload;
+``TraceReader.load()`` assembles the same blocks into a ``TraceData``.
+
 Synthetic traces draw background tensors i.i.d. standard normal and
 then plant a relevance structure for each decode step: the step's
 query direction u is mixed into the keys of its target chunks
@@ -130,7 +136,8 @@ class StepBlock:
 
 @dataclass
 class TraceData:
-    """Eagerly loaded trace contents."""
+    """Trace contents held in memory: generated, or assembled by
+    ``TraceReader.load``."""
 
     header: TraceHeader
     window_q: np.ndarray  # (T, L, H, m, d_head)
@@ -192,7 +199,12 @@ def write_trace(path, trace: TraceData) -> None:
 
 
 class TraceReader:
-    """Access to one trace file whose header has been validated."""
+    """Access to one trace file whose header has been validated.
+
+    Nothing but the header is read up front: ``ground_truth()``,
+    ``task_queries`` and ``blocks()`` each read their part of the file
+    when called.
+    """
 
     def __init__(self, path, header: TraceHeader, payload_start: int):
         self.path = path
@@ -216,38 +228,74 @@ class TraceReader:
         _check_footer(gt, h)
         return gt
 
-    def load(self) -> TraceData:
-        """Read the whole payload with one call; the returned tensors are
-        views into it."""
+    @property
+    def task_queries(self) -> np.ndarray | None:
+        """The task block (L, H, task_rows, d_head), read on each access."""
+        h = self.header
+        if not h.has_task_block:
+            return None
+        with open(self.path, "rb") as fh:
+            fh.seek(self._payload_start)
+            return _read_block(fh, (h.layers, h.heads, h.task_rows, h.d_head),
+                               "task block")
+
+    def blocks(self) -> Iterator[StepBlock]:
+        """Every window, then every decode token, read from the file one
+        (L, H, 3, rows, d_head) block at a time; q, k and v are views
+        into that block."""
         h = self.header
         size = os.path.getsize(self.path)
         if size < self._payload_start + h.payload_bytes():
             raise TruncatedFile(size, "tensor payload")
-        flat = np.fromfile(self.path, dtype="<f4",
-                           count=h.payload_bytes() // 4,
-                           offset=self._payload_start)
-        # float64 accumulation cannot overflow on finite float32 inputs,
-        # so a non-finite sum means a NaN or infinity in the payload
-        if not np.isfinite(flat.sum(dtype=np.float64)):
-            raise TraceFormatError("trace payload holds NaN or infinity")
+        with open(self.path, "rb") as fh:
+            fh.seek(self._payload_start + h.task_bytes())
+            for stage, count, rows in (("pre-filling", h.num_windows, h.window),
+                                       ("decoding", h.num_decode_steps, 1)):
+                shape = (h.layers, h.heads, 3, rows, h.d_head)
+                for i in range(count):
+                    # no local keeps the block, so once the caller drops
+                    # it the next read does not hold two
+                    yield StepBlock(stage, i, *np.moveaxis(
+                        _read_block(fh, shape, f"{stage} block {i}"), 2, 0))
+
+    def load(self) -> TraceData:
+        """The whole trace in memory, assembled from ``blocks()``."""
+        h = self.header
         L, H, dh = h.layers, h.heads, h.d_head
-        n_task = L * H * h.task_rows * dh
-        n_win = h.num_windows * L * H * 3 * h.window * dh
-        win = flat[n_task:n_task + n_win].reshape(
-            h.num_windows, L, H, 3, h.window, dh)
-        dec = flat[n_task + n_win:].reshape(h.num_decode_steps, L, H, 3, 1, dh)
-        task = (flat[:n_task].reshape(L, H, h.task_rows, dh)
-                if h.has_task_block else None)
+        win = np.empty((h.num_windows, L, H, 3, h.window, dh), dtype="<f4")
+        dec = np.empty((h.num_decode_steps, L, H, 3, 1, dh), dtype="<f4")
+        gt = self.ground_truth()
+        task = self.task_queries
+        for blk in self.blocks():
+            out = win if blk.stage == "pre-filling" else dec
+            out[blk.index] = np.stack((blk.q, blk.k, blk.v), axis=2)
         return TraceData(header=h, window_q=win[:, :, :, 0],
                          window_k=win[:, :, :, 1], window_v=win[:, :, :, 2],
                          decode_q=dec[:, :, :, 0], decode_k=dec[:, :, :, 1],
                          decode_v=dec[:, :, :, 2], task_queries=task,
-                         ground_truth=self.ground_truth())
+                         ground_truth=gt)
+
+
+def _read_block(fh, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The next f32le block of the payload at fh's position: the one
+    place payload bytes become arrays."""
+    at = fh.tell()
+    count = math.prod(shape)
+    flat = np.fromfile(fh, dtype="<f4", count=count)
+    if flat.size < count:
+        raise TruncatedFile(at + 4 * flat.size, f"tensor payload, {what}")
+    # float64 accumulation cannot overflow on finite float32 inputs,
+    # so a non-finite sum means a NaN or infinity in the block
+    if not np.isfinite(flat.sum(dtype=np.float64)):
+        raise TraceFormatError(f"trace payload holds NaN or infinity "
+                               f"({what})")
+    return flat.reshape(shape)
 
 
 def _check_footer(gt, h: TraceHeader) -> None:
-    """The footer's documented shape, and every chunk id one that the
-    pre-fill windows seal under the footer's geometry."""
+    """The footer's documented shape, every decode step and probe window
+    one the header declares, and every chunk id one that the pre-fill
+    windows seal under the footer's geometry."""
 
     def bad(what: str) -> TraceFormatError:
         return TraceFormatError(f"ground-truth footer: {what}")
@@ -275,6 +323,12 @@ def _check_footer(gt, h: TraceHeader) -> None:
         if not ok:
             raise bad(f"entry {i} needs an int decode_step, an int or null "
                       "probe_window and layers as lists of ints")
+        if not 0 <= e["decode_step"] < h.num_decode_steps:
+            raise bad(f"entry {i} names decode step {e['decode_step']}; the "
+                      f"trace has {h.num_decode_steps}")
+        if window is not None and not 0 <= window < h.num_windows:
+            raise bad(f"entry {i} names probe window {window}; the trace "
+                      f"has {h.num_windows}")
         out = [j for ids in layers for j in ids if not 0 <= j < n_chunks]
         if out:
             raise bad(f"entry {i} names chunk {out[0]}; pre-fill seals "

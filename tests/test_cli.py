@@ -1,10 +1,12 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import pytest
 
 from kvprobe.cli import _dumps, main
+from kvprobe.tracefile import read_trace
 
 GEN = ["gen-trace", "--dim", "16", "--layers", "2", "--heads", "2",
        "--window-size", "16", "--windows", "6", "--decode-steps", "2",
@@ -105,9 +107,14 @@ def test_malformed_trace_exits_2(tmp_path):
     no_step = {k: v for k, v in entry.items() if k != "decode_step"}
     far = dict(entry, layers=[[9999]] * len(entry["layers"]))
     edge = dict(entry, layers=[[23]] * len(entry["layers"]))
+    # a decode step or probe window the trace lacks (2 steps, 6 windows)
+    # used to exit 4 after the whole replay, though no run flag fixes it
+    late = dict(entry, decode_step=500)
+    no_window = dict(entry, probe_window=99)
     for gt in (dict(footer, entries=[no_step]), dict(footer, entries=[1, 2]),
                [footer], dict(footer, entries=[far]),
-               dict(footer, entries=[edge])):
+               dict(footer, entries=[edge]), dict(footer, entries=[late]),
+               dict(footer, entries=[no_window])):
         assert run_with(footer=gt) == 2, gt
     assert not report.exists()
 
@@ -126,15 +133,46 @@ def test_truncated_trace_exits_2(tmp_path):
 
 
 def test_non_finite_trace_exits_2(tmp_path):
-    trace = gen(tmp_path)
-    raw = bytearray(trace.read_bytes())
-    payload = 12 + struct.unpack("<I", raw[8:12])[0]
-    raw[payload + 400:payload + 404] = struct.pack("<f", float("nan"))
-    trace.write_bytes(bytes(raw))
-    report = tmp_path / "r.json"
-    assert main(["run", "--trace", str(trace), "--report", str(report)]
-                + RUN_GEOM) == 2
-    assert not report.exists()
+    original = gen(tmp_path).read_bytes()
+    hlen = struct.unpack("<I", original[8:12])[0]
+    payload = 12 + hlen
+    last = payload + json.loads(original[12:payload])["payload_bytes"] - 4
+    outputs = {flag: tmp_path / name for flag, name in (
+        ("--report", "r.json"), ("--records", "steps.jsonl"),
+        ("--csv", "r.csv"), ("--manifest", "m.json"))}
+    trace = tmp_path / "nan.akvt"
+    # inside the first window, and the last value of the last decode
+    # token, which is only read after every other step has run
+    for at in (payload + 400, last):
+        raw = bytearray(original)
+        raw[at:at + 4] = struct.pack("<f", float("nan"))
+        trace.write_bytes(bytes(raw))
+        argv = ["run", "--trace", str(trace)] + RUN_GEOM
+        for flag, path in outputs.items():
+            argv += [flag, str(path)]
+        assert main(argv) == 2, at
+        assert not any(path.exists() for path in outputs.values()), at
+
+
+def test_run_holds_one_step_block_of_the_payload(tmp_path):
+    """Traced peak of `run` on criterion 6's geometry stays under the
+    payload plus the caches' K/V buffers; holding the whole payload, as
+    an eager read does, peaks near 2.3x the payload."""
+    trace = tmp_path / "t.akvt"
+    assert main(["gen-trace", "--windows", "12", "--decode-steps", "5",
+                 "--planted", "3", "--anchor-scale", "4.0", "--drift", "3.0",
+                 "--seed", "0", "--out", str(trace)]) == 0
+    header, _ = read_trace(trace)
+    tokens = header.num_windows * header.window + header.num_decode_steps
+    kv_cache = 2 * header.layers * tokens * header.d * 4
+    tracemalloc.start()
+    try:
+        assert main(["run", "--trace", str(trace), "--budget", "256",
+                     "--report", str(tmp_path / "r.json")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < header.payload_bytes() + kv_cache, peak
 
 
 def test_bad_engine_config_exits_3(tmp_path):

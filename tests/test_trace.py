@@ -70,13 +70,17 @@ def test_streaming_blocks_match_eager_load(tmp_path):
     path = tmp_path / "t.akvt"
     write_trace(path, trace)
     _, reader = read_trace(path)
+    assert np.array_equal(reader.task_queries, trace.task_queries)
     stages = []
-    for blk, want in zip(reader.load().blocks(), trace.blocks()):
+    # the file read block by block, its eager assembly, and the source
+    for blk, eager, want in zip(reader.blocks(), reader.load().blocks(),
+                                trace.blocks(), strict=True):
         stages.append(blk.stage)
-        assert (blk.stage, blk.index) == (want.stage, want.index)
-        assert np.array_equal(blk.q, want.q)
-        assert np.array_equal(blk.k, want.k)
-        assert np.array_equal(blk.v, want.v)
+        for got in (blk, eager):
+            assert (got.stage, got.index) == (want.stage, want.index)
+            assert np.array_equal(got.q, want.q)
+            assert np.array_equal(got.k, want.k)
+            assert np.array_equal(got.v, want.v)
     assert stages == ["pre-filling"] * 4 + ["decoding"] * 2
 
 
