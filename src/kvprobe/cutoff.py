@@ -29,7 +29,6 @@ from .retrieval import SelectionResult, select_topk
 @dataclass(frozen=True)
 class BudgetAllocation:
     budgets: tuple[int, ...]
-    initial_total: int
 
 
 def layer_density(scores: np.ndarray) -> float:
@@ -76,8 +75,7 @@ def allocate(theta, initial_total: int, chunk_size: int = 1) -> BudgetAllocation
                           key=lambda i: (-(shares[i] - floors[i]), i))
     for i in by_remainder[:leftover]:
         floors[i] += 1
-    return BudgetAllocation(budgets=tuple(f * chunk_size for f in floors),
-                            initial_total=initial_total)
+    return BudgetAllocation(budgets=tuple(f * chunk_size for f in floors))
 
 
 def recall_layer(scores: np.ndarray, budget_pairs: int,

@@ -8,8 +8,9 @@ pre-filling
     statistics, builds one (heads, d_head) probe, scores the
     retrievable chunks, greedily selects up to the layer budget, and
     runs reference attention over [sinks, retrieved, local tail, window]
-    with a causal mask on the window rows. The window's keys and
-    values enter the cache only after attention.
+    with a causal mask on the window rows, one head per call so the
+    float64 (rows, keys) weights stay one head's size. The window's
+    keys and values enter the cache only after attention.
 
 decoding
     One token at a time, two phases. The token's key/value pair enters
@@ -20,7 +21,10 @@ decoding
     (layers x budget) is split across layers, evenly in fixed mode or
     entropy-proportional in dynamic mode, and each layer retrieves
     under its share. The attended set is exactly sinks + retrieved +
-    local.
+    local, and all heads attend it in one call per layer.
+
+Attention reads the sink and local tiers as head-major views of the
+cache's float32 rows; only the retrieved chunks are gathered.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from .cache import CacheView, LayerCache
 from .cutoff import allocate, layer_density, recall_layer
-from .linalg import EmptyInput, as_matrix
+from .linalg import DimMismatch, EmptyInput
 from .probe import (ProbeQuery, StatsUndefined, StreamingStats,
                     activation_bias, build_probe, decoding_probe,
                     uniform_bias)
@@ -139,33 +143,57 @@ class RunResult:
 
 
 def reference_attention(q, k, v, causal: bool = True) -> np.ndarray:
-    """Exact scaled dot-product attention in float64.
+    """Scaled dot-product attention of q (..., rows, d_head) over keys
+    and values given as one array or an ordered list of blocks, each
+    (..., n_i, d_head) with leading axes that broadcast against q's;
+    returns float64 (..., rows, d_head).
 
-    With causal=True the trailing q.rows keys are treated as the
+    The logits and weights @ V are float32 matmuls on the blocks as
+    given, so no key or value row is copied to float64. Masking,
+    max-subtraction, exp and normalisation run in float64, in place on
+    one (..., rows, keys) buffer.
+
+    With causal=True the trailing `rows` keys are treated as the
     queries' own positions: query i may attend key j iff
-    j <= (k.rows - q.rows) + i. History keys (everything before the
+    j <= (keys - rows) + i. History keys (everything before the
     trailing block) are visible to every query.
     """
-    Q = as_matrix(q)
-    K = as_matrix(k, cols=Q.shape[1])
-    V = as_matrix(v)
-    if K.shape[0] != V.shape[0]:
-        raise EmptyInput(f"keys/values row mismatch {K.shape[0]} vs "
-                         f"{V.shape[0]}")
-    if K.shape[0] == 0:
+    Q = np.asarray(q, dtype=np.float32)
+    if Q.ndim < 2:
+        raise DimMismatch(f"queries shaped {Q.shape}, want (..., rows, d)")
+    rows, d = Q.shape[-2:]
+    ks, vs = _blocks(k), _blocks(v)
+    sizes = [b.shape[-2] for b in ks]
+    if sizes != [b.shape[-2] for b in vs]:
+        raise DimMismatch(f"key blocks of {sizes} rows, value blocks of "
+                          f"{[b.shape[-2] for b in vs]}")
+    n = sum(sizes)
+    if n == 0:
         raise EmptyInput("attention over zero keys")
-    n_hist = K.shape[0] - Q.shape[0]
+    n_hist = n - rows
     if causal and n_hist < 0:
         raise EmptyInput("more queries than keys under a causal mask")
-    logits = (Q.astype(np.float64) @ K.astype(np.float64).T) / sqrt(Q.shape[1])
+    starts = np.cumsum([0, *sizes])
+    w = np.empty((*Q.shape[:-1], n))
+    for K, at in zip(ks, starts):
+        w[..., at:at + K.shape[-2]] = Q @ K.swapaxes(-1, -2)
+    w /= sqrt(d)
     if causal:
-        cols = np.arange(K.shape[0])[None, :]
-        rows = np.arange(Q.shape[0])[:, None]
-        logits = np.where(cols > n_hist + rows, -np.inf, logits)
-    logits -= logits.max(axis=1, keepdims=True)
-    weights = np.exp(logits)
-    weights /= weights.sum(axis=1, keepdims=True)
-    return weights @ V.astype(np.float64)
+        np.copyto(w[..., n_hist:], -np.inf, where=~np.tri(rows, dtype=bool))
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    out = np.zeros((*Q.shape[:-1], vs[0].shape[-1]))
+    for V, at in zip(vs, starts):
+        out += w[..., at:at + V.shape[-2]].astype(np.float32) @ V
+    return out
+
+
+def _blocks(x) -> list[np.ndarray]:
+    """One array or a list of blocks, as float32 (a float32 block is not
+    copied)."""
+    return [np.asarray(b, dtype=np.float32)
+            for b in ([x] if isinstance(x, np.ndarray) else x)]
 
 
 class Engine:
@@ -196,11 +224,11 @@ class Engine:
         if self.config.probe_mode == "act":
             try:
                 bias = activation_bias(queries, self.stats[layer])
-                return build_probe(queries, bias, layer=layer)
+                return build_probe(queries, bias)
             except StatsUndefined:
                 pass
         bias = uniform_bias(*queries.shape[-2:])
-        return build_probe(queries, bias, layer=layer)
+        return build_probe(queries, bias)
 
     def _attend_and_record(self, l: int, q: np.ndarray, view: CacheView,
                            scores: np.ndarray, theta: float, budget: int,
@@ -214,22 +242,24 @@ class Engine:
         """
         selection = recall_layer(scores, budget, view.candidate_rows)
         keys_sel, vals_sel = materialize(selection, view)
+        # the cache is token-major; attention reads (heads, pairs, d_head)
+        k_blocks = [a.transpose(1, 0, 2) for a in
+                    (view.sink_keys, keys_sel, view.local_keys)]
+        v_blocks = [a.transpose(1, 0, 2) for a in
+                    (view.sink_values, vals_sel, view.local_values)]
+        if window_k is not None:
+            k_blocks.append(window_k)
+            v_blocks.append(window_v)
+        # a pre-fill window goes head by head, so the float64 (rows, keys)
+        # weights stay one head's size; a decode token takes every head
+        rows, heads = q.shape[1], self.config.heads
+        step = 1 if rows > 1 else heads
         checksum = 0.0
-        attended = 0
-        # per head, so attention's float64 temporaries stay one head's size
-        for h in range(self.config.heads):
-            k_parts = [view.sink_keys[:, h], keys_sel[:, h],
-                       view.local_keys[:, h]]
-            v_parts = [view.sink_values[:, h], vals_sel[:, h],
-                       view.local_values[:, h]]
-            if window_k is not None:
-                k_parts.append(window_k[h])
-                v_parts.append(window_v[h])
-            k_att = np.concatenate(k_parts)
-            out = reference_attention(q[h], k_att, np.concatenate(v_parts),
-                                      causal=True)
+        for h in range(0, heads, step):
+            hs = slice(h, h + step)
+            out = reference_attention(q[hs], [b[hs] for b in k_blocks],
+                                      [b[hs] for b in v_blocks], causal=True)
             checksum += float(out.sum())
-            attended = k_att.shape[0]
         return LayerStepRecord(
             layer=l,
             candidate_ids=tuple(range(len(scores))),
@@ -238,7 +268,7 @@ class Engine:
             budget_pairs=int(budget),
             selected=selection.selected,
             pairs_used=selection.pairs_used,
-            attended_pairs=attended,
+            attended_pairs=sum(b.shape[1] for b in k_blocks),
             attn_checksum=checksum,
         )
 
@@ -272,7 +302,7 @@ class Engine:
         per_layer: list[tuple[CacheView, np.ndarray]] = []
         thetas: list[float] = []
         for l in range(cfg.layers):
-            probe = decoding_probe(q[l, :, 0], layer=l).vector
+            probe = decoding_probe(q[l, :, 0]).vector
             self.caches[l].append(k[l].transpose(1, 0, 2),
                                   v[l].transpose(1, 0, 2))
             view = self.caches[l].snapshot()

@@ -1,9 +1,11 @@
-"""Dense numeric kernels shared by every other module.
+"""Dense numeric kernels and error types shared by every other module.
 
-Vectors are 1-D float32 numpy arrays, matrices 2-D float32 row-major.
-All reductions accumulate in float64 and only the stored payloads are
-kept in float32, so results are reproducible across platforms at the
-dimensions this engine targets (d <= 4096).
+Stored payloads are float32. Norms, softmax and entropy accumulate in
+float64, so scores and densities are reproducible across platforms at
+the dimensions this engine targets (d <= 4096). Attention
+(engine.reference_attention) is the exception: its logits and
+weighted value sums are float32 products on the cached rows, and only
+its softmax runs in float64.
 """
 
 from __future__ import annotations
@@ -27,15 +29,6 @@ class DimMismatch(ValueError):
 
 class NonFinite(ValueError):
     """A similarity came out NaN or infinite."""
-
-
-def as_matrix(x, cols: int | None = None) -> np.ndarray:
-    m = np.asarray(x, dtype=np.float32)
-    if m.ndim != 2:
-        raise DimMismatch(f"expected 2-D matrix, got shape {m.shape}")
-    if cols is not None and m.shape[1] != cols:
-        raise DimMismatch(f"expected {cols} columns, got {m.shape[1]}")
-    return m
 
 
 def row_norms(m) -> np.ndarray:

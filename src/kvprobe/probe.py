@@ -81,8 +81,6 @@ class ActivationBias:
 @dataclass(frozen=True)
 class ProbeQuery:
     vector: np.ndarray    # (d,) or (heads, d)
-    layer: int = 0
-    stage: str = "pre-filling"
 
 
 def uniform_bias(rows: int, dim: int) -> ActivationBias:
@@ -114,8 +112,7 @@ def activation_bias(window_queries, stats: StreamingStats) -> ActivationBias:
     return ActivationBias(phi=phi.astype(np.float32), weights=weights)
 
 
-def build_probe(window_queries, bias: ActivationBias,
-                layer: int = 0) -> ProbeQuery:
+def build_probe(window_queries, bias: ActivationBias) -> ProbeQuery:
     """Pre-filling probe: convex combination of the window's queries."""
     q = _queries(window_queries)
     w = np.asarray(bias.weights, dtype=np.float64)
@@ -123,10 +120,9 @@ def build_probe(window_queries, bias: ActivationBias,
         raise LengthMismatch(f"{w.shape[-1]} weights for "
                              f"{q.shape[-2]} queries")
     vec = (w[..., None] * q).sum(axis=-2).astype(np.float32)
-    return ProbeQuery(vector=vec, layer=layer, stage="pre-filling")
+    return ProbeQuery(vector=vec)
 
 
-def decoding_probe(q, layer: int = 0) -> ProbeQuery:
+def decoding_probe(q) -> ProbeQuery:
     """Decoding probe is the current query itself, unweighted."""
-    return ProbeQuery(vector=np.array(q, dtype=np.float32), layer=layer,
-                      stage="decoding")
+    return ProbeQuery(vector=np.array(q, dtype=np.float32))

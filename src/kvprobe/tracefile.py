@@ -293,9 +293,10 @@ def _read_block(fh, shape: tuple[int, ...], what: str) -> np.ndarray:
 
 
 def _check_footer(gt, h: TraceHeader) -> None:
-    """The footer's documented shape, every decode step and probe window
-    one the header declares, and every chunk id one that the pre-fill
-    windows seal under the footer's geometry."""
+    """The footer's documented shape, one layer list per trace layer in
+    every entry, every decode step and probe window one the header
+    declares, and every chunk id one that the pre-fill windows seal
+    under the footer's geometry."""
 
     def bad(what: str) -> TraceFormatError:
         return TraceFormatError(f"ground-truth footer: {what}")
@@ -323,6 +324,9 @@ def _check_footer(gt, h: TraceHeader) -> None:
         if not ok:
             raise bad(f"entry {i} needs an int decode_step, an int or null "
                       "probe_window and layers as lists of ints")
+        if len(layers) != h.layers:
+            raise bad(f"entry {i} lists {len(layers)} layers; the trace "
+                      f"has {h.layers}")
         if not 0 <= e["decode_step"] < h.num_decode_steps:
             raise bad(f"entry {i} names decode step {e['decode_step']}; the "
                       f"trace has {h.num_decode_steps}")
@@ -564,11 +568,14 @@ def generate_synthetic(cfg: SyntheticConfig, planted: PlantedSpec | None,
         for i, ids in enumerate(planted.targets):
             for j in ids:
                 start = cfg.n_sink + j * cfg.chunk
-                for pos in range(start, start + cfg.chunk):
-                    t, r = divmod(pos, m)
-                    noise = rng.standard_normal((L, H, dh))
-                    wk[t, :, :, r, :] = (s * u[i] + (1 - s) * noise
-                                         ).astype(np.float32)
+                # (window, row) per position: a chunk may cross windows
+                t, r = np.divmod(np.arange(start, start + cfg.chunk), m)
+                # the same stream as one (L, H, dh) draw per row
+                noise = rng.standard_normal((cfg.chunk, L, H, dh))
+                # index arrays split by slices put their axis first, so
+                # wk[t, :, :, r, :] is (chunk, L, H, dh)
+                wk[t, :, :, r, :] = (s * u[i] + (1 - s) * noise
+                                     ).astype(np.float32)
 
         # anchor query rows inside each probe window, split when several
         # steps share one window
@@ -583,8 +590,7 @@ def generate_synthetic(cfg: SyntheticConfig, planted: PlantedSpec | None,
             for i, rset in zip(steps, shares):
                 anchor = (planted.anchor_scale * scale * u[i]
                           ).astype(np.float32)  # (L, H, dh)
-                for r in rset:
-                    wq[w, :, :, int(r), :] = anchor
+                wq[w][:, :, rset, :] = anchor[:, :, None, :]
 
         entries = []
         for i, ids in enumerate(planted.targets):

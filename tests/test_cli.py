@@ -111,10 +111,13 @@ def test_malformed_trace_exits_2(tmp_path):
     # used to exit 4 after the whole replay, though no run flag fixes it
     late = dict(entry, decode_step=500)
     no_window = dict(entry, probe_window=99)
+    # so did a layer list per entry that is not one per trace layer
+    extra_layer = dict(entry, layers=entry["layers"] + [[]])
     for gt in (dict(footer, entries=[no_step]), dict(footer, entries=[1, 2]),
                [footer], dict(footer, entries=[far]),
                dict(footer, entries=[edge]), dict(footer, entries=[late]),
-               dict(footer, entries=[no_window])):
+               dict(footer, entries=[no_window]),
+               dict(footer, entries=[extra_layer])):
         assert run_with(footer=gt) == 2, gt
     assert not report.exists()
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from kvprobe.engine import (ConfigError, Engine, EngineConfig,
                             reference_attention, run_trace)
+from kvprobe.linalg import DimMismatch
 from kvprobe.tracefile import PlantedSpec, SyntheticConfig, generate_synthetic
+from oracles import dense_attention
 
 TINY = SyntheticConfig(d=8, layers=2, heads=2, window=8, num_windows=6,
                        num_decode_steps=3, n_sink=2, chunk=2, n_local=4)
@@ -82,6 +85,99 @@ def test_causal_mask_rejects_more_queries_than_keys():
     with pytest.raises(ValueError):
         reference_attention(np.zeros((3, 2)), np.zeros((2, 2)),
                             np.zeros((2, 2)), causal=True)
+
+
+def _token_major_blocks(rng, sizes, heads, d):
+    """Key and value blocks as the engine passes them: (heads, n, d)
+    transposed views of token-major (n, heads, d) float32 arrays."""
+    ks, vs = [], []
+    for n in sizes:
+        for out in (ks, vs):
+            a = rng.standard_normal((n, heads, d)).astype(np.float32)
+            out.append(a.transpose(1, 0, 2))
+    return ks, vs
+
+
+def _dense_case(case):
+    """(q, k, v, causal, oracle output) for one attention shape."""
+    rng = np.random.default_rng(sum(map(ord, case)))
+    d = 64
+    if case == "decode-heads":  # one row per head over sinks, chunks, tail
+        heads = 4
+        q = rng.standard_normal((heads, 1, d)).astype(np.float32)
+        k, v = _token_major_blocks(rng, (64, 1472, 512), heads, d)
+        want = np.stack([dense_attention(q[h], np.concatenate(
+            [b[h] for b in k]), np.concatenate([b[h] for b in v]))
+            for h in range(heads)])
+        return q, k, v, True, want
+    if case == "prefill-window":  # history then the queries' own rows
+        q = rng.standard_normal((48, d)).astype(np.float32)
+        hist = rng.standard_normal((2, 300, d)).astype(np.float32)
+        win = rng.standard_normal((2, 48, d)).astype(np.float32)
+        win[0] = q
+        k, v = [hist[0], win[0]], [hist[1], win[1]]
+        want = dense_attention(q, np.concatenate(k), np.concatenate(v))
+        return q, k, v, True, want
+    if case == "split-blocks":  # uneven blocks, an empty one among them
+        q = 2.0 * rng.standard_normal((5, d)).astype(np.float32)
+        k, v = _token_major_blocks(rng, (7, 0, 130, 1, 61), 1, d)
+        k, v = [b[0] for b in k], [b[0] for b in v]
+        want = dense_attention(q, np.concatenate(k), np.concatenate(v),
+                               causal=False)
+        return q, k, v, False, want
+    q = rng.standard_normal((20, d))  # one float64 array, converted
+    k = rng.standard_normal((400, d))
+    v = rng.standard_normal((400, d))
+    return q, k, v, True, dense_attention(q, k, v)
+
+
+@pytest.mark.parametrize("case", ["decode-heads", "prefill-window",
+                                  "split-blocks", "one-array"])
+def test_reference_attention_matches_float64_oracle(case):
+    """float32 products with a float64 softmax stay within 1e-5 relative
+    of dense float64 attention, whatever the head axis and blocking."""
+    q, k, v, causal, want = _dense_case(case)
+    got = reference_attention(q, k, v, causal=causal)
+    assert got.shape == want.shape
+    err = np.linalg.norm(got - want) / np.linalg.norm(want)
+    assert err <= 1e-5, err
+
+
+def test_attention_rejects_key_and_value_blocks_split_differently():
+    """Blocks pair up by position; K and V split at different rows would
+    weight the wrong value rows."""
+    q = np.zeros((1, 2))
+    k = [np.zeros((3, 2)), np.zeros((5, 2))]
+    with pytest.raises(DimMismatch):
+        reference_attention(q, k, [np.zeros((5, 2)), np.zeros((3, 2))])
+
+
+def test_decode_step_copies_only_the_retrieved_pairs():
+    """One decode step on criterion 5's geometry (H=1, 64 + 1472 + 512
+    attended pairs per layer) allocates at most the gathered float32
+    K/V of the retrieved chunks plus 64 KiB: sinks and local tail are
+    read in place and nothing is copied to float64."""
+    cfg = SyntheticConfig()
+    engine = Engine(EngineConfig(d=cfg.d, layers=cfg.layers,
+                                 heads=cfg.heads, window=cfg.window))
+    for cache in engine.caches:  # as Engine.run does: no regrowth
+        cache.reserve(cfg.num_windows * cfg.window + cfg.num_decode_steps)
+    for blk in generate_synthetic(cfg, None, seed=7).blocks():
+        if blk.stage == "pre-filling":
+            engine.prefill_step(blk.q, blk.k, blk.v, blk.index)
+            continue
+        tracemalloc.start()
+        try:
+            step = engine.decode_step(blk.q, blk.k, blk.v, blk.index)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        break
+    used = {rec.pairs_used for rec in step.layers}
+    assert used == {1472}
+    assert {rec.attended_pairs for rec in step.layers} == {2048}
+    gathered = 2 * 1472 * cfg.d * 4
+    assert peak < gathered + 64 * 1024, peak
 
 
 def test_run_produces_step_records():

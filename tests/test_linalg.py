@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kvprobe.linalg import (DimMismatch, EmptyInput, NonFinite, NotNormalized,
-                            as_matrix, entropy, softmax)
+                            entropy, softmax)
 from oracles import cosine  # the scoring oracle of test_retrieval
 
 finite = st.floats(min_value=-1e6, max_value=1e6,
@@ -100,11 +100,3 @@ def test_entropy_of_softmax_bounded(v):
     h = entropy(softmax(v))
     assert -1e-12 <= h <= math.log(len(v)) + 1e-9
 
-
-def test_validators_enforce_shapes():
-    with pytest.raises(DimMismatch):
-        as_matrix([1.0, 2.0])
-    with pytest.raises(DimMismatch):
-        as_matrix([[1.0, 2.0]], cols=3)
-    m = as_matrix([[1.0, 2.0]], cols=2)
-    assert m.dtype == np.float32

@@ -96,9 +96,8 @@ def test_build_probe_example():
     bias = uniform_bias(2, 2)
     bias = type(bias)(phi=bias.phi,
                       weights=np.array([0.25, 0.75], dtype=np.float32))
-    probe = build_probe(q, bias, layer=1)
+    probe = build_probe(q, bias)
     assert probe.vector == pytest.approx([1.0, 3.0])
-    assert (probe.layer, probe.stage) == (1, "pre-filling")
 
 
 def test_build_probe_rejects_length_mismatch():
@@ -119,9 +118,8 @@ def test_probe_stays_in_row_convex_hull(history, window):
 
 def test_decoding_probe_is_identity():
     q = np.array([1.0, -2.0, 3.0], dtype=np.float32)
-    probe = decoding_probe(q, layer=3)
+    probe = decoding_probe(q)
     assert probe.vector == pytest.approx(q)
-    assert probe.stage == "decoding"
     q[0] = 99.0  # the probe must hold its own copy
     assert probe.vector[0] == pytest.approx(1.0)
 

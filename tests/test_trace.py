@@ -237,6 +237,30 @@ def test_planted_keys_align_with_decode_query():
     assert abs(bg @ u / np.linalg.norm(bg)) < 0.7
 
 
+def test_planted_chunks_crossing_a_window_hold_the_query_direction():
+    """With signal 1.0 every row of a planted chunk is exactly its step's
+    unit query direction, in every layer and head, including chunks whose
+    rows straddle two windows (window 20, 6 sinks, chunks of 8)."""
+    cfg = SyntheticConfig(d=16, layers=2, heads=2, window=20,
+                          num_windows=14, num_decode_steps=3, n_sink=6,
+                          chunk=8, n_local=24)
+    spec = PlantedSpec.auto(cfg, per_step=2, signal=1.0, drift_scale=0.0)
+    trace = generate_synthetic(cfg, spec, seed=4)
+    crossing = 0
+    for i, ids in enumerate(spec.targets):
+        u = trace.decode_q[i, :, :, 0].astype(np.float64)
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        for j in ids:
+            first, last = cfg.chunk_window(j)
+            crossing += first != last
+            start = cfg.n_sink + j * cfg.chunk
+            for pos in range(start, start + cfg.chunk):
+                t, r = divmod(pos, cfg.window)
+                assert np.array_equal(trace.window_k[t, :, :, r],
+                                      u.astype(np.float32)), (i, j, pos)
+    assert crossing >= 2
+
+
 def test_anchor_rows_present_in_probe_window():
     cfg = SyntheticConfig(d=32, layers=1, heads=1, window=32, num_windows=8,
                           num_decode_steps=1, n_sink=8, chunk=4, n_local=32)
