@@ -8,7 +8,7 @@ from .engine import (ConfigError, Engine, EngineConfig, RunResult,
 from .linalg import (DimMismatch, EmptyInput, NonFinite, NotNormalized,
                      entropy, softmax)
 from .metrics import (ConfigMismatch, EmptyTruth, build_report, compare_runs,
-                      recall_at_budget, report_to_csv, score_perplexity)
+                      recall_at_budget, report_to_csv)
 from .probe import (ActivationBias, ProbeQuery, StatsUndefined,
                     StreamingStats, activation_bias, build_probe,
                     decoding_probe, uniform_bias)
@@ -32,6 +32,6 @@ __all__ = [
     "generate_synthetic", "layer_density", "materialize", "read_trace",
     "recall_at_budget", "recall_layer",
     "reference_attention", "rep_key_of", "report_to_csv", "run_trace",
-    "score_chunks_across_heads", "score_perplexity", "select_topk",
+    "score_chunks_across_heads", "select_topk",
     "softmax", "uniform_bias", "write_trace",
 ]

@@ -33,6 +33,16 @@ import numpy as np
 from .linalg import DimMismatch, row_norms
 
 
+def tail_start_of(total: int, n_sink: int, n_local: int) -> int:
+    """First row of the local tail: the newest n_local rows, no sinks."""
+    return max(min(total, n_sink), total - n_local)
+
+
+def sealed_chunks(rows: int, n_sink: int, chunk: int) -> int:
+    """Full chunks among the first `rows` rows of a stream."""
+    return max(0, rows - n_sink) // chunk
+
+
 def rep_key_of(keys) -> np.ndarray:
     """Representative key of a chunk: per-dimension mean of its rows
     (the first axis), per head when rows are (heads, d_head).
@@ -217,7 +227,7 @@ class LayerCache:
         self._v[start:stop] = v
         self._knorm[start:stop] = row_norms(self._k[start:stop])
         self.total_pairs = stop
-        full = max(0, stop - self.n_sink) // self.chunk
+        full = sealed_chunks(stop, self.n_sink, self.chunk)
         first = self._sealed
         for j in range(first, full):
             lo = self.n_sink + j * self.chunk
@@ -229,8 +239,7 @@ class LayerCache:
 
     @property
     def tail_start(self) -> int:
-        return max(min(self.total_pairs, self.n_sink),
-                   self.total_pairs - self.n_local)
+        return tail_start_of(self.total_pairs, self.n_sink, self.n_local)
 
     def snapshot(self) -> CacheView:
         n = self.total_pairs

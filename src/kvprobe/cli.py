@@ -26,7 +26,8 @@ import sys
 import time
 
 from .engine import ConfigError, EngineConfig, run_trace
-from .metrics import ConfigMismatch, build_report, compare_runs, report_to_csv
+from .metrics import (ConfigMismatch, build_report, check_geometry,
+                      compare_runs, report_to_csv)
 from .tracefile import (PlantedSpec, SpecOutOfRange, SyntheticConfig,
                         TraceFormatError, generate_synthetic, read_trace)
 
@@ -145,6 +146,9 @@ def _cmd_run(args) -> int:
                           n_local=args.local, budget=args.budget,
                           probe_mode=args.probe, cutoff_mode=args.cutoff,
                           rep_mode=args.rep)
+    if ground_truth is not None:
+        # known from the header and footer alone, so no replay runs first
+        check_geometry(config, ground_truth)
     # streamed: the payload is read one step block at a time, and any
     # NaN it holds stops the run before a file is written
     result = run_trace(reader, config)

@@ -42,7 +42,7 @@ from .probe import (ProbeQuery, StatsUndefined, StreamingStats,
                     activation_bias, build_probe, decoding_probe,
                     uniform_bias)
 from .retrieval import materialize, score_chunks_across_heads
-from .tracefile import TraceData, TraceReader
+from .tracefile import TraceData, TraceHeader, TraceReader
 
 PROBE_MODES = ("act", "mean")
 CUTOFF_MODES = ("dynamic", "fixed")
@@ -77,11 +77,9 @@ class EngineConfig:
         if self.budget % self.chunk != 0:
             raise ConfigError(
                 f"budget {self.budget} not a multiple of chunk {self.chunk}")
-        mode = {"activation": "act"}.get(self.probe_mode, self.probe_mode)
-        if mode not in PROBE_MODES:
+        if self.probe_mode not in PROBE_MODES:
             raise ConfigError(f"probe_mode {self.probe_mode!r} not in "
                               f"{PROBE_MODES}")
-        object.__setattr__(self, "probe_mode", mode)
         if self.cutoff_mode not in CUTOFF_MODES:
             raise ConfigError(f"cutoff_mode {self.cutoff_mode!r} not in "
                               f"{CUTOFF_MODES}")
@@ -132,6 +130,7 @@ class StepRecord:
 class RunResult:
     config: EngineConfig
     steps: tuple[StepRecord, ...]
+    header: TraceHeader  # of the replayed trace
 
     def layer_records(self, stage: str | None = None
                       ) -> Iterable[tuple[StepRecord, LayerStepRecord]]:
@@ -346,7 +345,7 @@ class Engine:
             else:
                 self.decode_step(blk.q, blk.k, blk.v, blk.index)
             del blk  # a reader's next block is not read while this one is held
-        return RunResult(config=cfg, steps=tuple(self.steps))
+        return RunResult(config=cfg, steps=tuple(self.steps), header=h)
 
 
 def run_trace(trace: TraceData | TraceReader,

@@ -28,8 +28,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .engine import LayerStepRecord, RunResult
-from .linalg import entropy, softmax
+from .engine import EngineConfig, LayerStepRecord, RunResult
+from .tracefile import check_footer
 
 REPORT_VERSION = 1
 METRIC_ORDER = ("score", "perplexity", "recall", "prefill_recall",
@@ -42,14 +42,6 @@ class EmptyTruth(ValueError):
 
 class ConfigMismatch(ValueError):
     """Report inputs disagree on trace or configuration."""
-
-
-def score_perplexity(scores: Sequence[float]) -> float:
-    """exp(entropy(softmax(scores))); 1.0 when there are no scores."""
-    vals = np.asarray(list(scores), dtype=np.float64)
-    if vals.size == 0:
-        return 1.0
-    return float(math.exp(entropy(softmax(vals))))
 
 
 def recall_at_budget(selected: Iterable[int], truth: Iterable[int]) -> float:
@@ -69,42 +61,26 @@ def _summary(values: Sequence[float]) -> dict:
             "p25": float(q25), "p50": float(q50), "p75": float(q75)}
 
 
-def _check_ground_truth(result: RunResult, gt: dict) -> None:
-    cfg = result.config
-    if gt.get("version") != 1:
-        raise ConfigMismatch(f"ground truth version {gt.get('version')!r} "
-                             "unsupported")
-    for key, have in (("n_sink", cfg.n_sink), ("chunk", cfg.chunk),
-                      ("n_local", cfg.n_local)):
-        if gt.get(key) != have:
+def check_geometry(config: EngineConfig, ground_truth: dict) -> None:
+    """Raise ConfigMismatch unless the run's cache geometry is the one a
+    ground-truth footer's chunk ids assume."""
+    for key in ("n_sink", "chunk", "n_local"):
+        want, have = ground_truth.get(key), getattr(config, key)
+        if want != have:
             raise ConfigMismatch(
-                f"ground truth assumes {key}={gt.get(key)}, run used {have}")
-    prefill = {s.index for s in result.steps if s.stage == "pre-filling"}
-    decode = {s.index for s in result.steps if s.stage == "decoding"}
-    for entry in gt.get("entries", ()):
-        layers = entry.get("layers", [])
-        if len(layers) != cfg.layers:
-            raise ConfigMismatch(
-                f"ground truth entry lists {len(layers)} layers, run has "
-                f"{cfg.layers}")
-        if not any(layers):
-            continue
-        if entry["decode_step"] not in decode:
-            raise ConfigMismatch(
-                f"ground truth names decode step {entry['decode_step']} "
-                "absent from the run")
-        if entry.get("probe_window") not in prefill:
-            raise ConfigMismatch(
-                f"ground truth names probe window {entry.get('probe_window')} "
-                "absent from the run")
+                f"ground truth assumes {key}={want}, run used {have}")
 
 
 def build_report(result: RunResult, ground_truth: dict | None = None,
                  trace_sha256: str | None = None) -> dict:
-    """Summarize one run; ground truth unlocks the recall metrics."""
+    """Summarize one run; ground truth unlocks the recall metrics. A
+    footer is checked against the run's geometry (ConfigMismatch), then
+    against the replayed trace's header (TraceFormatError)."""
     cfg = result.config
     if ground_truth is not None:
-        _check_ground_truth(result, ground_truth)
+        # geometry first: under another chunk size the ids may not exist
+        check_geometry(cfg, ground_truth)
+        check_footer(ground_truth, result.header)
 
     by_layer: dict[int, dict[str, list[float]]] = {
         l: {name: [] for name in METRIC_ORDER} for l in range(cfg.layers)}
@@ -113,7 +89,7 @@ def build_report(result: RunResult, ground_truth: dict | None = None,
         index[(step.stage, step.index, rec.layer)] = rec
         bucket = by_layer[rec.layer]
         bucket["score"].extend(rec.scores)
-        bucket["perplexity"].append(score_perplexity(rec.scores))
+        bucket["perplexity"].append(math.exp(rec.theta))
         if step.stage == "decoding":
             bucket["budget"].append(float(rec.budget_pairs))
 
@@ -127,7 +103,8 @@ def build_report(result: RunResult, ground_truth: dict | None = None,
                 by_layer[l]["recall"].append(r)
                 by_layer[l]["decode_recall"].append(r)
                 pre = index[("pre-filling", entry["probe_window"], l)]
-                visible = [j for j in truth if j in set(pre.candidate_ids)]
+                # candidate ids are 0..n-1
+                visible = [j for j in truth if j < len(pre.candidate_ids)]
                 if visible:
                     r = recall_at_budget(pre.selected, visible)
                     by_layer[l]["recall"].append(r)

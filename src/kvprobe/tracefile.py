@@ -15,11 +15,12 @@ File layout (version 1, all integers little-endian):
                   holds Q, K, V
     footer        ground-truth JSON document (when flagged)
 
-The payload is read in one place, ``TraceReader.blocks()``: one step
-block (window or decode token) at a time, in file order, each checked
-for NaN and infinity as it is read. A replay therefore holds one step
-block of the payload, plus the task block, never the whole payload;
-``TraceReader.load()`` assembles the same blocks into a ``TraceData``.
+In memory a trace keeps this layout: ``TraceData`` holds the two step
+sections and a ``StepBlock`` one (L, H, 3, rows, d_head) block. The
+payload is read in one place, ``TraceReader.blocks()``: one step block
+at a time, in file order, each checked for NaN and infinity as it is
+read, so a replay holds one step block plus the task block, never the
+whole payload. The footer's rules live in ``check_footer``.
 
 Synthetic traces draw background tensors i.i.d. standard normal and
 then plant a relevance structure for each decode step: the step's
@@ -46,6 +47,8 @@ from dataclasses import asdict, dataclass, fields
 from typing import Iterator
 
 import numpy as np
+
+from .cache import sealed_chunks, tail_start_of
 
 MAGIC = b"AKVT"
 VERSION = 1
@@ -113,49 +116,73 @@ class TraceHeader:
     def task_bytes(self) -> int:
         return self.layers * self.heads * self.task_rows * self.d_head * 4
 
-    def window_bytes(self) -> int:
-        return self.layers * self.heads * 3 * self.window * self.d_head * 4
-
-    def decode_bytes(self) -> int:
-        return self.layers * self.heads * 3 * self.d_head * 4
+    def sections(self) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
+        """(stage, block count, block shape) of the two step sections, in
+        file order."""
+        return tuple((stage, count, (self.layers, self.heads, 3, rows,
+                                     self.d_head))
+                     for stage, count, rows in (
+                         ("pre-filling", self.num_windows, self.window),
+                         ("decoding", self.num_decode_steps, 1)))
 
     def payload_bytes(self) -> int:
-        return (self.task_bytes() +
-                self.num_windows * self.window_bytes() +
-                self.num_decode_steps * self.decode_bytes())
+        return self.task_bytes() + 4 * sum(
+            count * math.prod(shape) for _, count, shape in self.sections())
 
 
 @dataclass(frozen=True)
 class StepBlock:
+    """One window or decode token as the file stores it."""
+
     stage: str  # "pre-filling" | "decoding"
     index: int
-    q: np.ndarray  # (layers, heads, rows, d_head)
-    k: np.ndarray
-    v: np.ndarray
+    qkv: np.ndarray  # (layers, heads, 3, rows, d_head)
+
+    @property
+    def q(self) -> np.ndarray:
+        """(layers, heads, rows, d_head) view; likewise k and v."""
+        return self.qkv[:, :, 0]
+
+    @property
+    def k(self) -> np.ndarray:
+        return self.qkv[:, :, 1]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.qkv[:, :, 2]
 
 
 @dataclass
 class TraceData:
-    """Trace contents held in memory: generated, or assembled by
-    ``TraceReader.load``."""
+    """Trace contents held in memory in the file's layout: generated, or
+    read by ``TraceReader.load``. Every array has the header's shape."""
 
     header: TraceHeader
-    window_q: np.ndarray  # (T, L, H, m, d_head)
-    window_k: np.ndarray
-    window_v: np.ndarray
-    decode_q: np.ndarray  # (S, L, H, 1, d_head)
-    decode_k: np.ndarray
-    decode_v: np.ndarray
+    windows: np.ndarray  # (T, L, H, 3, window, d_head)
+    decode: np.ndarray  # (S, L, H, 3, 1, d_head)
     task_queries: np.ndarray | None = None  # (L, H, task_rows, d_head)
     ground_truth: dict | None = None
 
+    def __post_init__(self):
+        h = self.header
+        for (stage, count, shape), got in zip(h.sections(),
+                                              (self.windows, self.decode)):
+            if tuple(got.shape) != (count, *shape):
+                raise TraceFormatError(f"{stage} section shape {got.shape}, "
+                                       f"header says {(count, *shape)}")
+        if h.has_task_block:
+            want = (h.layers, h.heads, h.task_rows, h.d_head)
+            if (self.task_queries is None
+                    or tuple(self.task_queries.shape) != want):
+                raise TraceFormatError(f"task block shape must be {want}")
+        if h.has_ground_truth and self.ground_truth is None:
+            raise TraceFormatError("header flags ground truth but none given")
+
     def blocks(self) -> Iterator[StepBlock]:
-        for t in range(self.header.num_windows):
-            yield StepBlock("pre-filling", t, self.window_q[t],
-                            self.window_k[t], self.window_v[t])
-        for s in range(self.header.num_decode_steps):
-            yield StepBlock("decoding", s, self.decode_q[s],
-                            self.decode_k[s], self.decode_v[s])
+        for t, qkv in enumerate(self.windows):
+            yield StepBlock("pre-filling", t, qkv)
+        for s, qkv in enumerate(self.decode):
+            yield StepBlock("decoding", s, qkv)
 
 
 def _header_json(header: TraceHeader) -> bytes:
@@ -166,33 +193,14 @@ def _header_json(header: TraceHeader) -> bytes:
 
 def write_trace(path, trace: TraceData) -> None:
     h = trace.header
-    shapes = {
-        "window_q": (h.num_windows, h.layers, h.heads, h.window, h.d_head),
-        "window_k": (h.num_windows, h.layers, h.heads, h.window, h.d_head),
-        "window_v": (h.num_windows, h.layers, h.heads, h.window, h.d_head),
-        "decode_q": (h.num_decode_steps, h.layers, h.heads, 1, h.d_head),
-        "decode_k": (h.num_decode_steps, h.layers, h.heads, 1, h.d_head),
-        "decode_v": (h.num_decode_steps, h.layers, h.heads, 1, h.d_head),
-    }
-    for name, want in shapes.items():
-        got = getattr(trace, name).shape
-        if tuple(got) != want:
-            raise TraceFormatError(f"{name} shape {got}, header says {want}")
-    if h.has_task_block:
-        want = (h.layers, h.heads, h.task_rows, h.d_head)
-        if trace.task_queries is None or tuple(trace.task_queries.shape) != want:
-            raise TraceFormatError(f"task block shape must be {want}")
-    if h.has_ground_truth and trace.ground_truth is None:
-        raise TraceFormatError("header flags ground truth but none given")
-
     hdr = _header_json(h)
     with open(path, "wb") as fh:
         fh.write(_PREFIX.pack(MAGIC, VERSION, len(hdr)))
         fh.write(hdr)
         if h.has_task_block:
             np.ascontiguousarray(trace.task_queries, dtype="<f4").tofile(fh)
-        for blk in trace.blocks():
-            np.stack((blk.q, blk.k, blk.v), axis=2, dtype="<f4").tofile(fh)
+        for section in (trace.windows, trace.decode):
+            np.ascontiguousarray(section, dtype="<f4").tofile(fh)
         if h.has_ground_truth:
             fh.write(json.dumps(trace.ground_truth, sort_keys=True,
                                 separators=(",", ":")).encode())
@@ -225,7 +233,7 @@ class TraceReader:
             gt = json.loads(raw.decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise TraceFormatError(f"ground-truth footer not valid JSON: {e}")
-        _check_footer(gt, h)
+        check_footer(gt, h)
         return gt
 
     @property
@@ -241,39 +249,31 @@ class TraceReader:
 
     def blocks(self) -> Iterator[StepBlock]:
         """Every window, then every decode token, read from the file one
-        (L, H, 3, rows, d_head) block at a time; q, k and v are views
-        into that block."""
+        (L, H, 3, rows, d_head) block at a time."""
         h = self.header
         size = os.path.getsize(self.path)
         if size < self._payload_start + h.payload_bytes():
             raise TruncatedFile(size, "tensor payload")
         with open(self.path, "rb") as fh:
             fh.seek(self._payload_start + h.task_bytes())
-            for stage, count, rows in (("pre-filling", h.num_windows, h.window),
-                                       ("decoding", h.num_decode_steps, 1)):
-                shape = (h.layers, h.heads, 3, rows, h.d_head)
+            for stage, count, shape in h.sections():
                 for i in range(count):
                     # no local keeps the block, so once the caller drops
                     # it the next read does not hold two
-                    yield StepBlock(stage, i, *np.moveaxis(
-                        _read_block(fh, shape, f"{stage} block {i}"), 2, 0))
+                    yield StepBlock(stage, i, _read_block(
+                        fh, shape, f"{stage} block {i}"))
 
     def load(self) -> TraceData:
-        """The whole trace in memory, assembled from ``blocks()``."""
+        """The whole trace in memory, copied from ``blocks()``."""
         h = self.header
-        L, H, dh = h.layers, h.heads, h.d_head
-        win = np.empty((h.num_windows, L, H, 3, h.window, dh), dtype="<f4")
-        dec = np.empty((h.num_decode_steps, L, H, 3, 1, dh), dtype="<f4")
+        win, dec = (np.empty((count, *shape), dtype="<f4")
+                    for _, count, shape in h.sections())
         gt = self.ground_truth()
         task = self.task_queries
         for blk in self.blocks():
-            out = win if blk.stage == "pre-filling" else dec
-            out[blk.index] = np.stack((blk.q, blk.k, blk.v), axis=2)
-        return TraceData(header=h, window_q=win[:, :, :, 0],
-                         window_k=win[:, :, :, 1], window_v=win[:, :, :, 2],
-                         decode_q=dec[:, :, :, 0], decode_k=dec[:, :, :, 1],
-                         decode_v=dec[:, :, :, 2], task_queries=task,
-                         ground_truth=gt)
+            (win if blk.stage == "pre-filling" else dec)[blk.index] = blk.qkv
+        return TraceData(header=h, windows=win, decode=dec,
+                         task_queries=task, ground_truth=gt)
 
 
 def _read_block(fh, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -292,11 +292,13 @@ def _read_block(fh, shape: tuple[int, ...], what: str) -> np.ndarray:
     return flat.reshape(shape)
 
 
-def _check_footer(gt, h: TraceHeader) -> None:
-    """The footer's documented shape, one layer list per trace layer in
-    every entry, every decode step and probe window one the header
-    declares, and every chunk id one that the pre-fill windows seal
-    under the footer's geometry."""
+def check_footer(gt, h: TraceHeader) -> None:
+    """Raise TraceFormatError unless gt is a ground-truth footer that
+    fits header h: the documented shape and version, one layer list per
+    trace layer in every entry, every decode step and probe window one
+    the header declares, a probe window for every entry that plants
+    chunks, and every chunk id one that the pre-fill windows seal under
+    the footer's geometry."""
 
     def bad(what: str) -> TraceFormatError:
         return TraceFormatError(f"ground-truth footer: {what}")
@@ -306,13 +308,16 @@ def _check_footer(gt, h: TraceHeader) -> None:
     for key in ("version", "n_sink", "chunk", "n_local"):
         if type(gt.get(key)) is not int:
             raise bad(f"{key} is not an int")
+    if gt["version"] != GT_VERSION:
+        raise bad(f"version {gt['version']} unsupported")
     if gt["chunk"] < 1 or gt["n_sink"] < 0 or gt["n_local"] < 0:
         raise bad("chunk must be positive, n_sink and n_local non-negative")
     entries = gt.get("entries")
     if not (isinstance(entries, list)
             and all(isinstance(e, dict) for e in entries)):
         raise bad("entries is not a list of objects")
-    n_chunks = max(0, h.num_windows * h.window - gt["n_sink"]) // gt["chunk"]
+    n_chunks = sealed_chunks(h.num_windows * h.window, gt["n_sink"],
+                             gt["chunk"])
     for i, e in enumerate(entries):
         window = e.get("probe_window")
         layers = e.get("layers")
@@ -330,6 +335,8 @@ def _check_footer(gt, h: TraceHeader) -> None:
         if not 0 <= e["decode_step"] < h.num_decode_steps:
             raise bad(f"entry {i} names decode step {e['decode_step']}; the "
                       f"trace has {h.num_decode_steps}")
+        if window is None and any(layers):
+            raise bad(f"entry {i} plants chunks but names no probe window")
         if window is not None and not 0 <= window < h.num_windows:
             raise bad(f"entry {i} names probe window {window}; the trace "
                       f"has {h.num_windows}")
@@ -413,13 +420,13 @@ class SyntheticConfig:
 
     def prefill_chunks(self) -> int:
         """Chunks sealed by the pre-filling windows alone."""
-        return max(0, self.num_windows * self.window - self.n_sink) // self.chunk
+        return sealed_chunks(self.num_windows * self.window, self.n_sink,
+                             self.chunk)
 
     def retrievable_at_window(self, w: int) -> int:
         """Chunks fully outside the local tail when window w pre-fills."""
-        cached = w * self.window
-        tail_start = max(min(cached, self.n_sink), cached - self.n_local)
-        return max(0, tail_start - self.n_sink) // self.chunk
+        tail = tail_start_of(w * self.window, self.n_sink, self.n_local)
+        return sealed_chunks(tail, self.n_sink, self.chunk)
 
     def chunk_window(self, chunk_id: int) -> tuple[int, int]:
         """Windows containing the first and last pair of a chunk."""
@@ -459,14 +466,14 @@ class PlantedSpec:
         w_hi = cfg.num_windows - 1 - tail_windows
         w_lo = next((w for w in range(1, cfg.num_windows)
                      if cfg.retrievable_at_window(w) >= max(per_step, 1)), None)
-        if steps > 0 and per_step > 0 and (w_lo is None or w_lo > w_hi):
-            raise SpecOutOfRange("no window is late enough to probe from and "
-                                 "early chunks are too few to plant")
-        if per_step == 0:
+        if steps == 0 or per_step == 0:
             return cls(targets=tuple(() for _ in range(steps)),
                        probe_windows=tuple(-1 for _ in range(steps)),
                        signal=signal, anchor_fraction=anchor_fraction,
                        anchor_scale=anchor_scale, drift_scale=drift_scale)
+        if w_lo is None or w_lo > w_hi:
+            raise SpecOutOfRange("no window is late enough to probe from and "
+                                 "early chunks are too few to plant")
         windows = list(range(w_hi, w_lo - 1, -1))
         probe_windows = [windows[i % len(windows)] for i in range(steps)]
         used: set[int] = set()
@@ -537,14 +544,16 @@ def generate_synthetic(cfg: SyntheticConfig, planted: PlantedSpec | None,
         _validate_planted(cfg, planted)
     rng = np.random.default_rng(seed)
     L, H, m, dh = cfg.layers, cfg.heads, cfg.window, cfg.d_head
-    T, S = cfg.num_windows, cfg.num_decode_steps
-
-    wq = rng.standard_normal((T, L, H, m, dh)).astype(np.float32)
-    wk = rng.standard_normal((T, L, H, m, dh)).astype(np.float32)
-    wv = rng.standard_normal((T, L, H, m, dh)).astype(np.float32)
-    dq = rng.standard_normal((S, L, H, 1, dh)).astype(np.float32)
-    dk = rng.standard_normal((S, L, H, 1, dh)).astype(np.float32)
-    dv = rng.standard_normal((S, L, H, 1, dh)).astype(np.float32)
+    header = cfg.header(has_ground_truth=planted is not None)
+    windows, decode = (np.empty((count, *shape), dtype=np.float32)
+                       for _, count, shape in header.sections())
+    # drawn in float64 in the order window Q, K, V, decode Q, K, V
+    for section in (windows, decode):
+        for i in range(3):
+            section[:, :, :, i] = rng.standard_normal(
+                section.shape[:3] + section.shape[4:])
+    wq, wk = windows[:, :, :, 0], windows[:, :, :, 1]  # (T, L, H, m, dh)
+    dq = decode[:, :, :, 0]  # (S, L, H, 1, dh)
     task = (rng.standard_normal((L, H, cfg.task_rows, dh)).astype(np.float32)
             if cfg.task_rows > 0 else None)
 
@@ -608,9 +617,7 @@ def generate_synthetic(cfg: SyntheticConfig, planted: PlantedSpec | None,
             "entries": entries,
         }
 
-    trace = TraceData(header=cfg.header(has_ground_truth=gt is not None),
-                      window_q=wq, window_k=wk, window_v=wv,
-                      decode_q=dq, decode_k=dk, decode_v=dv,
+    trace = TraceData(header=header, windows=windows, decode=decode,
                       task_queries=task, ground_truth=gt)
     if out_path is not None:
         write_trace(out_path, trace)

@@ -20,7 +20,8 @@ def cosine(a, b) -> float:
     nb = np.sqrt(np.sum(bv * bv))
     if na < 1e-12 or nb < 1e-12:
         return 0.0
-    c = float(np.dot(av, bv) / (na * nb))
+    with np.errstate(invalid="ignore"):  # inf / inf is NaN, raised below
+        c = float(np.dot(av, bv) / (na * nb))
     if not np.isfinite(c):
         raise NonFinite(f"cosine is {c}")
     # guard float round-off just outside the interval

@@ -111,13 +111,16 @@ def test_malformed_trace_exits_2(tmp_path):
     # used to exit 4 after the whole replay, though no run flag fixes it
     late = dict(entry, decode_step=500)
     no_window = dict(entry, probe_window=99)
-    # so did a layer list per entry that is not one per trace layer
+    # so did a layer list per entry that is not one per trace layer, a
+    # footer version other than 1, and planted chunks with no probe window
     extra_layer = dict(entry, layers=entry["layers"] + [[]])
+    null_window = dict(entry, probe_window=None)
     for gt in (dict(footer, entries=[no_step]), dict(footer, entries=[1, 2]),
                [footer], dict(footer, entries=[far]),
                dict(footer, entries=[edge]), dict(footer, entries=[late]),
                dict(footer, entries=[no_window]),
-               dict(footer, entries=[extra_layer])):
+               dict(footer, entries=[extra_layer]), dict(footer, version=2),
+               dict(footer, entries=[null_window])):
         assert run_with(footer=gt) == 2, gt
     assert not report.exists()
 
@@ -155,6 +158,26 @@ def test_non_finite_trace_exits_2(tmp_path):
             argv += [flag, str(path)]
         assert main(argv) == 2, at
         assert not any(path.exists() for path in outputs.values()), at
+
+
+def test_geometry_mismatch_exits_4_before_the_replay(tmp_path):
+    """Run flags that disagree with the footer's geometry are caught
+    before any step block is read: a NaN in the first window or the last
+    decode token is never reached."""
+    original = gen(tmp_path).read_bytes()
+    hlen = struct.unpack("<I", original[8:12])[0]
+    payload = 12 + hlen
+    last = payload + json.loads(original[12:payload])["payload_bytes"] - 4
+    trace = tmp_path / "nan.akvt"
+    report = tmp_path / "r.json"
+    for at in (payload + 400, last):
+        raw = bytearray(original)
+        raw[at:at + 4] = struct.pack("<f", float("nan"))
+        trace.write_bytes(bytes(raw))
+        assert main(["run", "--trace", str(trace), "--chunk", "16",
+                     "--sinks", "4", "--local", "8", "--budget", "16",
+                     "--report", str(report)]) == 4, at
+        assert not report.exists()
 
 
 def test_run_holds_one_step_block_of_the_payload(tmp_path):

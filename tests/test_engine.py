@@ -43,8 +43,9 @@ def test_config_validation():
         EngineConfig(d=8, layers=1, probe_mode="average")
     with pytest.raises(ConfigError):
         EngineConfig(d=8, layers=1, cutoff_mode="adaptive")
-    cfg = EngineConfig(d=8, layers=2, probe_mode="activation")
-    assert cfg.probe_mode == "act"  # long spelling normalizes
+    with pytest.raises(ConfigError):
+        EngineConfig(d=8, layers=2, probe_mode="activation")  # no aliases
+    cfg = EngineConfig(d=8, layers=2, probe_mode="act")
     assert cfg.total_budget == 2 * cfg.budget
 
 
@@ -375,9 +376,7 @@ def test_swapping_heads_leaves_records_unchanged():
     trace = tiny_trace(seed=4, task_rows=3)
     swapped = dataclasses.replace(
         trace, task_queries=trace.task_queries[:, ::-1],
-        **{name: getattr(trace, name)[:, :, ::-1]
-           for name in ("window_q", "window_k", "window_v",
-                        "decode_q", "decode_k", "decode_v")})
+        windows=trace.windows[:, :, ::-1], decode=trace.decode[:, :, ::-1])
     for rep_mode in ("mean", "max-score"):
         config = tiny_config(rep_mode=rep_mode)
         want = [s.to_json() for s in run_trace(trace, config).steps]

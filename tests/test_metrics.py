@@ -1,12 +1,15 @@
 import copy
+import math
 
+import numpy as np
 import pytest
 
+from kvprobe.cutoff import layer_density
 from kvprobe.engine import EngineConfig, run_trace
 from kvprobe.metrics import (ConfigMismatch, EmptyTruth, build_report,
-                             compare_runs, recall_at_budget, report_to_csv,
-                             score_perplexity)
-from kvprobe.tracefile import PlantedSpec, SyntheticConfig, generate_synthetic
+                             compare_runs, recall_at_budget, report_to_csv)
+from kvprobe.tracefile import (PlantedSpec, SyntheticConfig, TraceFormatError,
+                               generate_synthetic)
 
 CFG = SyntheticConfig(d=8, layers=2, heads=1, window=8, num_windows=6,
                       num_decode_steps=3, n_sink=2, chunk=2, n_local=4)
@@ -21,13 +24,18 @@ def run_report(seed=0, probe_mode="act", sha="abc", planted=True):
                         trace_sha256=sha)
 
 
+def perplexity(scores) -> float:
+    """A report's perplexity sample: exp of the layer density theta."""
+    return math.exp(layer_density(np.asarray(scores, dtype=np.float64)))
+
+
 def test_score_perplexity_uniform_equals_count():
-    assert score_perplexity([0.5] * 7 ) == pytest.approx(7.0)
-    assert score_perplexity([]) == 1.0
+    assert perplexity([0.5] * 7) == pytest.approx(7.0)
+    assert perplexity([]) == 1.0
 
 
 def test_score_perplexity_sharp_scores_head_toward_one():
-    sharp = score_perplexity([50.0, 0.0, 0.0, 0.0])
+    sharp = perplexity([50.0, 0.0, 0.0, 0.0])
     assert sharp == pytest.approx(1.0, abs=1e-6)
 
 
@@ -74,6 +82,45 @@ def test_ground_truth_geometry_must_match_run():
     gt["chunk"] = 4
     with pytest.raises(ConfigMismatch):
         build_report(result, gt)
+
+
+def test_report_checks_the_footer_against_the_replayed_trace():
+    """build_report applies the trace reader's footer rules to a footer a
+    library caller passes in."""
+    spec = PlantedSpec.auto(CFG, per_step=1)
+    trace = generate_synthetic(CFG, spec, seed=0)
+    ec = EngineConfig(d=8, layers=2, heads=1, window=8, chunk=2, n_sink=2,
+                      n_local=4, budget=4)
+    result = run_trace(trace, ec)
+    gt = trace.ground_truth
+    entry = next(e for e in gt["entries"] if any(e["layers"]))
+    for bad in (dict(gt, version=2),
+                dict(gt, entries=[dict(entry, probe_window=None)]),
+                dict(gt, entries=[dict(entry, decode_step=3)])):
+        with pytest.raises(TraceFormatError):
+            build_report(result, bad)
+
+
+def test_prefill_recall_skips_chunks_that_are_not_candidates_yet():
+    """At pre-fill window 3 the candidates are chunks 0..n-1; a planted
+    chunk n counts toward the decode recall only."""
+    trace = generate_synthetic(CFG, None, seed=0)
+    ec = EngineConfig(d=8, layers=2, heads=1, window=8, chunk=2, n_sink=2,
+                      n_local=4, budget=4)
+    result = run_trace(trace, ec)
+    pre = {rec.layer: rec for step, rec in result.layer_records("pre-filling")
+           if step.index == 3}
+    n = len(pre[0].candidate_ids)
+    assert n == len(pre[1].candidate_ids) == 9
+    gt = {"version": 1, "n_sink": 2, "chunk": 2, "n_local": 4,
+          "entries": [{"decode_step": 0, "probe_window": 3,
+                       "layers": [[n - 1, n], [n - 1, n]]}]}
+    rep = build_report(result, gt)
+    want = [recall_at_budget(pre[l].selected, [n - 1]) for l in (0, 1)]
+    assert rep["overall"]["prefill_recall"]["count"] == 2
+    assert rep["overall"]["prefill_recall"]["mean"] == pytest.approx(
+        np.mean(want))
+    assert rep["overall"]["decode_recall"]["count"] == 2
 
 
 def test_compare_runs_reports_deltas():

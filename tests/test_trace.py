@@ -1,12 +1,16 @@
+import dataclasses
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kvprobe.tracefile import (BadMagic, PlantedSpec, SpecOutOfRange,
                                SyntheticConfig, TraceFormatError, TraceHeader,
-                               TruncatedFile, VersionUnsupported,
+                               TruncatedFile, VersionUnsupported, check_footer,
                                generate_synthetic, read_trace, write_trace)
 
 SMALL = SyntheticConfig(d=8, layers=2, heads=2, window=8, num_windows=4,
@@ -44,25 +48,59 @@ def test_header_validation():
     h = TraceHeader(d=8, layers=2, heads=2, window=4, num_windows=3,
                     num_decode_steps=2)
     assert h.d_head == 4
-    assert h.payload_bytes() == 3 * h.window_bytes() + 2 * h.decode_bytes()
+    # 4 bytes x L x H x (Q, K, V) x d_head x (3 windows of 4 rows + 2 tokens)
+    assert h.payload_bytes() == 4 * 2 * 2 * 3 * 4 * (3 * 4 + 2)
 
 
-def test_round_trip_bit_exact(tmp_path):
-    trace = small_trace(seed=3)
-    path = tmp_path / "t.akvt"
-    write_trace(path, trace)
-    header, reader = read_trace(path)
-    assert header == trace.header
-    loaded = reader.load()
-    for name in ("window_q", "window_k", "window_v",
-                 "decode_q", "decode_k", "decode_v"):
-        assert np.array_equal(getattr(loaded, name), getattr(trace, name))
-    assert np.array_equal(loaded.task_queries, trace.task_queries)
-    assert loaded.ground_truth == trace.ground_truth
-    # writing the loaded copy reproduces the file byte for byte
-    path2 = tmp_path / "t2.akvt"
-    write_trace(path2, loaded)
-    assert path.read_bytes() == path2.read_bytes()
+@settings(max_examples=60, deadline=None)
+@given(heads=st.integers(1, 4), d_head=st.integers(1, 3),
+       layers=st.integers(1, 2), window=st.integers(2, 8),
+       windows=st.integers(1, 6), decode_steps=st.integers(0, 3),
+       n_sink=st.integers(0, 3), chunk=st.integers(1, 3),
+       n_local=st.integers(0, 6), task_rows=st.integers(0, 3),
+       seed=st.integers(0, 3))
+@example(heads=2, d_head=4, layers=2, window=8, windows=4, decode_steps=2,
+         n_sink=2, chunk=2, n_local=4, task_rows=3, seed=3)  # SMALL
+@example(heads=1, d_head=1, layers=1, window=2, windows=1, decode_steps=0,
+         n_sink=0, chunk=1, n_local=0, task_rows=0, seed=0)  # nothing to plant
+def test_round_trip_bit_exact(heads, d_head, layers, window, windows,
+                              decode_steps, n_sink, chunk, n_local,
+                              task_rows, seed):
+    """Generate, write, read, load and write again: the two files are
+    byte-identical, the file's blocks are the generated ones, and a
+    generated footer passes the footer check against its own header."""
+    cfg = SyntheticConfig(d=heads * d_head, layers=layers, heads=heads,
+                          window=window, num_windows=windows,
+                          num_decode_steps=decode_steps, n_sink=n_sink,
+                          chunk=chunk, n_local=n_local, task_rows=task_rows)
+    try:
+        spec = PlantedSpec.auto(cfg, per_step=1)
+    except SpecOutOfRange:
+        spec = None  # too small to plant: a trace without a footer
+    trace = generate_synthetic(cfg, spec, seed=seed)
+    if spec is not None:
+        check_footer(trace.ground_truth, trace.header)
+    with pytest.raises(TraceFormatError, match="section shape"):
+        dataclasses.replace(trace, decode=trace.windows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, path2 = Path(tmp) / "t.akvt", Path(tmp) / "t2.akvt"
+        write_trace(path, trace)
+        header, reader = read_trace(path)
+        assert header == trace.header
+        for got, want in zip(reader.blocks(), trace.blocks(), strict=True):
+            assert (got.stage, got.index) == (want.stage, want.index)
+            assert np.array_equal(got.qkv, want.qkv)
+        loaded = reader.load()
+        assert np.array_equal(loaded.windows, trace.windows)
+        assert np.array_equal(loaded.decode, trace.decode)
+        if task_rows:
+            assert np.array_equal(loaded.task_queries, trace.task_queries)
+        else:
+            assert loaded.task_queries is None
+        assert loaded.ground_truth == trace.ground_truth
+        # writing the loaded copy reproduces the file byte for byte
+        write_trace(path2, loaded)
+        assert path.read_bytes() == path2.read_bytes()
 
 
 def test_streaming_blocks_match_eager_load(tmp_path):
@@ -78,6 +116,9 @@ def test_streaming_blocks_match_eager_load(tmp_path):
         stages.append(blk.stage)
         for got in (blk, eager):
             assert (got.stage, got.index) == (want.stage, want.index)
+            # the file's axis of length 3 holds Q, K, V in that order
+            assert np.array_equal(np.stack((got.q, got.k, got.v), axis=2),
+                                  got.qkv)
             assert np.array_equal(got.q, want.q)
             assert np.array_equal(got.k, want.k)
             assert np.array_equal(got.v, want.v)
@@ -223,17 +264,18 @@ def test_planted_keys_align_with_decode_query():
                           num_decode_steps=1, n_sink=8, chunk=4, n_local=32)
     spec = PlantedSpec.auto(cfg, per_step=2, signal=0.9, drift_scale=0.0)
     trace = generate_synthetic(cfg, spec, seed=4)
-    u = trace.decode_q[0, 0, 0, 0].astype(np.float64)
+    # the axis after heads holds Q, K, V
+    u = trace.decode[0, 0, 0, 0, 0].astype(np.float64)
     u /= np.linalg.norm(u)
     for j in spec.targets[0]:
         start = cfg.n_sink + j * cfg.chunk
         for pos in range(start, start + cfg.chunk):
             t, r = divmod(pos, cfg.window)
-            key = trace.window_k[t, 0, 0, r].astype(np.float64)
+            key = trace.windows[t, 0, 0, 1, r].astype(np.float64)
             cos = key @ u / np.linalg.norm(key)
             assert cos > 0.7  # signal 0.9 dominates the noise mix
     # background keys stay uncorrelated
-    bg = trace.window_k[0, 0, 0, 0].astype(np.float64)
+    bg = trace.windows[0, 0, 0, 1, 0].astype(np.float64)
     assert abs(bg @ u / np.linalg.norm(bg)) < 0.7
 
 
@@ -248,7 +290,7 @@ def test_planted_chunks_crossing_a_window_hold_the_query_direction():
     trace = generate_synthetic(cfg, spec, seed=4)
     crossing = 0
     for i, ids in enumerate(spec.targets):
-        u = trace.decode_q[i, :, :, 0].astype(np.float64)
+        u = trace.decode[i, :, :, 0, 0].astype(np.float64)
         u /= np.linalg.norm(u, axis=-1, keepdims=True)
         for j in ids:
             first, last = cfg.chunk_window(j)
@@ -256,7 +298,7 @@ def test_planted_chunks_crossing_a_window_hold_the_query_direction():
             start = cfg.n_sink + j * cfg.chunk
             for pos in range(start, start + cfg.chunk):
                 t, r = divmod(pos, cfg.window)
-                assert np.array_equal(trace.window_k[t, :, :, r],
+                assert np.array_equal(trace.windows[t, :, :, 1, r],
                                       u.astype(np.float32)), (i, j, pos)
     assert crossing >= 2
 
@@ -268,12 +310,12 @@ def test_anchor_rows_present_in_probe_window():
                             anchor_scale=3.0, drift_scale=0.0)
     trace = generate_synthetic(cfg, spec, seed=9)
     w = spec.probe_windows[0]
-    u = trace.decode_q[0, 0, 0, 0].astype(np.float64)
+    u = trace.decode[0, 0, 0, 0, 0].astype(np.float64)
     u /= np.linalg.norm(u)
     want = 3.0 * np.sqrt(cfg.d_head)
     hits = 0
     for r in range(cfg.window):
-        row = trace.window_q[w, 0, 0, r].astype(np.float64)
+        row = trace.windows[w, 0, 0, 0, r].astype(np.float64)
         if abs(np.linalg.norm(row) - want) < 1e-3 and row @ u > 0.99 * want:
             hits += 1
     assert hits == round(0.25 * cfg.window)
