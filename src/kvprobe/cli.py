@@ -25,6 +25,8 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from .engine import ConfigError, EngineConfig, run_trace
 from .metrics import (ConfigMismatch, build_report, check_geometry,
                       compare_runs, report_to_csv)
@@ -58,6 +60,14 @@ def _sha256(path: str) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
+
+
+def _step_timing(seconds: list[float]) -> dict:
+    """Count, total and p50/p90 wall time of one stage's step calls."""
+    p50, p90 = (np.percentile(seconds, [50, 90]) * 1e3 if seconds
+                else (None, None))
+    return {"steps": len(seconds), "total_s": sum(seconds),
+            "p50_ms": p50, "p90_ms": p90}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -169,6 +179,12 @@ def _cmd_run(args) -> int:
             "trace": args.trace,
             "trace_sha256": digest,
             "elapsed_seconds": time.monotonic() - started,
+            "stages": {stage: _step_timing(times)
+                       for stage, times in result.step_seconds.items()},
+            "candidates_scored": sum(len(rec.candidate_ids)
+                                     for _, rec in result.layer_records()),
+            "pairs_materialized": sum(rec.pairs_used
+                                      for _, rec in result.layer_records()),
         })
     if args.report:
         rec = report["overall"]["recall"]["mean"]

@@ -8,9 +8,9 @@ pre-filling
     statistics, builds one (heads, d_head) probe, scores the
     retrievable chunks, greedily selects up to the layer budget, and
     runs reference attention over [sinks, retrieved, local tail, window]
-    with a causal mask on the window rows, one head per call so the
-    float64 (rows, keys) weights stay one head's size. The window's
-    keys and values enter the cache only after attention.
+    for the window's last query row, all heads in one call; that row
+    sees the whole window and all of the history. The window's keys
+    and values enter the cache only after attention.
 
 decoding
     One token at a time, two phases. The token's key/value pair enters
@@ -29,6 +29,7 @@ cache's float32 rows; only the retrieved chunks are gathered.
 
 from __future__ import annotations
 
+import time
 from dataclasses import asdict, dataclass
 from math import sqrt
 from typing import Iterable
@@ -99,11 +100,11 @@ class EngineConfig:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayerStepRecord:
     layer: int
-    candidate_ids: tuple[int, ...]
-    scores: tuple[float, ...]
+    candidate_ids: range  # candidates are chunks 0..n-1
+    scores: np.ndarray  # read-only float64, one per candidate
     theta: float
     budget_pairs: int
     selected: tuple[int, ...]
@@ -112,7 +113,8 @@ class LayerStepRecord:
     attn_checksum: float
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {**vars(self), "candidate_ids": list(self.candidate_ids),
+                "scores": self.scores.tolist()}
 
 
 @dataclass(frozen=True)
@@ -131,6 +133,8 @@ class RunResult:
     config: EngineConfig
     steps: tuple[StepRecord, ...]
     header: TraceHeader  # of the replayed trace
+    # wall time of each step call by stage, for the manifest only
+    step_seconds: dict[str, list[float]]
 
     def layer_records(self, stage: str | None = None
                       ) -> Iterable[tuple[StepRecord, LayerStepRecord]]:
@@ -209,7 +213,7 @@ class Engine:
         self.stats = [StreamingStats(rows) for _ in range(L)]
         if task_queries is not None:
             task_queries = np.asarray(task_queries, dtype=np.float32)
-            want = (L, H, task_queries.shape[2], config.d_head)
+            want = (L, H, *task_queries.shape[2:3], config.d_head)
             if task_queries.ndim != 4 or tuple(task_queries.shape) != want:
                 raise ConfigError(f"task queries shape "
                                   f"{task_queries.shape}, want {want}")
@@ -234,8 +238,9 @@ class Engine:
                            window_k: np.ndarray | None = None,
                            window_v: np.ndarray | None = None
                            ) -> LayerStepRecord:
-        """Select layer l's chunks under budget and attend every head over
-        sinks, retrieved chunks, the local tail and (pre-fill) the window.
+        """Select layer l's chunks under budget and attend the last query
+        row of every head over sinks, retrieved chunks, the local tail and
+        (pre-fill) the window.
 
         q has shape (heads, rows, d_head); window_k/window_v likewise.
         """
@@ -249,26 +254,18 @@ class Engine:
         if window_k is not None:
             k_blocks.append(window_k)
             v_blocks.append(window_v)
-        # a pre-fill window goes head by head, so the float64 (rows, keys)
-        # weights stay one head's size; a decode token takes every head
-        rows, heads = q.shape[1], self.config.heads
-        step = 1 if rows > 1 else heads
-        checksum = 0.0
-        for h in range(0, heads, step):
-            hs = slice(h, h + step)
-            out = reference_attention(q[hs], [b[hs] for b in k_blocks],
-                                      [b[hs] for b in v_blocks], causal=True)
-            checksum += float(out.sum())
+        out = reference_attention(q[:, -1:], k_blocks, v_blocks, causal=True)
+        scores.flags.writeable = False
         return LayerStepRecord(
             layer=l,
-            candidate_ids=tuple(range(len(scores))),
-            scores=tuple(scores.tolist()),
+            candidate_ids=range(len(scores)),
+            scores=scores,
             theta=float(theta),
             budget_pairs=int(budget),
             selected=selection.selected,
             pairs_used=selection.pairs_used,
             attended_pairs=sum(b.shape[1] for b in k_blocks),
-            attn_checksum=checksum,
+            attn_checksum=float(out.sum()),
         )
 
     def prefill_step(self, window_q: np.ndarray, window_k: np.ndarray,
@@ -339,13 +336,16 @@ class Engine:
         rows = h.num_windows * h.window + h.num_decode_steps
         for cache in self.caches:
             cache.reserve(rows)
+        seconds: dict[str, list[float]] = {"pre-filling": [], "decoding": []}
         for blk in trace.blocks():
-            if blk.stage == "pre-filling":
-                self.prefill_step(blk.q, blk.k, blk.v, blk.index)
-            else:
-                self.decode_step(blk.q, blk.k, blk.v, blk.index)
+            step = (self.prefill_step if blk.stage == "pre-filling"
+                    else self.decode_step)
+            started = time.perf_counter()
+            step(blk.q, blk.k, blk.v, blk.index)
+            seconds[blk.stage].append(time.perf_counter() - started)
             del blk  # a reader's next block is not read while this one is held
-        return RunResult(config=cfg, steps=tuple(self.steps), header=h)
+        return RunResult(config=cfg, steps=tuple(self.steps), header=h,
+                         step_seconds=seconds)
 
 
 def run_trace(trace: TraceData | TraceReader,

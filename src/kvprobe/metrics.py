@@ -24,7 +24,7 @@ the first run wins.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -51,8 +51,8 @@ def recall_at_budget(selected: Iterable[int], truth: Iterable[int]) -> float:
     return len(truth_set & set(selected)) / len(truth_set)
 
 
-def _summary(values: Sequence[float]) -> dict:
-    vals = np.asarray(list(values), dtype=np.float64)
+def _summary(values) -> dict:
+    vals = np.asarray(values, dtype=np.float64)
     if vals.size == 0:
         return {"count": 0, "mean": None, "p25": None, "p50": None,
                 "p75": None}
@@ -82,13 +82,13 @@ def build_report(result: RunResult, ground_truth: dict | None = None,
         check_geometry(cfg, ground_truth)
         check_footer(ground_truth, result.header)
 
-    by_layer: dict[int, dict[str, list[float]]] = {
+    by_layer: dict[int, dict[str, list]] = {
         l: {name: [] for name in METRIC_ORDER} for l in range(cfg.layers)}
     index: dict[tuple[str, int, int], LayerStepRecord] = {}
     for step, rec in result.layer_records():
         index[(step.stage, step.index, rec.layer)] = rec
         bucket = by_layer[rec.layer]
-        bucket["score"].extend(rec.scores)
+        bucket["score"].append(rec.scores)  # arrays, pooled once below
         bucket["perplexity"].append(math.exp(rec.theta))
         if step.stage == "decoding":
             bucket["budget"].append(float(rec.budget_pairs))
@@ -111,14 +111,13 @@ def build_report(result: RunResult, ground_truth: dict | None = None,
                     by_layer[l]["prefill_recall"].append(r)
 
     layers = []
-    pooled: dict[str, list[float]] = {name: [] for name in METRIC_ORDER}
-    for l in range(cfg.layers):
-        metrics = {}
-        for name in METRIC_ORDER:
-            metrics[name] = _summary(by_layer[l][name])
-            pooled[name].extend(by_layer[l][name])
-        layers.append({"layer": l, "metrics": metrics})
-    overall = {name: _summary(pooled[name]) for name in METRIC_ORDER}
+    for l, bucket in by_layer.items():
+        bucket["score"] = np.concatenate([np.empty(0), *bucket["score"]])
+        layers.append({"layer": l, "metrics": {
+            name: _summary(bucket[name]) for name in METRIC_ORDER}})
+    overall = {name: _summary(np.concatenate(
+        [bucket[name] for bucket in by_layer.values()]))
+        for name in METRIC_ORDER}
     return {
         "version": REPORT_VERSION,
         "trace_sha256": trace_sha256,

@@ -103,8 +103,9 @@ def activation_bias(window_queries, stats: StreamingStats) -> ActivationBias:
         raise DimMismatch("bias of an empty window")
     z = stats.mean()[..., None, :]  # raises StatsUndefined when count < 1
     var = stats.variance()[..., None, :]  # StatsUndefined when count < 2
-    delta = q - z
-    phi = (delta * delta) / np.maximum(var, VAR_FLOOR)
+    phi = np.subtract(q, z, out=q)  # in place: q is this call's own copy
+    np.square(phi, out=phi)
+    phi /= np.maximum(var, VAR_FLOOR)
     row_mass = phi.sum(axis=-1)  # ||phi_j||_1; phi is non-negative
     total = row_mass.sum(axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -58,6 +58,36 @@ def test_report_omits_timing_but_manifest_carries_it(tmp_path):
     assert doc["trace_sha256"] == json.loads(report.read_text())["trace_sha256"]
 
 
+def test_manifest_explains_the_run_and_leaves_the_report_alone(tmp_path):
+    trace = gen(tmp_path)
+    plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+    records, manifest = tmp_path / "steps.jsonl", tmp_path / "m.json"
+    assert main(["run", "--trace", str(trace), "--report", str(plain),
+                 "--records", str(records)] + RUN_GEOM) == 0
+    assert main(["run", "--trace", str(trace), "--report", str(timed),
+                 "--manifest", str(manifest)] + RUN_GEOM) == 0
+    assert plain.read_bytes() == timed.read_bytes()
+    doc = json.loads(manifest.read_text())
+    stages = doc["stages"]
+    assert {k: v["steps"] for k, v in stages.items()} == {
+        "pre-filling": 6, "decoding": 2}
+    for timing in stages.values():
+        assert 0 < timing["p50_ms"] <= timing["p90_ms"]
+        assert timing["total_s"] >= timing["p90_ms"] / 1e3
+    layers = [rec for line in records.read_text().splitlines()
+              for rec in json.loads(line)["layers"]]
+    assert doc["candidates_scored"] == sum(len(rec["candidate_ids"])
+                                           for rec in layers) > 0
+    assert doc["pairs_materialized"] == sum(rec["pairs_used"]
+                                            for rec in layers) > 0
+    # a stage with no steps has no percentiles
+    trace = gen(tmp_path, "prefill-only.akvt", ["--decode-steps", "0"])
+    assert main(["run", "--trace", str(trace), "--report", str(timed),
+                 "--manifest", str(manifest)] + RUN_GEOM) == 0
+    assert json.loads(manifest.read_text())["stages"]["decoding"] == {
+        "steps": 0, "total_s": 0, "p50_ms": None, "p90_ms": None}
+
+
 def test_records_and_csv_outputs(tmp_path):
     trace = gen(tmp_path)
     records = tmp_path / "steps.jsonl"

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from kvprobe.engine import (ConfigError, Engine, EngineConfig,
                             reference_attention, run_trace)
 from kvprobe.linalg import DimMismatch
+from kvprobe.retrieval import materialize, select_topk
 from kvprobe.tracefile import PlantedSpec, SyntheticConfig, generate_synthetic
 from oracles import dense_attention
 
@@ -181,6 +182,73 @@ def test_decode_step_copies_only_the_retrieved_pairs():
     assert peak < gathered + 64 * 1024, peak
 
 
+def test_prefill_step_attends_only_the_last_query_row():
+    """The last pre-fill window on criterion 5's geometry (H=1, 38
+    candidates all retrieved, 2048 keys per layer) allocates at most the
+    gathered float32 K/V of the retrieved chunks plus 64 KiB: attention
+    weights for one query row per head, not a float64 (rows, keys)
+    buffer."""
+    cfg = SyntheticConfig()
+    engine = Engine(EngineConfig(d=cfg.d, layers=cfg.layers,
+                                 heads=cfg.heads, window=cfg.window))
+    for cache in engine.caches:  # as Engine.run does: no regrowth
+        cache.reserve(cfg.num_windows * cfg.window + cfg.num_decode_steps)
+    blocks = list(generate_synthetic(cfg, None, seed=7).blocks())
+    *history, last = blocks[:cfg.num_windows]
+    for blk in history:
+        engine.prefill_step(blk.q, blk.k, blk.v, blk.index)
+    tracemalloc.start()
+    try:
+        step = engine.prefill_step(last.q, last.k, last.v, last.index)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert {rec.pairs_used for rec in step.layers} == {38 * 32}
+    assert {rec.attended_pairs for rec in step.layers} == {2048}
+    gathered = 2 * 38 * 32 * cfg.d * 4
+    assert peak < gathered + 64 * 1024, peak
+
+
+def test_prefill_checksum_sums_the_last_rows_attention():
+    """A pre-fill record's checksum is the sum over heads of the window's
+    last query row attended over sinks, retrieved chunks, local tail and
+    the whole window."""
+    trace = tiny_trace(seed=5)
+    config = tiny_config()
+    engine = Engine(config)
+    for blk in trace.blocks():
+        if blk.stage != "pre-filling":
+            break
+        view = engine.caches[0].snapshot()
+        rec = engine.prefill_step(blk.q, blk.k, blk.v, blk.index).layers[0]
+        keys_sel, vals_sel = materialize(
+            select_topk(rec.scores, rec.budget_pairs, config.chunk), view)
+        k = np.concatenate([view.sink_keys, keys_sel, view.local_keys,
+                            blk.k[0].transpose(1, 0, 2)])
+        v = np.concatenate([view.sink_values, vals_sel, view.local_values,
+                            blk.v[0].transpose(1, 0, 2)])
+        want = sum(dense_attention(blk.q[0, h], k[:, h], v[:, h])[-1].sum()
+                   for h in range(config.heads))
+        assert rec.attended_pairs == k.shape[0]
+        assert rec.attn_checksum == pytest.approx(want, rel=1e-5, abs=1e-5)
+
+
+def test_step_records_keep_scores_as_arrays():
+    """scores is the scoring call's read-only float64 array and
+    candidate_ids a range; the JSON is that of the tuple form."""
+    import json
+    result = run_trace(tiny_trace(), tiny_config())
+    for _, rec in result.layer_records():
+        assert isinstance(rec.scores, np.ndarray)
+        assert rec.scores.dtype == np.float64
+        assert not rec.scores.flags.writeable
+        assert rec.candidate_ids == range(len(rec.scores))
+        old = dataclasses.asdict(dataclasses.replace(
+            rec, candidate_ids=tuple(rec.candidate_ids),
+            scores=tuple(rec.scores.tolist())))
+        assert json.dumps(rec.to_json()) == json.dumps(old)
+
+
 def test_run_produces_step_records():
     result = run_trace(tiny_trace(), tiny_config())
     stages = [s.stage for s in result.steps]
@@ -212,7 +280,7 @@ def test_candidates_exclude_local_tail():
         want = max(0, tail_start - cfg.n_sink) // cfg.chunk
         for rec in step.layers:
             assert len(rec.candidate_ids) == want
-            assert rec.candidate_ids == tuple(range(want))
+            assert rec.candidate_ids == range(want)
 
 
 def test_chunk_leaving_the_tail_is_a_candidate_at_once():
@@ -314,7 +382,7 @@ def test_prefill_probes_differ_between_modes():
         if sa.stage != "pre-filling":
             continue
         for ra, rm in zip(sa.layers, sm.layers):
-            if ra.scores and not np.allclose(ra.scores, rm.scores):
+            if len(ra.scores) and not np.allclose(ra.scores, rm.scores):
                 diffs += 1
     assert diffs > 0
 
@@ -355,9 +423,12 @@ def test_task_queries_feed_probe_statistics():
 
 def test_task_queries_shape_checked():
     trace = tiny_trace(seed=1, task_rows=4)
-    bad = trace.task_queries[:, :1]  # drop a head
-    with pytest.raises(ConfigError):
-        Engine(tiny_config(), task_queries=bad)
+    dropped_head = trace.task_queries[:, :1]
+    wrong_rank = [np.zeros(shape) for shape in ((4,), (4, 1), (2, 2, 4),
+                                                (2, 2, 4, 4, 1))]
+    for bad in [dropped_head, *wrong_rank]:
+        with pytest.raises(ConfigError):
+            Engine(tiny_config(), task_queries=bad)
 
 
 def test_step_record_json_round_trips():
