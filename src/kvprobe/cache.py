@@ -1,20 +1,27 @@
-"""Chunked, tiered KV cache, one per layer.
+"""Chunked, tiered KV cache: one cache holds every layer of a stream.
 
-A layer's stream lives in one token-ordered float32 K buffer and one V
-buffer of shape (capacity, *dim), dim being (heads, d_head) or an int;
-every tier is a row range of them:
+The stream lives in one float32 K buffer and one V buffer. A row is
+dim: (layers, heads, d_head) in the engine, or (heads, d_head) or an
+int for a single layer. The buffers are stored layer-major,
+(layers, capacity, heads, d_head), so each layer's rows are one
+contiguous token-ordered block; every array is read token first,
+(capacity, *dim), through a transposed view. Every tier is a row
+range:
 
     sinks       [0, n_sink)
     chunk j     [n_sink + j*c, n_sink + (j+1)*c), sealed once full;
                 only the last chunk may be open (partly filled)
     local tail  [tail_start, total), the newest n_local non-sink pairs
 
-Appends only write rows past the current total, so a snapshot is a set
-of read-only slices and copies nothing; a later regrowth moves the
-cache to new buffers and leaves old snapshots on the old ones. When a
-chunk seals, its representative key and that key's float64 norms (one
-per head) go to (chunks, *dim) arrays; every appended row's float64
-key norms are written at append time. Scoring reads only these arrays.
+One append writes a token's (or a window's) rows for every layer, and
+one snapshot serves every layer; CacheView.layer(l) is one layer's
+part of it, made of slices. Appends only write rows past the current
+total, so a snapshot is a set of read-only slices and copies nothing;
+a later regrowth moves the cache to new buffers and leaves old
+snapshots on the old ones. When a chunk seals, its representative key
+and that key's float64 norms (one per layer and head) go to
+(chunks, *dim) arrays; every appended row's float64 key norms are
+written at append time. Scoring reads only these arrays.
 
 The retrieval candidates are the chunks whose span ends before
 tail_start. A chunk that straddles tail_start is not one, and its
@@ -73,11 +80,12 @@ class KVChunk:
 
 @dataclass(frozen=True)
 class CacheView:
-    """Immutable snapshot of one layer's stream.
+    """Immutable snapshot of a cached stream.
 
     keys, values and key_norms hold every cached pair in token order;
     rep_keys (float64) and rep_norms hold one row per sealed chunk.
-    All are read-only slices of the cache's buffers.
+    All are read-only slices of the cache's buffers, indexed token
+    first: keys is (pairs, *dim).
     """
 
     n_sink: int
@@ -92,6 +100,14 @@ class CacheView:
     @property
     def total_pairs(self) -> int:
         return int(self.keys.shape[0])
+
+    def layer(self, l: int) -> "CacheView":
+        """Layer l's part of a view of (layers, heads, d_head) rows: the
+        same tiers over that layer's contiguous rows, slices only."""
+        return CacheView(self.n_sink, self.chunk, self.keys[:, l],
+                         self.values[:, l], self.key_norms[:, l],
+                         self.rep_keys[:, l], self.rep_norms[:, l],
+                         self.tail_start)
 
     @property
     def sink_keys(self) -> np.ndarray:
@@ -163,9 +179,13 @@ class _Chunks(Sequence):
                        values=self._view.values[start:stop])
 
 
-def _resized(a: np.ndarray, rows: int, keep: int) -> np.ndarray:
-    """A new `rows`-row buffer holding the first `keep` rows of a."""
-    out = np.empty((rows,) + a.shape[1:], dtype=a.dtype)
+def _resized(a: np.ndarray, rows: int, keep: int, lead: int) -> np.ndarray:
+    """A new `rows`-row buffer holding the first `keep` rows of the
+    token-first a, stored with its token axis after the `lead` layer
+    axes and viewed token first."""
+    shape = a.shape[1:]
+    out = np.empty((*shape[:lead], rows, *shape[lead:]), dtype=a.dtype)
+    out = np.moveaxis(out, lead, 0)
     out[:keep] = a[:keep]
     return out
 
@@ -176,9 +196,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class LayerCache:
-    """Single-writer cache for one layer's stream of rows shaped dim."""
+    """Single-writer cache for a stream of rows shaped dim, whose axes
+    before the last two, if any, are layers."""
 
-    def __init__(self, dim: int | tuple[int, int], n_sink: int = 64,
+    def __init__(self, dim: int | tuple[int, ...], n_sink: int = 64,
                  n_local: int = 512, chunk: int = 32):
         if np.min(dim) < 1 or chunk < 1 or n_sink < 0 or n_local < 0:
             raise ValueError("cache geometry must be positive")
@@ -188,6 +209,10 @@ class LayerCache:
         self.total_pairs = 0
         self._sealed = 0
         row = np.empty(dim).shape  # dim as a shape tuple
+        self._lead = max(0, len(row) - 2)  # layer axes
+        # token-first index of each layer's rows
+        self._layers = [(slice(None), *l)
+                        for l in np.ndindex(row[:self._lead])]
         self._k = np.empty((0, *row), dtype=np.float32)
         self._v = np.empty((0, *row), dtype=np.float32)
         self._knorm = np.empty((0, *row[:-1]))
@@ -204,15 +229,16 @@ class LayerCache:
         if rows <= self.capacity:
             return
         chunks = -(-max(0, rows - self.n_sink) // self.chunk)
-        n, sealed = self.total_pairs, self._sealed
-        self._k = _resized(self._k, rows, n)
-        self._v = _resized(self._v, rows, n)
-        self._knorm = _resized(self._knorm, rows, n)
-        self._rep = _resized(self._rep, chunks, sealed)
-        self._rep_norm = _resized(self._rep_norm, chunks, sealed)
+        n, sealed, lead = self.total_pairs, self._sealed, self._lead
+        self._k = _resized(self._k, rows, n, lead)
+        self._v = _resized(self._v, rows, n, lead)
+        self._knorm = _resized(self._knorm, rows, n, lead)
+        self._rep = _resized(self._rep, chunks, sealed, lead)
+        self._rep_norm = _resized(self._rep_norm, chunks, sealed, lead)
 
     def append(self, keys, values) -> int:
-        """Append KV pairs; returns how many chunks this call sealed."""
+        """Append KV pairs, rows first: (rows, *dim); returns how many
+        chunks this call sealed."""
         k = np.asarray(keys, dtype=np.float32)
         v = np.asarray(values, dtype=np.float32)
         if k.shape[1:] != self._k.shape[1:] or v.shape != k.shape:
@@ -225,7 +251,11 @@ class LayerCache:
             self.reserve(max(stop, 2 * self.capacity))
         self._k[start:stop] = k
         self._v[start:stop] = v
-        self._knorm[start:stop] = row_norms(self._k[start:stop])
+        new_k, new_norms = self._k[start:stop], self._knorm[start:stop]
+        # one layer at a time, so the float64 copy of a window's keys
+        # stays one layer's size
+        for l in self._layers:
+            new_norms[l] = row_norms(new_k[l])
         self.total_pairs = stop
         full = sealed_chunks(stop, self.n_sink, self.chunk)
         first = self._sealed

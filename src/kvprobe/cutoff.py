@@ -3,8 +3,9 @@
 Each layer's information density is the entropy of its softmax-
 normalized chunk scores: a flat score distribution means the probe
 cannot tell chunks apart and the layer needs a bigger slice of the
-shared budget. Each layer's real-valued budget is its share of the
-total density,
+shared budget. A step computes every layer's density in one call over
+its (layers, n) scores, and selects every layer's chunks in one call.
+Each layer's real-valued budget is its share of the total density,
 
     B_l = theta_l / sum(theta) * total,
 
@@ -31,11 +32,13 @@ class BudgetAllocation:
     budgets: tuple[int, ...]
 
 
-def layer_density(scores: np.ndarray) -> float:
-    """Entropy (nats) of softmax over one layer's chunk scores; 0 for an
-    empty layer (nothing cached to tell apart)."""
-    if len(scores) == 0:
-        return 0.0
+def layer_density(scores: np.ndarray):
+    """Entropy (nats) of softmax over each layer's chunk scores, along
+    the last axis: a float for one layer's (n,) scores, one per layer
+    for (layers, n); 0 for a layer with no candidates (nothing cached
+    to tell apart)."""
+    if scores.shape[-1] == 0:
+        return np.zeros(scores.shape[:-1]) if scores.ndim > 1 else 0.0
     return entropy(softmax(scores))
 
 
@@ -78,8 +81,8 @@ def allocate(theta, initial_total: int, chunk_size: int = 1) -> BudgetAllocation
     return BudgetAllocation(budgets=tuple(f * chunk_size for f in floors))
 
 
-def recall_layer(scores: np.ndarray, budget_pairs: int,
-                 rows) -> SelectionResult:
-    """Select one layer's chunks under its dynamic budget (rows as in
-    select_topk)."""
+def recall_layer(scores: np.ndarray, budget_pairs, rows
+                 ) -> SelectionResult | tuple[SelectionResult, ...]:
+    """Select each layer's chunks under its dynamic budget (scores,
+    budgets and rows as in select_topk)."""
     return select_topk(scores, budget_pairs, rows)

@@ -1,13 +1,17 @@
 """Retrieval engine: probes, chunk scoring, budget split, attention.
 
-Two stages over a trace:
+Two stages over a trace. The cache holds every layer, so each stage
+step makes one append, one snapshot, one scoring call, one density
+call and one selection call for all layers; only gathering the
+retrieved chunks and attention run one layer at a time.
 
 pre-filling
     Windows arrive a block of rows at a time. Each layer folds the
     window's queries (plus any task queries) into its running
-    statistics, builds one (heads, d_head) probe, scores the
-    retrievable chunks, greedily selects up to the layer budget, and
-    runs reference attention over [sinks, retrieved, local tail, window]
+    statistics and builds one (heads, d_head) probe, one layer at a
+    time. Then every layer's retrievable chunks are scored and each
+    layer greedily selects up to the layer budget; each layer runs
+    reference attention over [sinks, retrieved, local tail, window]
     for the window's last query row, all heads in one call; that row
     sees the whole window and all of the history. The window's keys
     and values enter the cache only after attention.
@@ -15,13 +19,13 @@ pre-filling
 decoding
     One token at a time, two phases. The token's key/value pair enters
     the cache first, so the local tail covers the token itself, and
-    each layer takes one snapshot that serves both phases. First every
-    layer scores its candidates with the raw query and reports the
-    entropy of the score distribution; then the shared budget
-    (layers x budget) is split across layers, evenly in fixed mode or
-    entropy-proportional in dynamic mode, and each layer retrieves
-    under its share. The attended set is exactly sinks + retrieved +
-    local, and all heads attend it in one call per layer.
+    one snapshot serves both phases. First every layer scores its
+    candidates with the raw query and reports the entropy of the score
+    distribution; then the shared budget (layers x budget) is split
+    across layers, evenly in fixed mode or entropy-proportional in
+    dynamic mode, and each layer retrieves under its share. The
+    attended set is exactly sinks + retrieved + local, and all heads
+    attend it in one call per layer.
 
 Attention reads the sink and local tiers as head-major views of the
 cache's float32 rows; only the retrieved chunks are gathered.
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from math import sqrt
 from typing import Iterable
 
@@ -42,7 +47,8 @@ from .linalg import DimMismatch, EmptyInput
 from .probe import (ProbeQuery, StatsUndefined, StreamingStats,
                     activation_bias, build_probe, decoding_probe,
                     uniform_bias)
-from .retrieval import materialize, score_chunks_across_heads
+from .retrieval import (SelectionResult, materialize,
+                        score_chunks_across_heads)
 from .tracefile import TraceData, TraceHeader, TraceReader
 
 PROBE_MODES = ("act", "mean")
@@ -104,7 +110,8 @@ class EngineConfig:
 class LayerStepRecord:
     layer: int
     candidate_ids: range  # candidates are chunks 0..n-1
-    scores: np.ndarray  # read-only float64, one per candidate
+    scores: np.ndarray  # read-only float64, one per candidate: this
+    # layer's row of the step's (layers, n) scores
     theta: float
     budget_pairs: int
     selected: tuple[int, ...]
@@ -176,12 +183,12 @@ def reference_attention(q, k, v, causal: bool = True) -> np.ndarray:
     n_hist = n - rows
     if causal and n_hist < 0:
         raise EmptyInput("more queries than keys under a causal mask")
-    starts = np.cumsum([0, *sizes])
+    starts = list(accumulate(sizes, initial=0))
     w = np.empty((*Q.shape[:-1], n))
     for K, at in zip(ks, starts):
         w[..., at:at + K.shape[-2]] = Q @ K.swapaxes(-1, -2)
     w /= sqrt(d)
-    if causal:
+    if causal and rows > 1:  # a single query row sees every key
         np.copyto(w[..., n_hist:], -np.inf, where=~np.tri(rows, dtype=bool))
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
@@ -206,11 +213,10 @@ class Engine:
                  task_queries: np.ndarray | None = None):
         self.config = config
         L, H = config.layers, config.heads
-        rows = (H, config.d_head)
-        self.caches = [LayerCache(dim=rows, n_sink=config.n_sink,
-                                  n_local=config.n_local, chunk=config.chunk)
-                       for _ in range(L)]
-        self.stats = [StreamingStats(rows) for _ in range(L)]
+        self.cache = LayerCache(dim=(L, H, config.d_head),
+                                n_sink=config.n_sink, n_local=config.n_local,
+                                chunk=config.chunk)
+        self.stats = [StreamingStats((H, config.d_head)) for _ in range(L)]
         if task_queries is not None:
             task_queries = np.asarray(task_queries, dtype=np.float32)
             want = (L, H, *task_queries.shape[2:3], config.d_head)
@@ -233,18 +239,33 @@ class Engine:
         bias = uniform_bias(*queries.shape[-2:])
         return build_probe(queries, bias)
 
-    def _attend_and_record(self, l: int, q: np.ndarray, view: CacheView,
-                           scores: np.ndarray, theta: float, budget: int,
-                           window_k: np.ndarray | None = None,
-                           window_v: np.ndarray | None = None
-                           ) -> LayerStepRecord:
-        """Select layer l's chunks under budget and attend the last query
-        row of every head over sinks, retrieved chunks, the local tail and
-        (pre-fill) the window.
+    def _attend(self, q: np.ndarray, view: CacheView, scores: np.ndarray,
+                thetas, budgets, window_k: np.ndarray | None = None,
+                window_v: np.ndarray | None = None
+                ) -> tuple[LayerStepRecord, ...]:
+        """Select every layer's chunks under its budget in one call, then
+        attend layer by layer.
 
-        q has shape (heads, rows, d_head); window_k/window_v likewise.
+        q has shape (layers, heads, rows, d_head); window_k/window_v
+        likewise; scores is (layers, n).
         """
-        selection = recall_layer(scores, budget, view.candidate_rows)
+        selections = recall_layer(scores, budgets, view.candidate_rows)
+        return tuple(self._attend_and_record(l, q, view, scores, thetas,
+                                             budgets, sel, window_k, window_v)
+                     for l, sel in enumerate(selections))
+
+    def _attend_and_record(self, l: int, q: np.ndarray, view: CacheView,
+                           scores: np.ndarray, thetas, budgets,
+                           selection: SelectionResult,
+                           window_k: np.ndarray | None,
+                           window_v: np.ndarray | None) -> LayerStepRecord:
+        """Attend layer l's last query row of every head over sinks, its
+        retrieved chunks, the local tail and (pre-fill) the window.
+
+        A call of its own per layer, so each layer's gathered K/V is
+        dropped before the next layer's gather.
+        """
+        view = view.layer(l)
         keys_sel, vals_sel = materialize(selection, view)
         # the cache is token-major; attention reads (heads, pairs, d_head)
         k_blocks = [a.transpose(1, 0, 2) for a in
@@ -252,16 +273,16 @@ class Engine:
         v_blocks = [a.transpose(1, 0, 2) for a in
                     (view.sink_values, vals_sel, view.local_values)]
         if window_k is not None:
-            k_blocks.append(window_k)
-            v_blocks.append(window_v)
-        out = reference_attention(q[:, -1:], k_blocks, v_blocks, causal=True)
-        scores.flags.writeable = False
+            k_blocks.append(window_k[l])
+            v_blocks.append(window_v[l])
+        out = reference_attention(q[l, :, -1:], k_blocks, v_blocks,
+                                  causal=True)
         return LayerStepRecord(
             layer=l,
-            candidate_ids=range(len(scores)),
-            scores=scores,
-            theta=float(theta),
-            budget_pairs=int(budget),
+            candidate_ids=range(scores.shape[1]),
+            scores=scores[l],
+            theta=float(thetas[l]),
+            budget_pairs=int(budgets[l]),
             selected=selection.selected,
             pairs_used=selection.pairs_used,
             attended_pairs=sum(b.shape[1] for b in k_blocks),
@@ -272,22 +293,25 @@ class Engine:
                      window_v: np.ndarray, index: int) -> StepRecord:
         """window_* have shape (layers, heads, rows, d_head)."""
         cfg = self.config
-        recs = []
+        probes = np.empty((cfg.layers, cfg.heads, cfg.d_head),
+                          dtype=np.float32)
+        # one layer at a time, so a probe's float64 copies of the window
+        # stay one layer's size
         for l in range(cfg.layers):
             q_eff = window_q[l]
             if self.task_queries is not None:
                 q_eff = np.concatenate([q_eff, self.task_queries[l]], axis=1)
             self.stats[l].update(q_eff)
-            view = self.caches[l].snapshot()
-            probe = self._probe_for(l, q_eff).vector
-            scores = score_chunks_across_heads(probe, view, mode=cfg.rep_mode)
-            recs.append(self._attend_and_record(
-                l, window_q[l], view, scores, layer_density(scores),
-                cfg.budget, window_k[l], window_v[l]))
-            # the cache is token-major: (rows, heads, d_head)
-            self.caches[l].append(window_k[l].transpose(1, 0, 2),
-                                  window_v[l].transpose(1, 0, 2))
-        step = StepRecord(stage="pre-filling", index=index, layers=tuple(recs))
+            probes[l] = self._probe_for(l, q_eff).vector
+        view = self.cache.snapshot()
+        scores = score_chunks_across_heads(probes, view, mode=cfg.rep_mode)
+        recs = self._attend(window_q, view, scores, layer_density(scores),
+                            np.full(cfg.layers, cfg.budget),
+                            window_k, window_v)
+        # the cache is token-major: (rows, layers, heads, d_head)
+        self.cache.append(window_k.transpose(2, 0, 1, 3),
+                          window_v.transpose(2, 0, 1, 3))
+        step = StepRecord(stage="pre-filling", index=index, layers=recs)
         self.steps.append(step)
         return step
 
@@ -295,25 +319,18 @@ class Engine:
                     index: int) -> StepRecord:
         """q, k, v have shape (layers, heads, 1, d_head)."""
         cfg = self.config
-        per_layer: list[tuple[CacheView, np.ndarray]] = []
-        thetas: list[float] = []
-        for l in range(cfg.layers):
-            probe = decoding_probe(q[l, :, 0]).vector
-            self.caches[l].append(k[l].transpose(1, 0, 2),
-                                  v[l].transpose(1, 0, 2))
-            view = self.caches[l].snapshot()
-            scores = score_chunks_across_heads(probe, view, mode=cfg.rep_mode)
-            per_layer.append((view, scores))
-            thetas.append(layer_density(scores))
+        probe = decoding_probe(q[:, :, 0]).vector
+        self.cache.append(k.transpose(2, 0, 1, 3), v.transpose(2, 0, 1, 3))
+        view = self.cache.snapshot()
+        scores = score_chunks_across_heads(probe, view, mode=cfg.rep_mode)
+        thetas = layer_density(scores)
         if cfg.cutoff_mode == "dynamic":
             budgets = allocate(thetas, cfg.total_budget,
                                chunk_size=cfg.chunk).budgets
         else:
-            budgets = tuple(cfg.budget for _ in range(cfg.layers))
-        recs = [self._attend_and_record(l, q[l], view, scores, thetas[l],
-                                        budgets[l])
-                for l, (view, scores) in enumerate(per_layer)]
-        step = StepRecord(stage="decoding", index=index, layers=tuple(recs))
+            budgets = np.full(cfg.layers, cfg.budget)
+        recs = self._attend(q, view, scores, thetas, budgets)
+        step = StepRecord(stage="decoding", index=index, layers=recs)
         self.steps.append(step)
         return step
 
@@ -334,8 +351,7 @@ class Engine:
         # presized, so no append regrows a buffer (a regrowth briefly
         # holds the old and the new copy of a stream)
         rows = h.num_windows * h.window + h.num_decode_steps
-        for cache in self.caches:
-            cache.reserve(rows)
+        self.cache.reserve(rows)
         seconds: dict[str, list[float]] = {"pre-filling": [], "decoding": []}
         for blk in trace.blocks():
             step = (self.prefill_step if blk.stage == "pre-filling"

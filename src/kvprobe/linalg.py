@@ -33,30 +33,34 @@ class NonFinite(ValueError):
 
 def row_norms(m) -> np.ndarray:
     """float64 L2 norm along the last axis."""
-    x = np.asarray(m, dtype=np.float64)
-    return np.sqrt(np.sum(x * x, axis=-1))
+    return np.sqrt(np.square(m, dtype=np.float64).sum(axis=-1))
 
 
 def softmax(scores) -> np.ndarray:
-    """Probabilities proportional to exp(score), stabilized by max-subtraction."""
-    s = np.asarray(scores, dtype=np.float64).ravel()
+    """Probabilities proportional to exp(score) along the last axis,
+    stabilized by max-subtraction; each row is one distribution."""
+    s = np.atleast_1d(np.asarray(scores, dtype=np.float64))
     if s.size == 0:
         raise EmptyInput("softmax of empty score list")
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise NotNormalized("softmax input contains non-finite entries")
-    e = np.exp(s - np.max(s))
-    return e / np.sum(e)
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def entropy(probs) -> float:
-    """Shannon entropy in nats, with 0*log(0) = 0."""
-    p = np.asarray(probs, dtype=np.float64).ravel()
+def entropy(probs):
+    """Shannon entropy in nats along the last axis, with 0*log(0) = 0:
+    a float for one distribution, one per row for several."""
+    p = np.atleast_1d(np.asarray(probs, dtype=np.float64))
     if p.size == 0:
         raise EmptyInput("entropy of empty distribution")
-    if np.any(p < 0):
+    if (p < 0).any():
         raise NotNormalized("negative probability entry")
-    total = float(np.sum(p))
-    if abs(total - 1.0) > 1e-4:
-        raise NotNormalized(f"probabilities sum to {total}, not 1")
-    nz = p[p > 0]
-    return float(-np.sum(nz * np.log(nz)))
+    total = p.sum(axis=-1)
+    off = ~(np.abs(total - 1.0) <= 1e-4)  # a NaN row is off too
+    if off.any():
+        raise NotNormalized(f"probabilities sum to {total[off].flat[0]}, "
+                            "not 1")
+    log_p = np.log(p, out=np.zeros_like(p), where=p > 0)
+    h = -(p * log_p).sum(axis=-1)
+    return float(h) if h.ndim == 0 else h

@@ -80,7 +80,7 @@ class ActivationBias:
 
 @dataclass(frozen=True)
 class ProbeQuery:
-    vector: np.ndarray    # (d,) or (heads, d)
+    vector: np.ndarray    # (d,), (heads, d) or (layers, heads, d)
 
 
 def uniform_bias(rows: int, dim: int) -> ActivationBias:

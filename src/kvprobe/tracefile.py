@@ -547,11 +547,14 @@ def generate_synthetic(cfg: SyntheticConfig, planted: PlantedSpec | None,
     header = cfg.header(has_ground_truth=planted is not None)
     windows, decode = (np.empty((count, *shape), dtype=np.float32)
                        for _, count, shape in header.sections())
-    # drawn in float64 in the order window Q, K, V, decode Q, K, V
+    # drawn in float64 in the order window Q, K, V, decode Q, K, V, one
+    # step block at a time (the same stream as one draw per tensor), so
+    # a float64 draw is one block's size
     for section in (windows, decode):
         for i in range(3):
-            section[:, :, :, i] = rng.standard_normal(
-                section.shape[:3] + section.shape[4:])
+            for blk in section:
+                blk[:, :, i] = rng.standard_normal(blk.shape[:2] +
+                                                   blk.shape[3:])
     wq, wk = windows[:, :, :, 0], windows[:, :, :, 1]  # (T, L, H, m, dh)
     dq = decode[:, :, :, 0]  # (S, L, H, 1, dh)
     task = (rng.standard_normal((L, H, cfg.task_rows, dh)).astype(np.float32)

@@ -184,7 +184,7 @@ def test_criterion_5_default_geometry_constants():
             assert len(rec.candidate_ids) == 46
             assert rec.pairs_used == 46 * 32 == 1472
             assert rec.attended_pairs == 64 + 1472 + 512 == 2048
-    view = engine.caches[0].snapshot()
+    view = engine.cache.snapshot()
     assert view.sink_keys.shape[0] == 64
     assert all(ch.rows == 32 for ch in view.retrievable)
     print("criterion 5 PASS: 46 retrievable chunks of 32 pairs; decode "

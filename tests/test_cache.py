@@ -123,3 +123,30 @@ def test_snapshot_is_isolated_from_later_appends():
     assert before.local_keys[:, 0] == pytest.approx([2.0, 3.0])
     with pytest.raises(ValueError):  # snapshots are read-only
         before.keys[0, 0] = 1.0
+
+
+def test_one_cache_holds_every_layer_stored_layer_major():
+    """A cache of (layers, heads, d) rows holds, for each layer, bit for
+    bit what a cache of that layer's rows alone holds, and each layer's
+    rows are one contiguous token-ordered block."""
+    L, H, d, total = 3, 2, 4, 23
+    keys = np.random.default_rng(5).standard_normal(
+        (total, L, H, d)).astype(np.float32)
+    geometry = dict(n_sink=2, n_local=5, chunk=3)
+    cache = LayerCache(dim=(L, H, d), **geometry)
+    singles = [LayerCache(dim=(H, d), **geometry) for _ in range(L)]
+    for lo in range(0, total, 7):  # several appends, several regrowths
+        cache.append(keys[lo:lo + 7], keys[lo:lo + 7] + 1.0)
+        for l, single in enumerate(singles):
+            single.append(keys[lo:lo + 7, l], keys[lo:lo + 7, l] + 1.0)
+    view = cache.snapshot()
+    assert view.keys.shape == (total, L, H, d)
+    assert view.sink_keys.shape[0] == 2
+    for l, single in enumerate(singles):
+        got, want = view.layer(l), single.snapshot()
+        for field in ("keys", "values", "key_norms", "rep_keys", "rep_norms"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+            assert a.flags.c_contiguous, field
+        assert got.tail_start == want.tail_start
+        assert np.array_equal(got.candidate_rows, want.candidate_rows)

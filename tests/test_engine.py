@@ -1,15 +1,20 @@
 import dataclasses
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import kvprobe.engine as engine_module
+from kvprobe.cache import LayerCache
+from kvprobe.cutoff import BudgetAllocation, allocate, layer_density
 from kvprobe.engine import (ConfigError, Engine, EngineConfig,
                             reference_attention, run_trace)
 from kvprobe.linalg import DimMismatch
-from kvprobe.retrieval import materialize, select_topk
+from kvprobe.retrieval import (materialize, score_chunks_across_heads,
+                               select_topk)
 from kvprobe.tracefile import PlantedSpec, SyntheticConfig, generate_synthetic
 from oracles import dense_attention
 
@@ -162,8 +167,8 @@ def test_decode_step_copies_only_the_retrieved_pairs():
     cfg = SyntheticConfig()
     engine = Engine(EngineConfig(d=cfg.d, layers=cfg.layers,
                                  heads=cfg.heads, window=cfg.window))
-    for cache in engine.caches:  # as Engine.run does: no regrowth
-        cache.reserve(cfg.num_windows * cfg.window + cfg.num_decode_steps)
+    # as Engine.run does: no regrowth
+    engine.cache.reserve(cfg.num_windows * cfg.window + cfg.num_decode_steps)
     for blk in generate_synthetic(cfg, None, seed=7).blocks():
         if blk.stage == "pre-filling":
             engine.prefill_step(blk.q, blk.k, blk.v, blk.index)
@@ -191,8 +196,8 @@ def test_prefill_step_attends_only_the_last_query_row():
     cfg = SyntheticConfig()
     engine = Engine(EngineConfig(d=cfg.d, layers=cfg.layers,
                                  heads=cfg.heads, window=cfg.window))
-    for cache in engine.caches:  # as Engine.run does: no regrowth
-        cache.reserve(cfg.num_windows * cfg.window + cfg.num_decode_steps)
+    # as Engine.run does: no regrowth
+    engine.cache.reserve(cfg.num_windows * cfg.window + cfg.num_decode_steps)
     blocks = list(generate_synthetic(cfg, None, seed=7).blocks())
     *history, last = blocks[:cfg.num_windows]
     for blk in history:
@@ -219,7 +224,7 @@ def test_prefill_checksum_sums_the_last_rows_attention():
     for blk in trace.blocks():
         if blk.stage != "pre-filling":
             break
-        view = engine.caches[0].snapshot()
+        view = engine.cache.snapshot().layer(0)
         rec = engine.prefill_step(blk.q, blk.k, blk.v, blk.index).layers[0]
         keys_sel, vals_sel = materialize(
             select_topk(rec.scores, rec.budget_pairs, config.chunk), view)
@@ -333,12 +338,12 @@ def test_every_position_is_in_exactly_one_tier(window, windows, decode_steps,
                                  n_local=n_local, budget=chunk))
     for blk in generate_synthetic(cfg, None, seed=0).blocks():
         if blk.stage == "pre-filling":
-            view = engine.caches[0].snapshot()
+            view = engine.cache.snapshot().layer(0)
             step = engine.prefill_step(blk.q, blk.k, blk.v, blk.index)
             window_rows = window
         else:
             step = engine.decode_step(blk.q, blk.k, blk.v, blk.index)
-            view = engine.caches[0].snapshot()
+            view = engine.cache.snapshot().layer(0)
             window_rows = 0
         cover = tier_cover(view, step.layers[0].candidate_ids, window_rows)
         assert (cover == 1).all(), (blk.stage, blk.index,
@@ -453,3 +458,134 @@ def test_swapping_heads_leaves_records_unchanged():
         want = [s.to_json() for s in run_trace(trace, config).steps]
         got = [s.to_json() for s in run_trace(swapped, config).steps]
         assert got == want
+
+
+# three layers of two heads; chunk 3 leaves the open chunk partly filled
+# at most steps, so with n_local = 0 it is a candidate
+LAYERED = SyntheticConfig(d=8, layers=3, heads=2, window=8, num_windows=6,
+                          num_decode_steps=5, n_sink=2, chunk=3, n_local=0)
+
+
+def layered_run(monkeypatch, rep_mode="mean", n_local=0):
+    """Replay a LAYERED trace; returns the trace, the engine config, the
+    result, the (probe, view) of every scoring call and every attention
+    output, in call order."""
+    cfg = dataclasses.replace(LAYERED, n_local=n_local)
+    trace = generate_synthetic(cfg, None, seed=3)
+    config = EngineConfig(d=cfg.d, layers=cfg.layers, heads=cfg.heads,
+                          window=cfg.window, chunk=cfg.chunk,
+                          n_sink=cfg.n_sink, n_local=n_local, budget=6,
+                          rep_mode=rep_mode)
+    scored, attended = [], []
+    score, attend = (engine_module.score_chunks_across_heads,
+                     engine_module.reference_attention)
+
+    def spy_score(probe, view, mode="mean"):
+        scored.append((np.array(probe), view))
+        return score(probe, view, mode=mode)
+
+    def spy_attend(*args, **kwargs):
+        attended.append(attend(*args, **kwargs))
+        return attended[-1]
+
+    monkeypatch.setattr(engine_module, "score_chunks_across_heads", spy_score)
+    monkeypatch.setattr(engine_module, "reference_attention", spy_attend)
+    return trace, config, run_trace(trace, config), scored, attended
+
+
+@pytest.mark.parametrize("n_local", [0, 4])
+@pytest.mark.parametrize("rep_mode", ["mean", "max-score"])
+def test_batched_step_equals_per_layer_arithmetic(monkeypatch, rep_mode,
+                                                  n_local):
+    """Every layer's record is, bit for bit, what the one-layer calls give
+    on that layer alone: its scores, theta, selection and budget."""
+    _, config, result, scored, _ = layered_run(monkeypatch, rep_mode,
+                                               n_local)
+    partial = False
+    for step, (probe, view) in zip(result.steps, scored, strict=True):
+        thetas = []
+        for l, rec in enumerate(step.layers):
+            layer = view.layer(l)
+            scores = score_chunks_across_heads(probe[l], layer, mode=rep_mode)
+            assert rec.scores.tobytes() == scores.tobytes()
+            assert rec.theta == layer_density(scores)
+            thetas.append(rec.theta)
+            sel = select_topk(scores, rec.budget_pairs, layer.candidate_rows)
+            assert (rec.selected, rec.pairs_used) == (sel.selected,
+                                                      sel.pairs_used)
+            partial |= bool(np.any(layer.candidate_rows < config.chunk))
+        budgets = [rec.budget_pairs for rec in step.layers]
+        if step.stage == "decoding":
+            assert budgets == list(allocate(thetas, config.total_budget,
+                                            chunk_size=config.chunk).budgets)
+        else:
+            assert budgets == [config.budget] * config.layers
+    assert partial == (n_local == 0)
+
+
+def test_ragged_budgets_select_and_attend_per_layer(monkeypatch):
+    """Unequal per-layer budgets: each layer selects under its own budget
+    and attends its own chunks, within 1e-6 of float64 attention."""
+    ragged = (0, 3, 15)
+    monkeypatch.setattr(engine_module, "allocate",
+                        lambda *args, **kwargs: BudgetAllocation(ragged))
+    trace, config, result, scored, attended = layered_run(monkeypatch)
+    blocks = list(trace.blocks())
+    checked = 0
+    for i, (step, (_, view), blk) in enumerate(zip(result.steps, scored,
+                                                   blocks, strict=True)):
+        if step.stage != "decoding":
+            continue
+        for l, rec in enumerate(step.layers):
+            layer = view.layer(l)
+            sel = select_topk(rec.scores, ragged[l], layer.candidate_rows)
+            assert rec.budget_pairs == ragged[l]
+            assert (rec.selected, rec.pairs_used) == (sel.selected,
+                                                      sel.pairs_used)
+            keys_sel, vals_sel = materialize(sel, layer)
+            k = np.concatenate([layer.sink_keys, keys_sel, layer.local_keys])
+            v = np.concatenate([layer.sink_values, vals_sel,
+                                layer.local_values])
+            assert rec.attended_pairs == k.shape[0]
+            got = attended[i * config.layers + l]
+            want = np.stack([dense_attention(blk.q[l, h], k[:, h], v[:, h])
+                             for h in range(config.heads)])
+            err = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert err <= 1e-6, err
+            checked += 1
+    assert checked == LAYERED.num_decode_steps * LAYERED.layers
+
+
+def test_each_phase_is_one_call_per_step(monkeypatch):
+    """A pre-fill and a decode step each append, snapshot, score, compute
+    densities and select once for all layers, not once per layer."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("score_chunks_across_heads", "layer_density",
+                 "recall_layer"):
+        monkeypatch.setattr(engine_module, name,
+                            counted(name, getattr(engine_module, name)))
+    for name in ("append", "snapshot"):
+        monkeypatch.setattr(LayerCache, name,
+                            counted(name, getattr(LayerCache, name)))
+    cfg = LAYERED
+    engine = Engine(EngineConfig(d=cfg.d, layers=cfg.layers, heads=cfg.heads,
+                                 window=cfg.window, chunk=cfg.chunk,
+                                 n_sink=cfg.n_sink, n_local=2, budget=6))
+    want = dict.fromkeys(["append", "snapshot", "score_chunks_across_heads",
+                          "layer_density", "recall_layer"], 1)
+    stages = set()
+    for blk in generate_synthetic(cfg, None, seed=0).blocks():
+        step = (engine.prefill_step if blk.stage == "pre-filling"
+                else engine.decode_step)
+        step(blk.q, blk.k, blk.v, blk.index)
+        assert calls == want, (blk.stage, blk.index, calls)
+        calls.clear()
+        stages.add(blk.stage)
+    assert stages == {"pre-filling", "decoding"}

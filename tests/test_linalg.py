@@ -100,3 +100,28 @@ def test_entropy_of_softmax_bounded(v):
     h = entropy(softmax(v))
     assert -1e-12 <= h <= math.log(len(v)) + 1e-9
 
+
+
+def test_softmax_and_entropy_reduce_each_row():
+    """A (layers, n) call is one distribution per row: it equals the
+    stacked 1-D calls bit for bit, not one distribution over all rows."""
+    scores = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 301))
+    probs = softmax(scores)
+    assert np.array_equal(probs, np.stack([softmax(s) for s in scores]))
+    h = entropy(probs)
+    assert h.shape == (4,)
+    assert np.array_equal(h, np.array([entropy(p) for p in probs]))
+    assert isinstance(entropy(probs[0]), float)
+
+
+def test_a_bad_row_raises_in_two_dimensional_calls():
+    scores = np.zeros((3, 5))
+    scores[1, 2] = np.nan
+    with pytest.raises(NotNormalized):
+        softmax(scores)
+    probs = np.full((3, 4), 0.25)
+    for bad in (np.nan, 0.5, -0.25):
+        p = probs.copy()
+        p[2, 0] = bad
+        with pytest.raises(NotNormalized):
+            entropy(p)
