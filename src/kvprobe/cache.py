@@ -210,9 +210,6 @@ class LayerCache:
         self._sealed = 0
         row = np.empty(dim).shape  # dim as a shape tuple
         self._lead = max(0, len(row) - 2)  # layer axes
-        # token-first index of each layer's rows
-        self._layers = [(slice(None), *l)
-                        for l in np.ndindex(row[:self._lead])]
         self._k = np.empty((0, *row), dtype=np.float32)
         self._v = np.empty((0, *row), dtype=np.float32)
         self._knorm = np.empty((0, *row[:-1]))
@@ -251,11 +248,7 @@ class LayerCache:
             self.reserve(max(stop, 2 * self.capacity))
         self._k[start:stop] = k
         self._v[start:stop] = v
-        new_k, new_norms = self._k[start:stop], self._knorm[start:stop]
-        # one layer at a time, so the float64 copy of a window's keys
-        # stays one layer's size
-        for l in self._layers:
-            new_norms[l] = row_norms(new_k[l])
+        self._knorm[start:stop] = row_norms(self._k[start:stop])
         self.total_pairs = stop
         full = sealed_chunks(stop, self.n_sink, self.chunk)
         first = self._sealed

@@ -183,6 +183,7 @@ def reference_attention(q, k, v, causal: bool = True) -> np.ndarray:
     n_hist = n - rows
     if causal and n_hist < 0:
         raise EmptyInput("more queries than keys under a causal mask")
+    # Python ints: numpy-integer slice bounds cost more per block
     starts = list(accumulate(sizes, initial=0))
     w = np.empty((*Q.shape[:-1], n))
     for K, at in zip(ks, starts):
@@ -244,28 +245,31 @@ class Engine:
                 window_v: np.ndarray | None = None
                 ) -> tuple[LayerStepRecord, ...]:
         """Select every layer's chunks under its budget in one call, then
-        attend layer by layer.
+        attend layer by layer, each in a call of its own, so each layer's
+        gathered K/V is dropped before the next layer's gather.
 
         q has shape (layers, heads, rows, d_head); window_k/window_v
         likewise; scores is (layers, n).
         """
         selections = recall_layer(scores, budgets, view.candidate_rows)
-        return tuple(self._attend_and_record(l, q, view, scores, thetas,
-                                             budgets, sel, window_k, window_v)
-                     for l, sel in enumerate(selections))
+        return tuple(
+            self._attend_and_record(
+                l, q[l], view.layer(l), scores[l], thetas[l], budgets[l], sel,
+                *(() if window_k is None else (window_k[l], window_v[l])))
+            for l, sel in enumerate(selections))
 
     def _attend_and_record(self, l: int, q: np.ndarray, view: CacheView,
-                           scores: np.ndarray, thetas, budgets,
+                           scores: np.ndarray, theta: float, budget: int,
                            selection: SelectionResult,
-                           window_k: np.ndarray | None,
-                           window_v: np.ndarray | None) -> LayerStepRecord:
+                           window_k: np.ndarray | None = None,
+                           window_v: np.ndarray | None = None
+                           ) -> LayerStepRecord:
         """Attend layer l's last query row of every head over sinks, its
         retrieved chunks, the local tail and (pre-fill) the window.
 
-        A call of its own per layer, so each layer's gathered K/V is
-        dropped before the next layer's gather.
+        q has shape (heads, rows, d_head); window_k/window_v likewise;
+        view and scores are layer l's.
         """
-        view = view.layer(l)
         keys_sel, vals_sel = materialize(selection, view)
         # the cache is token-major; attention reads (heads, pairs, d_head)
         k_blocks = [a.transpose(1, 0, 2) for a in
@@ -273,16 +277,15 @@ class Engine:
         v_blocks = [a.transpose(1, 0, 2) for a in
                     (view.sink_values, vals_sel, view.local_values)]
         if window_k is not None:
-            k_blocks.append(window_k[l])
-            v_blocks.append(window_v[l])
-        out = reference_attention(q[l, :, -1:], k_blocks, v_blocks,
-                                  causal=True)
+            k_blocks.append(window_k)
+            v_blocks.append(window_v)
+        out = reference_attention(q[:, -1:], k_blocks, v_blocks, causal=True)
         return LayerStepRecord(
             layer=l,
-            candidate_ids=range(scores.shape[1]),
-            scores=scores[l],
-            theta=float(thetas[l]),
-            budget_pairs=int(budgets[l]),
+            candidate_ids=range(len(scores)),
+            scores=scores,
+            theta=float(theta),
+            budget_pairs=int(budget),
             selected=selection.selected,
             pairs_used=selection.pairs_used,
             attended_pairs=sum(b.shape[1] for b in k_blocks),

@@ -13,9 +13,9 @@ are chunks 0..n-1), and a layer's row of it goes to the step record.
 
 Selection is greedy by descending score in whole chunks, ties broken
 toward the older (smaller id) chunk, stopping as soon as the next
-chunk would overflow the pair budget: one argsort of the negated
-scores along the chunk axis (stable when two scores tie), one
-cumulative sum of the pair counts in that order, and a count of the prefixes within each layer's
+chunk would overflow the pair budget: one stable argsort of the
+negated scores along the chunk axis, one cumulative sum of the pair
+counts in that order, and a count of the prefixes within each layer's
 budget. Materialization gathers one layer's chunks at a time; its
 K*/V* rows come out in original token order, not score order.
 """
@@ -129,13 +129,8 @@ def select_topk(scores: np.ndarray, budget_pairs, rows):
     budgets = np.asarray(budget_pairs)
     if (budgets < 0).any():
         raise ValueError("negative budget")
-    neg = -scores
-    ranked = np.sort(neg, axis=-1)
-    # equal scores (0.0 and -0.0 included) keep id order, which takes a
-    # stable sort; without ties the default sort gives the same order in
-    # about a third of the time
-    tied = (ranked[..., 1:] == ranked[..., :-1]).any()
-    order = np.argsort(neg, axis=-1, kind="stable" if tied else None)
+    # stable, so equal scores (0.0 and -0.0 included) keep id order
+    order = np.argsort(-scores, axis=-1, kind="stable")
     used = np.broadcast_to(rows, scores.shape[-1:])[order].cumsum(axis=-1)
     # the prefix sums rise, so this count is where a search would stop
     taken = (used <= budgets[..., None]).sum(axis=-1)
