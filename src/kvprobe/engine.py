@@ -2,19 +2,19 @@
 
 Two stages over a trace. The cache holds every layer, so each stage
 step makes one append, one snapshot, one scoring call, one density
-call and one selection call for all layers; only gathering the
-retrieved chunks and attention run one layer at a time.
+call, one selection call and one attention call for all layers; only
+gathering the retrieved chunks runs one layer at a time.
 
 pre-filling
     Windows arrive a block of rows at a time. Each layer folds the
     window's queries (plus any task queries) into its running
     statistics and builds one (heads, d_head) probe, one layer at a
     time. Then every layer's retrievable chunks are scored and each
-    layer greedily selects up to the layer budget; each layer runs
-    reference attention over [sinks, retrieved, local tail, window]
-    for the window's last query row, all heads in one call; that row
-    sees the whole window and all of the history. The window's keys
-    and values enter the cache only after attention.
+    layer greedily selects up to the layer budget; reference attention
+    runs over [sinks, retrieved, local tail, window] for the window's
+    last query row, every layer and head in one call; that row sees
+    the whole window and all of the history. The window's keys and
+    values enter the cache only after attention.
 
 decoding
     One token at a time, two phases. The token's key/value pair enters
@@ -24,11 +24,14 @@ decoding
     distribution; then the shared budget (layers x budget) is split
     across layers, evenly in fixed mode or entropy-proportional in
     dynamic mode, and each layer retrieves under its share. The
-    attended set is exactly sinks + retrieved + local, and all heads
-    attend it in one call per layer.
+    attended set is exactly sinks + retrieved + local, and every layer
+    and head attends it in one call.
 
-Attention reads the sink and local tiers as head-major views of the
-cache's float32 rows; only the retrieved chunks are gathered.
+Attention reads the sink and local tiers (and the pre-fill window) as
+(layers, heads, pairs, d_head) views of the float32 rows. Only the
+retrieved chunks are gathered, one layer at a time: a layer's keys
+while the logits are written, then its values while the outputs are
+summed, so the step holds one layer's gathered keys or values at once.
 """
 
 from __future__ import annotations
@@ -47,8 +50,7 @@ from .linalg import DimMismatch, EmptyInput
 from .probe import (ProbeQuery, StatsUndefined, StreamingStats,
                     activation_bias, build_probe, decoding_probe,
                     uniform_bias)
-from .retrieval import (SelectionResult, materialize,
-                        score_chunks_across_heads)
+from .retrieval import Gathered, score_chunks_across_heads, selected_rows
 from .tracefile import TraceData, TraceHeader, TraceReader
 
 PROBE_MODES = ("act", "mean")
@@ -79,6 +81,10 @@ class EngineConfig:
             raise ConfigError("dimensions must be positive")
         if self.n_sink < 0 or self.n_local < 0 or self.budget < 0:
             raise ConfigError("capacities must be non-negative")
+        if self.n_sink == 0 and self.n_local == 0:
+            raise ConfigError(
+                "n_sink and n_local are both 0, so a decode step could "
+                "attend nothing: a layer's share of the budget may be 0")
         if self.d % self.heads != 0:
             raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
         if self.budget % self.chunk != 0:
@@ -158,6 +164,11 @@ def reference_attention(q, k, v, causal: bool = True) -> np.ndarray:
     (..., n_i, d_head) with leading axes that broadcast against q's;
     returns float64 (..., rows, d_head).
 
+    A block may also be a retrieval.Gathered, whose item l holds layer
+    l's rows for q[l]. Each pass reads each item once: its keys for
+    the logits, then its values for the outputs. A layer's logits past
+    its own rows, up to the block's widest layer, are -inf.
+
     The logits and weights @ V are float32 matmuls on the blocks as
     given, so no key or value row is copied to float64. Masking,
     max-subtraction, exp and normalisation run in float64, in place on
@@ -173,21 +184,34 @@ def reference_attention(q, k, v, causal: bool = True) -> np.ndarray:
         raise DimMismatch(f"queries shaped {Q.shape}, want (..., rows, d)")
     rows, d = Q.shape[-2:]
     ks, vs = _blocks(k), _blocks(v)
-    sizes = [b.shape[-2] for b in ks]
-    if sizes != [b.shape[-2] for b in vs]:
+    if any(b.shape[:1] != Q.shape[:-2][:1]
+           for b in ks + vs if isinstance(b, Gathered)):
+        raise DimMismatch(f"gathered layers for queries shaped {Q.shape}")
+    # rows per block: one count per layer for a Gathered block
+    sizes, v_sizes = ([getattr(b, "sizes", b.shape[-2:-1]) for b in bs]
+                      for bs in (ks, vs))
+    if sizes != v_sizes:
         raise DimMismatch(f"key blocks of {sizes} rows, value blocks of "
-                          f"{[b.shape[-2] for b in vs]}")
-    n = sum(sizes)
-    if n == 0:
+                          f"{v_sizes}")
+    if sum(map(np.asarray, sizes), np.zeros(1, dtype=int)).min() == 0:
         raise EmptyInput("attention over zero keys")
+    # Python ints: numpy-integer slice bounds cost more per block
+    widths = [b.shape[-2] for b in ks]
+    n = sum(widths)
     n_hist = n - rows
     if causal and n_hist < 0:
         raise EmptyInput("more queries than keys under a causal mask")
-    # Python ints: numpy-integer slice bounds cost more per block
-    starts = list(accumulate(sizes, initial=0))
+    starts = list(accumulate(widths, initial=0))
     w = np.empty((*Q.shape[:-1], n))
-    for K, at in zip(ks, starts):
-        w[..., at:at + K.shape[-2]] = Q @ K.swapaxes(-1, -2)
+    for K, at, width in zip(ks, starts, widths):
+        if isinstance(K, np.ndarray):
+            w[..., at:at + width] = Q @ K.swapaxes(-1, -2)
+            continue
+        # K[l] is a temporary: one layer's gathered keys at a time
+        for l, used in enumerate(K.sizes):
+            w[l, ..., at:at + used] = Q[l] @ K[l].swapaxes(-1, -2)
+            if used < width:
+                w[l, ..., at + used:at + width] = -np.inf
     w /= sqrt(d)
     if causal and rows > 1:  # a single query row sees every key
         np.copyto(w[..., n_hist:], -np.inf, where=~np.tri(rows, dtype=bool))
@@ -196,14 +220,18 @@ def reference_attention(q, k, v, causal: bool = True) -> np.ndarray:
     w /= w.sum(axis=-1, keepdims=True)
     out = np.zeros((*Q.shape[:-1], vs[0].shape[-1]))
     for V, at in zip(vs, starts):
-        out += w[..., at:at + V.shape[-2]].astype(np.float32) @ V
+        if isinstance(V, np.ndarray):
+            out += w[..., at:at + V.shape[-2]].astype(np.float32) @ V
+            continue
+        for l, used in enumerate(V.sizes):
+            out[l] += w[l, ..., at:at + used].astype(np.float32) @ V[l]
     return out
 
 
-def _blocks(x) -> list[np.ndarray]:
+def _blocks(x) -> list:
     """One array or a list of blocks, as float32 (a float32 block is not
-    copied)."""
-    return [np.asarray(b, dtype=np.float32)
+    copied); a Gathered block is kept as it is."""
+    return [b if isinstance(b, Gathered) else np.asarray(b, dtype=np.float32)
             for b in ([x] if isinstance(x, np.ndarray) else x)]
 
 
@@ -245,52 +273,44 @@ class Engine:
                 window_v: np.ndarray | None = None
                 ) -> tuple[LayerStepRecord, ...]:
         """Select every layer's chunks under its budget in one call, then
-        attend layer by layer, each in a call of its own, so each layer's
-        gathered K/V is dropped before the next layer's gather.
+        attend every layer's and head's last query row over sinks, its
+        retrieved chunks, the local tail and (pre-fill) the window in
+        one call.
 
         q has shape (layers, heads, rows, d_head); window_k/window_v
         likewise; scores is (layers, n).
         """
         selections = recall_layer(scores, budgets, view.candidate_rows)
-        return tuple(
-            self._attend_and_record(
-                l, q[l], view.layer(l), scores[l], thetas[l], budgets[l], sel,
-                *(() if window_k is None else (window_k[l], window_v[l])))
-            for l, sel in enumerate(selections))
-
-    def _attend_and_record(self, l: int, q: np.ndarray, view: CacheView,
-                           scores: np.ndarray, theta: float, budget: int,
-                           selection: SelectionResult,
-                           window_k: np.ndarray | None = None,
-                           window_v: np.ndarray | None = None
-                           ) -> LayerStepRecord:
-        """Attend layer l's last query row of every head over sinks, its
-        retrieved chunks, the local tail and (pre-fill) the window.
-
-        q has shape (heads, rows, d_head); window_k/window_v likewise;
-        view and scores are layer l's.
-        """
-        keys_sel, vals_sel = materialize(selection, view)
-        # the cache is token-major; attention reads (heads, pairs, d_head)
-        k_blocks = [a.transpose(1, 0, 2) for a in
-                    (view.sink_keys, keys_sel, view.local_keys)]
-        v_blocks = [a.transpose(1, 0, 2) for a in
-                    (view.sink_values, vals_sel, view.local_values)]
+        rows = [selected_rows(sel, view) for sel in selections]
+        retrieved = Gathered(view.keys, rows)
+        # the cache is token-major; attention reads
+        # (layers, heads, pairs, d_head)
+        k_blocks = [view.sink_keys.transpose(1, 2, 0, 3), retrieved,
+                    view.local_keys.transpose(1, 2, 0, 3)]
+        v_blocks = [view.sink_values.transpose(1, 2, 0, 3),
+                    Gathered(view.values, rows),
+                    view.local_values.transpose(1, 2, 0, 3)]
         if window_k is not None:
             k_blocks.append(window_k)
             v_blocks.append(window_v)
-        out = reference_attention(q[:, -1:], k_blocks, v_blocks, causal=True)
-        return LayerStepRecord(
-            layer=l,
-            candidate_ids=range(len(scores)),
-            scores=scores,
-            theta=float(theta),
-            budget_pairs=int(budget),
-            selected=selection.selected,
-            pairs_used=selection.pairs_used,
-            attended_pairs=sum(b.shape[1] for b in k_blocks),
-            attn_checksum=float(out.sum()),
-        )
+        out = reference_attention(q[:, :, -1:], k_blocks, v_blocks,
+                                  causal=True)
+        # every layer attends the sinks, the tail and the window
+        shared = sum(b.shape[-2] for b in k_blocks if b is not retrieved)
+        checksums = out.reshape(len(out), -1).sum(axis=1)
+        return tuple(
+            LayerStepRecord(
+                layer=l,
+                candidate_ids=range(scores.shape[1]),
+                scores=scores[l],
+                theta=float(thetas[l]),
+                budget_pairs=int(budgets[l]),
+                selected=sel.selected,
+                pairs_used=sel.pairs_used,
+                attended_pairs=shared + retrieved.sizes[l],
+                attn_checksum=float(checksums[l]),
+            )
+            for l, sel in enumerate(selections))
 
     def prefill_step(self, window_q: np.ndarray, window_k: np.ndarray,
                      window_v: np.ndarray, index: int) -> StepRecord:

@@ -16,8 +16,10 @@ toward the older (smaller id) chunk, stopping as soon as the next
 chunk would overflow the pair budget: one stable argsort of the
 negated scores along the chunk axis, one cumulative sum of the pair
 counts in that order, and a count of the prefixes within each layer's
-budget. Materialization gathers one layer's chunks at a time; its
-K*/V* rows come out in original token order, not score order.
+budget. A selection's rows are its chunks' rows in original token
+order, not score order: materialize gathers one layer's K*/V* rows,
+and Gathered gathers each layer's keys or values when attention reads
+them, one layer at a time.
 """
 
 from __future__ import annotations
@@ -142,14 +144,36 @@ def select_topk(scores: np.ndarray, budget_pairs, rows):
     return picks if scores.ndim > 1 else picks[0]
 
 
-def materialize(selection: SelectionResult, view: CacheView
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Gather the selected chunks' K/V rows in ascending token position."""
+def selected_rows(selection: SelectionResult, view: CacheView
+                  ) -> np.ndarray:
+    """Token rows of the selected chunks, ascending."""
     ids = np.sort(np.asarray(selection.selected, dtype=np.int64))
     bad = ids[(ids < 0) | (ids >= view.n_candidates)]
     if bad.size:
         raise UnknownChunk(int(bad[0]))
     rows = (view.n_sink + view.chunk * ids[:, None]
             + np.arange(view.chunk)).ravel()
-    rows = rows[rows < view.total_pairs]
+    return rows[rows < view.total_pairs]
+
+
+def materialize(selection: SelectionResult, view: CacheView
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Gather the selected chunks' K/V rows in ascending token position."""
+    rows = selected_rows(selection, view)
     return view.keys[rows], view.values[rows]
+
+
+class Gathered:
+    """Each layer's selected rows of a view's (pairs, layers, heads,
+    d_head) keys or values: item l is layer l's (heads, rows, d_head),
+    gathered when it is read. shape is the block's shape padded to its
+    widest layer, and sizes holds each layer's rows."""
+
+    def __init__(self, data: np.ndarray, rows: list[np.ndarray]):
+        self._data, self._rows = data, rows
+        self.sizes = tuple(map(len, rows))
+        self.shape = (len(rows), data.shape[2], max(self.sizes, default=0),
+                      data.shape[3])
+
+    def __getitem__(self, l: int) -> np.ndarray:
+        return self._data[self._rows[l], l].transpose(1, 0, 2)

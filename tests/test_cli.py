@@ -237,6 +237,23 @@ def test_bad_engine_config_exits_3(tmp_path):
                  "--chunk", "4", "--report", str(tmp_path / "r.json")]) == 3
 
 
+def test_no_sinks_and_no_local_exits_3_before_the_replay(tmp_path, capsys):
+    """With no sinks and no local tail a decode step whose layer gets no
+    chunks attends nothing; the run used to crash there, after the
+    whole pre-fill, with a traceback."""
+    trace = gen(tmp_path, extra=["--sinks", "0", "--local", "0",
+                                 "--planted", "0"])
+    report = tmp_path / "r.json"
+    assert main(["run", "--trace", str(trace), "--budget", "0",
+                 "--sinks", "0", "--local", "0", "--chunk", "4",
+                 "--report", str(report)]) == 3
+    assert "attend nothing" in capsys.readouterr().err
+    assert not report.exists()
+    assert main(["run", "--trace", str(trace), "--budget", "0",
+                 "--sinks", "1", "--local", "0", "--chunk", "4",
+                 "--report", str(report)]) == 0
+
+
 def test_bad_generator_spec_exits_3(tmp_path):
     """Zero chunk or window sizes used to crash with ZeroDivisionError,
     and negative sizes wrote a trace (or ground truth) no run can use."""

@@ -5,16 +5,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import kvprobe.engine as engine_module
 from kvprobe.cache import LayerCache
 from kvprobe.cutoff import BudgetAllocation, allocate, layer_density
 from kvprobe.engine import (ConfigError, Engine, EngineConfig,
                             reference_attention, run_trace)
-from kvprobe.linalg import DimMismatch
-from kvprobe.retrieval import (materialize, score_chunks_across_heads,
-                               select_topk)
+from kvprobe.linalg import DimMismatch, EmptyInput
+from kvprobe.retrieval import (Gathered, materialize,
+                               score_chunks_across_heads, select_topk)
 from kvprobe.tracefile import PlantedSpec, SyntheticConfig, generate_synthetic
 from oracles import dense_attention
 
@@ -53,6 +53,15 @@ def test_config_validation():
         EngineConfig(d=8, layers=2, probe_mode="activation")  # no aliases
     cfg = EngineConfig(d=8, layers=2, probe_mode="act")
     assert cfg.total_budget == 2 * cfg.budget
+
+
+def test_config_rejects_no_sinks_and_no_local():
+    """A layer's share of the budget may be 0, so without sinks or a local
+    tail a decode step could attend no key at all."""
+    with pytest.raises(ConfigError, match="attend nothing"):
+        EngineConfig(d=8, layers=2, n_sink=0, n_local=0, budget=64)
+    EngineConfig(d=8, layers=2, n_sink=0, n_local=1, budget=0)
+    EngineConfig(d=8, layers=2, n_sink=1, n_local=0, budget=0)
 
 
 def test_reference_attention_example():
@@ -159,12 +168,27 @@ def test_attention_rejects_key_and_value_blocks_split_differently():
         reference_attention(q, k, [np.zeros((5, 2)), np.zeros((3, 2))])
 
 
-def test_decode_step_copies_only_the_retrieved_pairs():
-    """One decode step on criterion 5's geometry (H=1, 64 + 1472 + 512
-    attended pairs per layer) allocates at most the gathered float32
-    K/V of the retrieved chunks plus 64 KiB: sinks and local tail are
-    read in place and nothing is copied to float64."""
-    cfg = SyntheticConfig()
+def test_attention_rejects_a_gathered_block_that_misses_a_layer():
+    """A Gathered block needs one item per query layer, or that layer's
+    logits are never written; and a layer whose only block gathers no
+    rows has no key to attend."""
+    data = np.ones((6, 2, 1, 4), dtype=np.float32)  # (pairs, L, H, d)
+    q = np.ones((2, 1, 1, 4))
+    rows = [np.arange(3), np.arange(2)]
+    block = Gathered(data, rows)
+    assert block.shape == (2, 1, 3, 4) and block.sizes == (3, 2)
+    assert reference_attention(q, [block], [Gathered(data, rows)]).shape \
+        == (2, 1, 1, 4)
+    with pytest.raises(DimMismatch):
+        reference_attention(q[:1], [block], [Gathered(data, rows)])
+    empty = [np.arange(3), np.arange(0)]
+    with pytest.raises(EmptyInput):
+        reference_attention(q, [Gathered(data, empty)],
+                            [Gathered(data, empty)])
+
+
+def _decode_peak(cfg: SyntheticConfig):
+    """The first decode step on cfg's trace and its tracemalloc peak."""
     engine = Engine(EngineConfig(d=cfg.d, layers=cfg.layers,
                                  heads=cfg.heads, window=cfg.window))
     # as Engine.run does: no regrowth
@@ -179,21 +203,11 @@ def test_decode_step_copies_only_the_retrieved_pairs():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        break
-    used = {rec.pairs_used for rec in step.layers}
-    assert used == {1472}
-    assert {rec.attended_pairs for rec in step.layers} == {2048}
-    gathered = 2 * 1472 * cfg.d * 4
-    assert peak < gathered + 64 * 1024, peak
+        return step, peak
 
 
-def test_prefill_step_attends_only_the_last_query_row():
-    """The last pre-fill window on criterion 5's geometry (H=1, 38
-    candidates all retrieved, 2048 keys per layer) allocates at most the
-    gathered float32 K/V of the retrieved chunks plus 64 KiB: attention
-    weights for one query row per head, not a float64 (rows, keys)
-    buffer."""
-    cfg = SyntheticConfig()
+def _last_prefill_peak(cfg: SyntheticConfig):
+    """The last pre-fill step on cfg's trace and its tracemalloc peak."""
     engine = Engine(EngineConfig(d=cfg.d, layers=cfg.layers,
                                  heads=cfg.heads, window=cfg.window))
     # as Engine.run does: no regrowth
@@ -208,10 +222,54 @@ def test_prefill_step_attends_only_the_last_query_row():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return step, peak
+
+
+def test_decode_step_copies_only_the_retrieved_pairs():
+    """One decode step on criterion 5's geometry (H=1, 64 + 1472 + 512
+    attended pairs per layer) allocates at most the gathered float32
+    K/V of the retrieved chunks plus 64 KiB: sinks and local tail are
+    read in place and nothing is copied to float64."""
+    cfg = SyntheticConfig()
+    step, peak = _decode_peak(cfg)
+    used = {rec.pairs_used for rec in step.layers}
+    assert used == {1472}
+    assert {rec.attended_pairs for rec in step.layers} == {2048}
+    gathered = 2 * 1472 * cfg.d * 4
+    assert peak < gathered + 64 * 1024, peak
+
+
+def test_multi_head_decode_step_holds_one_layers_gather():
+    """The same decode step with 8 heads of d_head 64 allocates less than
+    one layer's gathered float32 K/V: the retrieved chunks are gathered
+    one layer at a time, keys and values in turn."""
+    cfg = SyntheticConfig(d=512, heads=8)
+    step, peak = _decode_peak(cfg)
+    assert {rec.pairs_used for rec in step.layers} == {1472}
+    assert peak < 2 * 1472 * cfg.d * 4, peak
+
+
+def test_prefill_step_attends_only_the_last_query_row():
+    """The last pre-fill window on criterion 5's geometry (H=1, 38
+    candidates all retrieved, 2048 keys per layer) allocates at most the
+    gathered float32 K/V of the retrieved chunks plus 64 KiB: attention
+    weights for one query row per head, not a float64 (rows, keys)
+    buffer."""
+    cfg = SyntheticConfig()
+    step, peak = _last_prefill_peak(cfg)
     assert {rec.pairs_used for rec in step.layers} == {38 * 32}
     assert {rec.attended_pairs for rec in step.layers} == {2048}
     gathered = 2 * 38 * 32 * cfg.d * 4
     assert peak < gathered + 64 * 1024, peak
+
+
+def test_multi_head_prefill_step_holds_one_layers_gather():
+    """The same pre-fill window with 8 heads of d_head 64 allocates less
+    than one layer's gathered float32 K/V."""
+    cfg = SyntheticConfig(d=512, heads=8)
+    step, peak = _last_prefill_peak(cfg)
+    assert {rec.pairs_used for rec in step.layers} == {38 * 32}
+    assert peak < 2 * 38 * 32 * cfg.d * 4, peak
 
 
 def test_prefill_checksum_sums_the_last_rows_attention():
@@ -330,6 +388,7 @@ def test_every_position_is_in_exactly_one_tier(window, windows, decode_steps,
     """At every step each cached position lies in exactly one of the
     sinks, the local tail, the candidate chunks or (pre-fill) the
     current window."""
+    assume(n_sink or n_local)  # EngineConfig rejects a cache of neither
     cfg = SyntheticConfig(d=2 * heads, layers=1, heads=heads, window=window,
                           num_windows=windows, num_decode_steps=decode_steps,
                           n_sink=n_sink, chunk=chunk, n_local=n_local)
@@ -468,8 +527,8 @@ LAYERED = SyntheticConfig(d=8, layers=3, heads=2, window=8, num_windows=6,
 
 def layered_run(monkeypatch, rep_mode="mean", n_local=0):
     """Replay a LAYERED trace; returns the trace, the engine config, the
-    result, the (probe, view) of every scoring call and every attention
-    output, in call order."""
+    result, the (probe, view) of every scoring call and the output of
+    every attention call, (layers, heads, 1, d_head), in call order."""
     cfg = dataclasses.replace(LAYERED, n_local=n_local)
     trace = generate_synthetic(cfg, None, seed=3)
     config = EngineConfig(d=cfg.d, layers=cfg.layers, heads=cfg.heads,
@@ -547,7 +606,7 @@ def test_ragged_budgets_select_and_attend_per_layer(monkeypatch):
             v = np.concatenate([layer.sink_values, vals_sel,
                                 layer.local_values])
             assert rec.attended_pairs == k.shape[0]
-            got = attended[i * config.layers + l]
+            got = attended[i][l]
             want = np.stack([dense_attention(blk.q[l, h], k[:, h], v[:, h])
                              for h in range(config.heads)])
             err = np.linalg.norm(got - want) / np.linalg.norm(want)
@@ -556,9 +615,46 @@ def test_ragged_budgets_select_and_attend_per_layer(monkeypatch):
     assert checked == LAYERED.num_decode_steps * LAYERED.layers
 
 
+@pytest.mark.parametrize("n_local", [0, 4])
+@pytest.mark.parametrize("rep_mode", ["mean", "max-score"])
+def test_batched_attention_equals_per_layer_attention(monkeypatch, rep_mode,
+                                                      n_local):
+    """With equal budgets every record's checksum is, bit for bit, that of
+    one layer's attention over its own materialized chunks. On this trace
+    that holds also where a partly filled open chunk (n_local = 0) gives
+    the layers different pair counts, so the shorter layers' logits are
+    padded with -inf."""
+    monkeypatch.setattr(engine_module, "allocate", lambda *args, **kwargs:
+                        BudgetAllocation((6,) * LAYERED.layers))
+    trace, config, result, scored, _ = layered_run(monkeypatch, rep_mode,
+                                                   n_local)
+    ragged = False
+    for step, (_, view), blk in zip(result.steps, scored, trace.blocks(),
+                                    strict=True):
+        ragged |= len({rec.attended_pairs for rec in step.layers}) > 1
+        for l, rec in enumerate(step.layers):
+            layer = view.layer(l)
+            keys_sel, vals_sel = materialize(
+                select_topk(rec.scores, rec.budget_pairs,
+                            layer.candidate_rows), layer)
+            k = [a.transpose(1, 0, 2) for a in
+                 (layer.sink_keys, keys_sel, layer.local_keys)]
+            v = [a.transpose(1, 0, 2) for a in
+                 (layer.sink_values, vals_sel, layer.local_values)]
+            if step.stage == "pre-filling":
+                k.append(blk.k[l])
+                v.append(blk.v[l])
+            out = reference_attention(blk.q[l][:, -1:], k, v, causal=True)
+            assert rec.attended_pairs == sum(b.shape[1] for b in k)
+            assert rec.attn_checksum == float(out.sum())
+    # a partly filled open chunk makes the layers' pair counts differ
+    assert ragged == (n_local == 0)
+
+
 def test_each_phase_is_one_call_per_step(monkeypatch):
     """A pre-fill and a decode step each append, snapshot, score, compute
-    densities and select once for all layers, not once per layer."""
+    densities, select and attend once for all layers, not once per
+    layer."""
     calls = Counter()
 
     def counted(name, fn):
@@ -568,7 +664,7 @@ def test_each_phase_is_one_call_per_step(monkeypatch):
         return wrapper
 
     for name in ("score_chunks_across_heads", "layer_density",
-                 "recall_layer"):
+                 "recall_layer", "reference_attention"):
         monkeypatch.setattr(engine_module, name,
                             counted(name, getattr(engine_module, name)))
     for name in ("append", "snapshot"):
@@ -579,7 +675,8 @@ def test_each_phase_is_one_call_per_step(monkeypatch):
                                  window=cfg.window, chunk=cfg.chunk,
                                  n_sink=cfg.n_sink, n_local=2, budget=6))
     want = dict.fromkeys(["append", "snapshot", "score_chunks_across_heads",
-                          "layer_density", "recall_layer"], 1)
+                          "layer_density", "recall_layer",
+                          "reference_attention"], 1)
     stages = set()
     for blk in generate_synthetic(cfg, None, seed=0).blocks():
         step = (engine.prefill_step if blk.stage == "pre-filling"
