@@ -20,8 +20,11 @@ total, so a snapshot is a set of read-only slices and copies nothing;
 a later regrowth moves the cache to new buffers and leaves old
 snapshots on the old ones. When a chunk seals, its representative key
 and that key's float64 norms (one per layer and head) go to
-(chunks, *dim) arrays; every appended row's float64 key norms are
-written at append time. Scoring reads only these arrays.
+(chunks, *dim) arrays. A cache built with key_norms (the default, and
+what the engine asks for in max-score mode only, the one reader) also
+writes every appended row's float64 key norms at append time, a few
+rows at a time; without it no member-key norm exists. Scoring reads
+only these arrays.
 
 The retrieval candidates are the chunks whose span ends before
 tail_start. A chunk that straddles tail_start is not one, and its
@@ -83,6 +86,7 @@ class CacheView:
     """Immutable snapshot of a cached stream.
 
     keys, values and key_norms hold every cached pair in token order;
+    key_norms is None when the cache keeps no member-key norms.
     rep_keys (float64) and rep_norms hold one row per sealed chunk.
     All are read-only slices of the cache's buffers, indexed token
     first: keys is (pairs, *dim).
@@ -92,7 +96,7 @@ class CacheView:
     chunk: int
     keys: np.ndarray
     values: np.ndarray
-    key_norms: np.ndarray
+    key_norms: np.ndarray | None
     rep_keys: np.ndarray
     rep_norms: np.ndarray
     tail_start: int
@@ -104,10 +108,10 @@ class CacheView:
     def layer(self, l: int) -> "CacheView":
         """Layer l's part of a view of (layers, heads, d_head) rows: the
         same tiers over that layer's contiguous rows, slices only."""
+        norms = None if self.key_norms is None else self.key_norms[:, l]
         return CacheView(self.n_sink, self.chunk, self.keys[:, l],
-                         self.values[:, l], self.key_norms[:, l],
-                         self.rep_keys[:, l], self.rep_norms[:, l],
-                         self.tail_start)
+                         self.values[:, l], norms, self.rep_keys[:, l],
+                         self.rep_norms[:, l], self.tail_start)
 
     @property
     def sink_keys(self) -> np.ndarray:
@@ -195,12 +199,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# float64 bytes of the squares one row_norms call of append may hold
+_NORM_BLOCK_BYTES = 256 * 1024
+
+
 class LayerCache:
     """Single-writer cache for a stream of rows shaped dim, whose axes
-    before the last two, if any, are layers."""
+    before the last two, if any, are layers. key_norms=False keeps no
+    per-row key norms, which only max-score scoring reads."""
 
     def __init__(self, dim: int | tuple[int, ...], n_sink: int = 64,
-                 n_local: int = 512, chunk: int = 32):
+                 n_local: int = 512, chunk: int = 32,
+                 key_norms: bool = True):
         if np.min(dim) < 1 or chunk < 1 or n_sink < 0 or n_local < 0:
             raise ValueError("cache geometry must be positive")
         self.n_sink = n_sink
@@ -212,7 +222,7 @@ class LayerCache:
         self._lead = max(0, len(row) - 2)  # layer axes
         self._k = np.empty((0, *row), dtype=np.float32)
         self._v = np.empty((0, *row), dtype=np.float32)
-        self._knorm = np.empty((0, *row[:-1]))
+        self._knorm = np.empty((0, *row[:-1])) if key_norms else None
         self._rep = np.empty((0, *row))
         self._rep_norm = np.empty((0, *row[:-1]))
 
@@ -229,7 +239,8 @@ class LayerCache:
         n, sealed, lead = self.total_pairs, self._sealed, self._lead
         self._k = _resized(self._k, rows, n, lead)
         self._v = _resized(self._v, rows, n, lead)
-        self._knorm = _resized(self._knorm, rows, n, lead)
+        if self._knorm is not None:
+            self._knorm = _resized(self._knorm, rows, n, lead)
         self._rep = _resized(self._rep, chunks, sealed, lead)
         self._rep_norm = _resized(self._rep_norm, chunks, sealed, lead)
 
@@ -248,7 +259,12 @@ class LayerCache:
             self.reserve(max(stop, 2 * self.capacity))
         self._k[start:stop] = k
         self._v[start:stop] = v
-        self._knorm[start:stop] = row_norms(self._k[start:stop])
+        if self._knorm is not None:
+            # row_norms is per row, so blocks of rows give the same bits
+            step = max(1, _NORM_BLOCK_BYTES // (8 * self._k[0].size))
+            for lo in range(start, stop, step):
+                hi = min(lo + step, stop)
+                self._knorm[lo:hi] = row_norms(self._k[lo:hi])
         self.total_pairs = stop
         full = sealed_chunks(stop, self.n_sink, self.chunk)
         first = self._sealed
@@ -270,7 +286,8 @@ class LayerCache:
             n_sink=self.n_sink, chunk=self.chunk,
             keys=_read_only(self._k[:n]),
             values=_read_only(self._v[:n]),
-            key_norms=_read_only(self._knorm[:n]),
+            key_norms=(None if self._knorm is None
+                       else _read_only(self._knorm[:n])),
             rep_keys=_read_only(self._rep[:self._sealed]),
             rep_norms=_read_only(self._rep_norm[:self._sealed]),
             tail_start=self.tail_start,

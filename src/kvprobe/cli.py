@@ -20,7 +20,6 @@ separate manifest file.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -55,11 +54,24 @@ def _emit(path: str | None, obj) -> None:
 
 
 def _sha256(path: str) -> str:
+    import hashlib  # loads OpenSSL, so only once the replay has freed its cache
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
+
+
+def _max_rss_mb() -> float | None:
+    """The process's peak resident set so far in MB (2**20 bytes, as the
+    benchmark counts them), None without the resource module (Windows)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # bytes on macOS, KiB on Linux
+    return peak / (1 << (20 if sys.platform == "darwin" else 10))
 
 
 def _step_timing(seconds: list[float]) -> dict:
@@ -185,14 +197,16 @@ def _cmd_run(args) -> int:
                                      for _, rec in result.layer_records()),
             "pairs_materialized": sum(rec.pairs_used
                                       for _, rec in result.layer_records()),
+            "max_rss_mb": _max_rss_mb(),
         })
     if args.report:
         rec = report["overall"]["recall"]["mean"]
         ppl = report["overall"]["perplexity"]["mean"]
         rec_txt = "n/a" if rec is None else f"{rec:.4f}"
+        ppl_txt = "n/a" if ppl is None else f"{ppl:.4f}"
         print(f"wrote {args.report}: steps={len(result.steps)} "
               f"probe={config.probe_mode} cutoff={config.cutoff_mode} "
-              f"recall={rec_txt} perplexity={ppl:.4f}")
+              f"recall={rec_txt} perplexity={ppl_txt}")
     return EXIT_OK
 
 

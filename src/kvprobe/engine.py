@@ -244,7 +244,8 @@ class Engine:
         L, H = config.layers, config.heads
         self.cache = LayerCache(dim=(L, H, config.d_head),
                                 n_sink=config.n_sink, n_local=config.n_local,
-                                chunk=config.chunk)
+                                chunk=config.chunk,
+                                key_norms=config.rep_mode == "max-score")
         self.stats = [StreamingStats((H, config.d_head)) for _ in range(L)]
         if task_queries is not None:
             task_queries = np.asarray(task_queries, dtype=np.float32)

@@ -56,7 +56,8 @@ class StreamingStats:
         q = _queries(window_queries, self.sum.shape)
         self.count += q.shape[-2]
         self.sum += q.sum(axis=-2)
-        self.sumsq += (q * q).sum(axis=-2)
+        # in place: q is this call's own copy
+        self.sumsq += np.square(q, out=q).sum(axis=-2)
         return self
 
     def mean(self) -> np.ndarray:
@@ -120,7 +121,8 @@ def build_probe(window_queries, bias: ActivationBias) -> ProbeQuery:
     if w.shape[-1] != q.shape[-2]:
         raise LengthMismatch(f"{w.shape[-1]} weights for "
                              f"{q.shape[-2]} queries")
-    vec = (w[..., None] * q).sum(axis=-2).astype(np.float32)
+    # in place: q is this call's own copy
+    vec = np.multiply(w[..., None], q, out=q).sum(axis=-2).astype(np.float32)
     return ProbeQuery(vector=vec)
 
 

@@ -97,6 +97,9 @@ def score_chunks_across_heads(probe, view: CacheView,
             norms = np.concatenate([norms, row_norms(rep)])
         cos = _cosines(dots, _layered(norms, vec.shape[:-1]), norm)
     elif mode == "max-score":
+        if view.key_norms is None:
+            raise ValueError("max-score scoring needs member-key norms; "
+                             "this cache keeps none")
         lo = view.n_sink
         hi = view.chunk_rows(n - 1)[1] if n else lo
         starts = np.arange(0, hi - lo, view.chunk)

@@ -1,10 +1,16 @@
+import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import kvprobe
 from kvprobe.cli import _dumps, main
 from kvprobe.tracefile import read_trace
 
@@ -55,6 +61,7 @@ def test_report_omits_timing_but_manifest_carries_it(tmp_path):
     assert "elapsed" not in report.read_text()
     doc = json.loads(manifest.read_text())
     assert doc["elapsed_seconds"] >= 0
+    assert doc["max_rss_mb"] > 0
     assert doc["trace_sha256"] == json.loads(report.read_text())["trace_sha256"]
 
 
@@ -86,6 +93,40 @@ def test_manifest_explains_the_run_and_leaves_the_report_alone(tmp_path):
                  "--manifest", str(manifest)] + RUN_GEOM) == 0
     assert json.loads(manifest.read_text())["stages"]["decoding"] == {
         "steps": 0, "total_s": 0, "p50_ms": None, "p90_ms": None}
+
+
+def test_trace_without_steps_reports_no_perplexity(tmp_path, capsys):
+    """A trace with no steps has no perplexity mean; the summary line
+    used to format that None and exit 1 after writing the report."""
+    trace = tmp_path / "e.akvt"
+    assert main(["gen-trace", "--windows", "0", "--decode-steps", "0",
+                 "--planted", "0", "--out", str(trace)]) == 0
+    report = tmp_path / "r.json"
+    capsys.readouterr()
+    assert main(["run", "--trace", str(trace), "--report", str(report)]) == 0
+    assert "perplexity=n/a" in capsys.readouterr().out
+    assert json.loads(report.read_text())["overall"]["perplexity"][
+        "mean"] is None
+
+
+def test_replay_leaves_openssl_unloaded_and_digests_the_trace(tmp_path):
+    """Importing the front end does not load hashlib (and OpenSSL with
+    it): the trace digest is taken after the replay has freed its cache,
+    and only then is hashlib imported."""
+    # the directory this suite imports kvprobe from
+    src = Path(kvprobe.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, kvprobe.cli; "
+         "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded.strip() == "[]"
+    trace = gen(tmp_path)
+    report = tmp_path / "r.json"
+    assert main(["run", "--trace", str(trace), "--report", str(report)]
+                + RUN_GEOM) == 0
+    assert json.loads(report.read_text())["trace_sha256"] == hashlib.sha256(
+        trace.read_bytes()).hexdigest()
 
 
 def test_records_and_csv_outputs(tmp_path):

@@ -272,6 +272,35 @@ def test_multi_head_prefill_step_holds_one_layers_gather():
     assert peak < 2 * 38 * 32 * cfg.d * 4, peak
 
 
+@pytest.mark.parametrize("cfg", [SyntheticConfig(),
+                                 SyntheticConfig(d=512, heads=8)],
+                         ids=["H1", "H8"])
+def test_mean_mode_prefill_step_makes_no_window_sized_float64_copy(cfg):
+    """The last mean-mode pre-fill window on criterion 5's geometry
+    allocates less than the window's queries or keys in float64: no
+    member-key norms are computed, and the probe squares and weighs its
+    own float64 copy of each layer's queries in place."""
+    _, peak = _last_prefill_peak(cfg)
+    assert peak < cfg.window * cfg.layers * cfg.d * 8, peak
+
+
+def test_only_max_score_keeps_member_key_norms():
+    blocks = list(tiny_trace().blocks())[:3]
+    views = {}
+    for rep in ("mean", "max-score"):
+        engine = Engine(tiny_config(rep_mode=rep))
+        for blk in blocks:
+            engine.prefill_step(blk.q, blk.k, blk.v, blk.index)
+        views[rep] = engine.cache.snapshot()
+    assert views["mean"].key_norms is None
+    assert views["mean"].layer(1).key_norms is None
+    assert views["max-score"].key_norms.shape == (24, TINY.layers, TINY.heads)
+    probe = np.ones(views["mean"].keys.shape[1:])
+    assert views["mean"].n_candidates > 0
+    with pytest.raises(ValueError, match="norms"):
+        score_chunks_across_heads(probe, views["mean"], mode="max-score")
+
+
 def test_prefill_checksum_sums_the_last_rows_attention():
     """A pre-fill record's checksum is the sum over heads of the window's
     last query row attended over sinks, retrieved chunks, local tail and
