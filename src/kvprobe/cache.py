@@ -22,9 +22,9 @@ snapshots on the old ones. When a chunk seals, its representative key
 and that key's float64 norms (one per layer and head) go to
 (chunks, *dim) arrays. A cache built with key_norms (the default, and
 what the engine asks for in max-score mode only, the one reader) also
-writes every appended row's float64 key norms at append time, a few
-rows at a time; without it no member-key norm exists. Scoring reads
-only these arrays.
+writes every appended row's float64 key norms at append time;
+without it no member-key norm exists. Scoring reads only these
+arrays.
 
 The retrieval candidates are the chunks whose span ends before
 tail_start. A chunk that straddles tail_start is not one, and its
@@ -199,10 +199,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# float64 bytes of the squares one row_norms call of append may hold
-_NORM_BLOCK_BYTES = 256 * 1024
-
-
 class LayerCache:
     """Single-writer cache for a stream of rows shaped dim, whose axes
     before the last two, if any, are layers. key_norms=False keeps no
@@ -260,11 +256,7 @@ class LayerCache:
         self._k[start:stop] = k
         self._v[start:stop] = v
         if self._knorm is not None:
-            # row_norms is per row, so blocks of rows give the same bits
-            step = max(1, _NORM_BLOCK_BYTES // (8 * self._k[0].size))
-            for lo in range(start, stop, step):
-                hi = min(lo + step, stop)
-                self._knorm[lo:hi] = row_norms(self._k[lo:hi])
+            self._knorm[start:stop] = row_norms(self._k[start:stop])
         self.total_pairs = stop
         full = sealed_chunks(stop, self.n_sink, self.chunk)
         first = self._sealed

@@ -1,11 +1,8 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kvprobe.cache import LayerCache, rep_key_of
-from kvprobe.linalg import row_norms
 
 
 def fill(cache: LayerCache, n: int, dim: int, start: int = 0) -> None:
@@ -154,21 +151,3 @@ def test_one_cache_holds_every_layer_stored_layer_major():
         assert got.tail_start == want.tail_start
         assert np.array_equal(got.candidate_rows, want.candidate_rows)
 
-
-def test_blocked_key_norms_stay_small_and_exact():
-    """Appending a 256-row window of (4, 8, 64) rows computes its key
-    norms a few rows at a time: the append peaks below the window's
-    float64 size, and the norms are row_norms' bits."""
-    rows, dim = 256, (4, 8, 64)
-    keys = np.random.default_rng(3).standard_normal(
-        (rows, *dim)).astype(np.float32)
-    cache = LayerCache(dim=dim)
-    cache.reserve(rows)  # no regrowth inside the traced append
-    tracemalloc.start()
-    try:
-        cache.append(keys, keys)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < keys.size * 8, peak
-    assert cache.snapshot().key_norms.tobytes() == row_norms(keys).tobytes()
