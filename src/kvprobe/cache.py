@@ -13,14 +13,18 @@ range:
                 only the last chunk may be open (partly filled)
     local tail  [tail_start, total), the newest n_local non-sink pairs
 
-One append writes a token's (or a window's) rows for every layer, and
-one snapshot serves every layer; CacheView.layer(l) is one layer's
-part of it, made of slices. Appends only write rows past the current
-total, so a snapshot is a set of read-only slices and copies nothing;
-a later regrowth moves the cache to new buffers and leaves old
-snapshots on the old ones. When a chunk seals, its representative key
-and that key's float64 norms (one per layer and head) go to
-(chunks, *dim) arrays. A cache built with key_norms (the default, and
+One append commits a token's (or a window's) rows for every layer, and
+one snapshot serves every layer. Appends only write rows past the
+current total, so a snapshot is a set of read-only slices and copies
+nothing; a later regrowth moves the cache to new buffers and leaves
+old snapshots on the old ones. A writer may fill the next rows in
+place, one layer at a time, through the writable views that
+staged(rows) returns, and then commit them by appending those same
+views, which copies nothing: the replay reads each pre-fill window
+into the cache this way, so the cache plus one layer of one window is
+all it holds. When a chunk seals, its representative key and that
+key's float64 norms (one per layer and head) go to (chunks, *dim)
+arrays. A cache built with key_norms (the default, and
 what the engine asks for in max-score mode only, the one reader) also
 writes every appended row's float64 key norms at append time;
 without it no member-key norm exists. Scoring reads only these
@@ -104,14 +108,6 @@ class CacheView:
     @property
     def total_pairs(self) -> int:
         return int(self.keys.shape[0])
-
-    def layer(self, l: int) -> "CacheView":
-        """Layer l's part of a view of (layers, heads, d_head) rows: the
-        same tiers over that layer's contiguous rows, slices only."""
-        norms = None if self.key_norms is None else self.key_norms[:, l]
-        return CacheView(self.n_sink, self.chunk, self.keys[:, l],
-                         self.values[:, l], norms, self.rep_keys[:, l],
-                         self.rep_norms[:, l], self.tail_start)
 
     @property
     def sink_keys(self) -> np.ndarray:
@@ -240,9 +236,19 @@ class LayerCache:
         self._rep = _resized(self._rep, chunks, sealed, lead)
         self._rep_norm = _resized(self._rep_norm, chunks, sealed, lead)
 
+    def staged(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Writable (rows, *dim) views of the K and V rows that the next
+        append of `rows` rows fills. They lie past total_pairs, so no
+        snapshot sees them until that append commits them."""
+        start, stop = self.total_pairs, self.total_pairs + rows
+        if stop > self.capacity:
+            self.reserve(max(stop, 2 * self.capacity))
+        return self._k[start:stop], self._v[start:stop]
+
     def append(self, keys, values) -> int:
         """Append KV pairs, rows first: (rows, *dim); returns how many
-        chunks this call sealed."""
+        chunks this call sealed. Given the views staged(rows) returned,
+        it copies nothing: numpy skips assigning an array to itself."""
         k = np.asarray(keys, dtype=np.float32)
         v = np.asarray(values, dtype=np.float32)
         if k.shape[1:] != self._k.shape[1:] or v.shape != k.shape:
@@ -250,11 +256,10 @@ class LayerCache:
                               f"{self._k.shape[1:]}")
         if k.shape[0] < 1:
             raise DimMismatch("append of zero rows")
+        keys_at, values_at = self.staged(k.shape[0])
+        keys_at[...] = k
+        values_at[...] = v
         start, stop = self.total_pairs, self.total_pairs + k.shape[0]
-        if stop > self.capacity:
-            self.reserve(max(stop, 2 * self.capacity))
-        self._k[start:stop] = k
-        self._v[start:stop] = v
         if self._knorm is not None:
             self._knorm[start:stop] = row_norms(self._k[start:stop])
         self.total_pairs = stop

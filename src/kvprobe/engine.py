@@ -6,15 +6,18 @@ call, one selection call and one attention call for all layers; only
 gathering the retrieved chunks runs one layer at a time.
 
 pre-filling
-    Windows arrive a block of rows at a time. Each layer folds the
+    Windows arrive a block of rows at a time, and are read one layer
+    at a time. The snapshot is taken first. Then each layer folds the
     window's queries (plus any task queries) into its running
-    statistics and builds one (heads, d_head) probe, one layer at a
-    time. Then every layer's retrievable chunks are scored and each
-    layer greedily selects up to the layer budget; reference attention
-    runs over [sinks, retrieved, local tail, window] for the window's
-    last query row, every layer and head in one call; that row sees
-    the whole window and all of the history. The window's keys and
-    values enter the cache only after attention.
+    statistics, builds one (heads, d_head) probe, and writes the
+    window's keys and values straight into the cache's next rows,
+    which the snapshot does not see; so a replay holds the cache plus
+    one layer of one window. Then every layer's retrievable chunks are
+    scored and each layer greedily selects up to the layer budget;
+    reference attention runs over [sinks, retrieved, local tail,
+    window] for the window's last query row, every layer and head in
+    one call; that row sees the whole window and all of the history.
+    The window's rows are committed to the cache only after attention.
 
 decoding
     One token at a time, two phases. The token's key/value pair enters
@@ -51,7 +54,7 @@ from .probe import (ProbeQuery, StatsUndefined, StreamingStats,
                     activation_bias, build_probe, decoding_probe,
                     uniform_bias)
 from .retrieval import Gathered, score_chunks_across_heads, selected_rows
-from .tracefile import TraceData, TraceHeader, TraceReader
+from .tracefile import StepBlock, TraceData, TraceHeader, TraceReader
 
 PROBE_MODES = ("act", "mean")
 CUTOFF_MODES = ("dynamic", "fixed")
@@ -278,8 +281,9 @@ class Engine:
         retrieved chunks, the local tail and (pre-fill) the window in
         one call.
 
-        q has shape (layers, heads, rows, d_head); window_k/window_v
-        likewise; scores is (layers, n).
+        q has shape (layers, heads, rows, d_head), of which the last row
+        attends; window_k/window_v are (layers, heads, window rows,
+        d_head); scores is (layers, n).
         """
         selections = recall_layer(scores, budgets, view.candidate_rows)
         rows = [selected_rows(sel, view) for sel in selections]
@@ -313,38 +317,50 @@ class Engine:
             )
             for l, sel in enumerate(selections))
 
-    def prefill_step(self, window_q: np.ndarray, window_k: np.ndarray,
-                     window_v: np.ndarray, index: int) -> StepRecord:
-        """window_* have shape (layers, heads, rows, d_head)."""
+    def prefill_step(self, window: StepBlock, index: int) -> StepRecord:
+        """window is (layers, heads, 3, rows, d_head), read one layer at a
+        time by window.layer(l)."""
         cfg = self.config
-        probes = np.empty((cfg.layers, cfg.heads, cfg.d_head),
-                          dtype=np.float32)
+        L, H, dh = cfg.layers, cfg.heads, cfg.d_head
+        view = self.cache.snapshot()
+        # the rows this window's append commits; token-major, so a
+        # layer's keys are keys[:, l], (rows, heads, d_head)
+        keys, values = self.cache.staged(cfg.window)
+        probes = np.empty((L, H, dh), dtype=np.float32)
+        last_q = np.empty((L, H, 1, dh), dtype=np.float32)
         # one layer at a time, so a probe's float64 copies of the window
-        # stay one layer's size
-        for l in range(cfg.layers):
-            q_eff = window_q[l]
+        # stay one layer's size and a streamed window is read one layer
+        # at a time
+        for l in range(L):
+            slab = window.layer(l)
+            if slab.shape != (H, 3, cfg.window, dh):
+                raise DimMismatch(f"window layer shaped {slab.shape}, want "
+                                  f"{(H, 3, cfg.window, dh)}")
+            q_eff = slab[:, 0]
+            last_q[l] = q_eff[:, -1:]
             if self.task_queries is not None:
                 q_eff = np.concatenate([q_eff, self.task_queries[l]], axis=1)
             self.stats[l].update(q_eff)
             probes[l] = self._probe_for(l, q_eff).vector
-        view = self.cache.snapshot()
+            keys[:, l] = slab[:, 1].swapaxes(0, 1)
+            values[:, l] = slab[:, 2].swapaxes(0, 1)
         scores = score_chunks_across_heads(probes, view, mode=cfg.rep_mode)
-        recs = self._attend(window_q, view, scores, layer_density(scores),
-                            np.full(cfg.layers, cfg.budget),
-                            window_k, window_v)
-        # the cache is token-major: (rows, layers, heads, d_head)
-        self.cache.append(window_k.transpose(2, 0, 1, 3),
-                          window_v.transpose(2, 0, 1, 3))
+        recs = self._attend(last_q, view, scores, layer_density(scores),
+                            np.full(L, cfg.budget),
+                            keys.transpose(1, 2, 0, 3),
+                            values.transpose(1, 2, 0, 3))
+        self.cache.append(keys, values)
         step = StepRecord(stage="pre-filling", index=index, layers=recs)
         self.steps.append(step)
         return step
 
-    def decode_step(self, q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                    index: int) -> StepRecord:
-        """q, k, v have shape (layers, heads, 1, d_head)."""
+    def decode_step(self, token: StepBlock, index: int) -> StepRecord:
+        """token is (layers, heads, 3, 1, d_head)."""
         cfg = self.config
-        probe = decoding_probe(q[:, :, 0]).vector
-        self.cache.append(k.transpose(2, 0, 1, 3), v.transpose(2, 0, 1, 3))
+        probe = decoding_probe(token.q[:, :, 0]).vector
+        # the cache is token-major: (rows, layers, heads, d_head)
+        self.cache.append(token.k.transpose(2, 0, 1, 3),
+                          token.v.transpose(2, 0, 1, 3))
         view = self.cache.snapshot()
         scores = score_chunks_across_heads(probe, view, mode=cfg.rep_mode)
         thetas = layer_density(scores)
@@ -353,7 +369,7 @@ class Engine:
                                chunk_size=cfg.chunk).budgets
         else:
             budgets = np.full(cfg.layers, cfg.budget)
-        recs = self._attend(q, view, scores, thetas, budgets)
+        recs = self._attend(token.q, view, scores, thetas, budgets)
         step = StepRecord(stage="decoding", index=index, layers=recs)
         self.steps.append(step)
         return step
@@ -361,8 +377,9 @@ class Engine:
     # -- drivers ------------------------------------------------------
 
     def run(self, trace: TraceData | TraceReader) -> RunResult:
-        """Replay every step block of trace, read one at a time from a
-        TraceReader or taken from a TraceData in memory."""
+        """Replay every step block of trace, read from a TraceReader as
+        it goes (a window one layer at a time) or taken from a TraceData
+        in memory; the same steps serve both."""
         h = trace.header
         cfg = self.config
         if (h.d, h.layers, h.heads) != (cfg.d, cfg.layers, cfg.heads):
@@ -381,9 +398,11 @@ class Engine:
             step = (self.prefill_step if blk.stage == "pre-filling"
                     else self.decode_step)
             started = time.perf_counter()
-            step(blk.q, blk.k, blk.v, blk.index)
+            step(blk, index=blk.index)
             seconds[blk.stage].append(time.perf_counter() - started)
-            del blk  # a reader's next block is not read while this one is held
+            # dropped before the next read, so a reader never holds two
+            # tokens and frees its window buffer before the first one
+            del blk
         return RunResult(config=cfg, steps=tuple(self.steps), header=h,
                          step_seconds=seconds)
 

@@ -16,11 +16,14 @@ File layout (version 1, all integers little-endian):
     footer        ground-truth JSON document (when flagged)
 
 In memory a trace keeps this layout: ``TraceData`` holds the two step
-sections and a ``StepBlock`` one (L, H, 3, rows, d_head) block. The
-payload is read in one place, ``TraceReader.blocks()``: one step block
-at a time, in file order, each checked for NaN and infinity as it is
-read, so a replay holds one step block plus the task block, never the
-whole payload. The footer's rules live in ``check_footer``.
+sections and a ``StepBlock`` one (L, H, 3, rows, d_head) block, or
+gives it one layer at a time. The payload is read in one place,
+``TraceReader.blocks()``, in file order. A decode token is read whole;
+a window is read one layer at a time into one reused (H, 3, window,
+d_head) buffer, which the replay copies straight into its cache. Every
+read is checked for NaN and infinity, so a replay holds its cache,
+the task block and one layer of one window, never a whole window or
+the payload. The footer's rules live in ``check_footer``.
 
 Synthetic traces draw background tensors i.i.d. standard normal and
 then plant a relevance structure for each decode step: the step's
@@ -44,7 +47,8 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass, fields
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -132,11 +136,19 @@ class TraceHeader:
 
 @dataclass(frozen=True)
 class StepBlock:
-    """One window or decode token as the file stores it."""
+    """One window or decode token as the file stores it: the whole
+    block in qkv, or, for a window that ``TraceReader`` streams, a
+    read_layer that reads one layer of it from the file."""
 
     stage: str  # "pre-filling" | "decoding"
     index: int
-    qkv: np.ndarray  # (layers, heads, 3, rows, d_head)
+    qkv: np.ndarray | None = None  # (layers, heads, 3, rows, d_head)
+    read_layer: Callable[[int], np.ndarray] | None = None
+
+    def layer(self, l: int) -> np.ndarray:
+        """Layer l's (heads, 3, rows, d_head) slab: a view of qkv, or a
+        streamed read into a buffer that the next read overwrites."""
+        return self.qkv[l] if self.read_layer is None else self.read_layer(l)
 
     @property
     def q(self) -> np.ndarray:
@@ -180,9 +192,9 @@ class TraceData:
 
     def blocks(self) -> Iterator[StepBlock]:
         for t, qkv in enumerate(self.windows):
-            yield StepBlock("pre-filling", t, qkv)
+            yield StepBlock("pre-filling", t, qkv=qkv)
         for s, qkv in enumerate(self.decode):
-            yield StepBlock("decoding", s, qkv)
+            yield StepBlock("decoding", s, qkv=qkv)
 
 
 def _header_json(header: TraceHeader) -> bytes:
@@ -244,24 +256,36 @@ class TraceReader:
             return None
         with open(self.path, "rb") as fh:
             fh.seek(self._payload_start)
-            return _read_block(fh, (h.layers, h.heads, h.task_rows, h.d_head),
+            return _read_block(fh, np.empty((h.layers, h.heads, h.task_rows,
+                                             h.d_head), dtype="<f4"),
                                "task block")
 
     def blocks(self) -> Iterator[StepBlock]:
-        """Every window, then every decode token, read from the file one
-        (L, H, 3, rows, d_head) block at a time."""
+        """Every window, then every decode token, in file order. A decode
+        token is read whole. A window is read one layer at a time by
+        ``StepBlock.layer``, into one (heads, 3, window, d_head) buffer
+        that every window reuses and that is freed after the last one;
+        a layer read seeks to its own bytes, one contiguous range of
+        the block."""
         h = self.header
         size = os.path.getsize(self.path)
         if size < self._payload_start + h.payload_bytes():
             raise TruncatedFile(size, "tensor payload")
+        (_, windows, shape), (stage, tokens, token) = h.sections()
+        at = self._payload_start + h.task_bytes()
+        window_bytes = 4 * math.prod(shape)
         with open(self.path, "rb") as fh:
-            fh.seek(self._payload_start + h.task_bytes())
-            for stage, count, shape in h.sections():
-                for i in range(count):
-                    # no local keeps the block, so once the caller drops
-                    # it the next read does not hold two
-                    yield StepBlock(stage, i, _read_block(
-                        fh, shape, f"{stage} block {i}"))
+            slab = np.empty(shape[1:], dtype="<f4")
+            for t in range(windows):
+                yield StepBlock("pre-filling", t, read_layer=partial(
+                    _read_layer, fh, at + t * window_bytes, slab, t))
+            del slab  # no decode step needs a window-sized buffer
+            fh.seek(at + windows * window_bytes)
+            for s in range(tokens):
+                # no local keeps the token, so once the caller drops it
+                # the next read does not hold two
+                yield StepBlock(stage, s, qkv=_read_block(
+                    fh, np.empty(token, dtype="<f4"), f"{stage} block {s}"))
 
     def load(self) -> TraceData:
         """The whole trace in memory, copied from ``blocks()``."""
@@ -271,25 +295,34 @@ class TraceReader:
         gt = self.ground_truth()
         task = self.task_queries
         for blk in self.blocks():
-            (win if blk.stage == "pre-filling" else dec)[blk.index] = blk.qkv
+            out = (win if blk.stage == "pre-filling" else dec)[blk.index]
+            for l in range(h.layers):
+                out[l] = blk.layer(l)
         return TraceData(header=h, windows=win, decode=dec,
                          task_queries=task, ground_truth=gt)
 
 
-def _read_block(fh, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """The next f32le block of the payload at fh's position: the one
-    place payload bytes become arrays."""
+def _read_layer(fh, start: int, slab: np.ndarray, t: int, l: int
+                ) -> np.ndarray:
+    """Layer l of window t, whose block starts at byte `start`, read
+    into slab."""
+    fh.seek(start + l * slab.nbytes)
+    return _read_block(fh, slab, f"pre-filling block {t}, layer {l}")
+
+
+def _read_block(fh, out: np.ndarray, what: str) -> np.ndarray:
+    """The next f32le block of the payload at fh's position, read into
+    out and returned: the one place payload bytes become arrays."""
     at = fh.tell()
-    count = math.prod(shape)
-    flat = np.fromfile(fh, dtype="<f4", count=count)
-    if flat.size < count:
-        raise TruncatedFile(at + 4 * flat.size, f"tensor payload, {what}")
+    got = fh.readinto(out)
+    if got < out.nbytes:
+        raise TruncatedFile(at + got, f"tensor payload, {what}")
     # float64 accumulation cannot overflow on finite float32 inputs,
     # so a non-finite sum means a NaN or infinity in the block
-    if not np.isfinite(flat.sum(dtype=np.float64)):
+    if not np.isfinite(out.sum(dtype=np.float64)):
         raise TraceFormatError(f"trace payload holds NaN or infinity "
                                f"({what})")
-    return flat.reshape(shape)
+    return out
 
 
 def check_footer(gt, h: TraceHeader) -> None:

@@ -3,7 +3,17 @@ kvprobe code against."""
 
 import numpy as np
 
+from kvprobe.cache import CacheView
 from kvprobe.linalg import DimMismatch, NonFinite
+
+
+def layer_view(view: CacheView, l: int) -> CacheView:
+    """Layer l's part of a view of (layers, heads, d_head) rows: the same
+    tiers over that layer's contiguous rows, slices only."""
+    norms = None if view.key_norms is None else view.key_norms[:, l]
+    return CacheView(view.n_sink, view.chunk, view.keys[:, l],
+                     view.values[:, l], norms, view.rep_keys[:, l],
+                     view.rep_norms[:, l], view.tail_start)
 
 
 def cosine(a, b) -> float:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kvprobe.cache import LayerCache, rep_key_of
+from oracles import layer_view
 
 
 def fill(cache: LayerCache, n: int, dim: int, start: int = 0) -> None:
@@ -125,6 +126,25 @@ def test_snapshot_is_isolated_from_later_appends():
         before.keys[0, 0] = 1.0
 
 
+def test_staged_rows_are_unseen_until_append_commits_them():
+    """Rows written in place through staged() are in no snapshot until
+    append commits them, and appending the staged views stores what
+    appending copies of them stores, across regrowths."""
+    rng = np.random.default_rng(3)
+    geometry = dict(dim=(2, 3, 4), n_sink=2, n_local=3, chunk=2)
+    staged, copied = LayerCache(**geometry), LayerCache(**geometry)
+    for rows in (3, 5, 1, 8):
+        keys = rng.standard_normal((rows, 2, 3, 4)).astype(np.float32)
+        before = staged.snapshot()
+        k, v = staged.staged(rows)
+        k[...], v[...] = keys, keys + 1.0
+        assert staged.snapshot().keys.tobytes() == before.keys.tobytes()
+        assert staged.append(k, v) == copied.append(keys, keys + 1.0)
+    got, want = staged.snapshot(), copied.snapshot()
+    for field in ("keys", "values", "key_norms", "rep_keys", "rep_norms"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
 def test_one_cache_holds_every_layer_stored_layer_major():
     """A cache of (layers, heads, d) rows holds, for each layer, bit for
     bit what a cache of that layer's rows alone holds, and each layer's
@@ -143,7 +163,7 @@ def test_one_cache_holds_every_layer_stored_layer_major():
     assert view.keys.shape == (total, L, H, d)
     assert view.sink_keys.shape[0] == 2
     for l, single in enumerate(singles):
-        got, want = view.layer(l), single.snapshot()
+        got, want = layer_view(view, l), single.snapshot()
         for field in ("keys", "values", "key_norms", "rep_keys", "rep_norms"):
             a, b = getattr(got, field), getattr(want, field)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), field

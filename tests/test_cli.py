@@ -213,14 +213,24 @@ def test_non_finite_trace_exits_2(tmp_path):
     original = gen(tmp_path).read_bytes()
     hlen = struct.unpack("<I", original[8:12])[0]
     payload = 12 + hlen
-    last = payload + json.loads(original[12:payload])["payload_bytes"] - 4
+    h = json.loads(original[12:payload])
+    last = payload + h["payload_bytes"] - 4
+    # a window is read one layer at a time: the last layer's last head
+    # in a middle window, whose Q, K and V rows are `rows` bytes each
+    d_head = h["d"] // h["heads"]
+    rows = h["window"] * d_head * 4
+    layer = h["heads"] * 3 * rows
+    late = (payload + h["layers"] * h["heads"] * h["task_rows"] * d_head * 4
+            + (h["num_windows"] // 2 * h["layers"] + h["layers"] - 1) * layer
+            + (h["heads"] - 1) * 3 * rows)
     outputs = {flag: tmp_path / name for flag, name in (
         ("--report", "r.json"), ("--records", "steps.jsonl"),
         ("--csv", "r.csv"), ("--manifest", "m.json"))}
     trace = tmp_path / "nan.akvt"
-    # inside the first window, and the last value of the last decode
-    # token, which is only read after every other step has run
-    for at in (payload + 400, last):
+    # inside the first window; in that late layer's K rows and in its V
+    # rows; and the last value of the last decode token, which is only
+    # read after every other step has run
+    for at in (payload + 400, late + rows + 36, late + 2 * rows + 36, last):
         raw = bytearray(original)
         raw[at:at + 4] = struct.pack("<f", float("nan"))
         trace.write_bytes(bytes(raw))
@@ -270,6 +280,32 @@ def test_run_holds_one_step_block_of_the_payload(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < header.payload_bytes() + kv_cache, peak
+
+
+def test_run_holds_less_than_one_step_block_beyond_its_cache(tmp_path):
+    """Traced peak of `run` on criterion 6's geometry with 8 heads of
+    d_head 64 stays under the caches' K/V buffers plus one (L, H, 3,
+    window, d_head) float32 step block: a window goes from the file into
+    the cache one layer at a time, so no whole step block is ever held
+    (reading the block whole and then copying it peaks ~1.5 blocks above
+    the cache)."""
+    trace = tmp_path / "t.akvt"
+    assert main(["gen-trace", "--dim", "512", "--heads", "8",
+                 "--windows", "12", "--decode-steps", "5", "--planted", "3",
+                 "--anchor-scale", "4.0", "--drift", "3.0", "--seed", "0",
+                 "--out", str(trace)]) == 0
+    header, _ = read_trace(trace)
+    tokens = header.num_windows * header.window + header.num_decode_steps
+    kv_cache = 2 * header.layers * tokens * header.d * 4
+    block = header.layers * 3 * header.window * header.d * 4
+    tracemalloc.start()
+    try:
+        assert main(["run", "--trace", str(trace), "--budget", "256",
+                     "--report", str(tmp_path / "r.json")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < kv_cache + block, (peak - kv_cache, block)
 
 
 def test_bad_engine_config_exits_3(tmp_path):

@@ -10,13 +10,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 import kvprobe.engine as engine_module
 from kvprobe.cache import LayerCache
 from kvprobe.cutoff import BudgetAllocation, allocate, layer_density
-from kvprobe.engine import (ConfigError, Engine, EngineConfig,
+from kvprobe.engine import (CUTOFF_MODES, PROBE_MODES, REP_MODES,
+                            ConfigError, Engine, EngineConfig,
                             reference_attention, run_trace)
 from kvprobe.linalg import DimMismatch, EmptyInput
 from kvprobe.retrieval import (Gathered, materialize,
                                score_chunks_across_heads, select_topk)
-from kvprobe.tracefile import PlantedSpec, SyntheticConfig, generate_synthetic
-from oracles import dense_attention
+from kvprobe.tracefile import (PlantedSpec, SyntheticConfig,
+                               generate_synthetic, read_trace, write_trace)
+from oracles import dense_attention, layer_view
 
 TINY = SyntheticConfig(d=8, layers=2, heads=2, window=8, num_windows=6,
                        num_decode_steps=3, n_sink=2, chunk=2, n_local=4)
@@ -195,11 +197,11 @@ def _decode_peak(cfg: SyntheticConfig):
     engine.cache.reserve(cfg.num_windows * cfg.window + cfg.num_decode_steps)
     for blk in generate_synthetic(cfg, None, seed=7).blocks():
         if blk.stage == "pre-filling":
-            engine.prefill_step(blk.q, blk.k, blk.v, blk.index)
+            engine.prefill_step(blk, blk.index)
             continue
         tracemalloc.start()
         try:
-            step = engine.decode_step(blk.q, blk.k, blk.v, blk.index)
+            step = engine.decode_step(blk, blk.index)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -215,10 +217,10 @@ def _last_prefill_peak(cfg: SyntheticConfig):
     blocks = list(generate_synthetic(cfg, None, seed=7).blocks())
     *history, last = blocks[:cfg.num_windows]
     for blk in history:
-        engine.prefill_step(blk.q, blk.k, blk.v, blk.index)
+        engine.prefill_step(blk, blk.index)
     tracemalloc.start()
     try:
-        step = engine.prefill_step(last.q, last.k, last.v, last.index)
+        step = engine.prefill_step(last, last.index)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -284,16 +286,36 @@ def test_mean_mode_prefill_step_makes_no_window_sized_float64_copy(cfg):
     assert peak < cfg.window * cfg.layers * cfg.d * 8, peak
 
 
+@pytest.mark.parametrize("rep_mode", REP_MODES)
+@pytest.mark.parametrize("cutoff_mode", CUTOFF_MODES)
+@pytest.mark.parametrize("probe_mode", PROBE_MODES)
+def test_streamed_and_in_memory_traces_replay_alike(tmp_path, probe_mode,
+                                                    cutoff_mode, rep_mode):
+    """run_trace on a TraceReader, which reads each window one layer at a
+    time into one reused buffer, gives the same records as on the
+    TraceData the file was written from: two heads, task queries."""
+    trace = tiny_trace(seed=2, task_rows=3)
+    path = tmp_path / "t.akvt"
+    write_trace(path, trace)
+    _, reader = read_trace(path)
+    config = tiny_config(probe_mode=probe_mode, cutoff_mode=cutoff_mode,
+                         rep_mode=rep_mode)
+    want = [s.to_json() for s in run_trace(trace, config).steps]
+    got = [s.to_json() for s in run_trace(reader, config).steps]
+    assert len(want) == TINY.num_windows + TINY.num_decode_steps
+    assert got == want
+
+
 def test_only_max_score_keeps_member_key_norms():
     blocks = list(tiny_trace().blocks())[:3]
     views = {}
     for rep in ("mean", "max-score"):
         engine = Engine(tiny_config(rep_mode=rep))
         for blk in blocks:
-            engine.prefill_step(blk.q, blk.k, blk.v, blk.index)
+            engine.prefill_step(blk, blk.index)
         views[rep] = engine.cache.snapshot()
     assert views["mean"].key_norms is None
-    assert views["mean"].layer(1).key_norms is None
+    assert layer_view(views["mean"], 1).key_norms is None
     assert views["max-score"].key_norms.shape == (24, TINY.layers, TINY.heads)
     probe = np.ones(views["mean"].keys.shape[1:])
     assert views["mean"].n_candidates > 0
@@ -311,8 +333,8 @@ def test_prefill_checksum_sums_the_last_rows_attention():
     for blk in trace.blocks():
         if blk.stage != "pre-filling":
             break
-        view = engine.cache.snapshot().layer(0)
-        rec = engine.prefill_step(blk.q, blk.k, blk.v, blk.index).layers[0]
+        view = layer_view(engine.cache.snapshot(), 0)
+        rec = engine.prefill_step(blk, blk.index).layers[0]
         keys_sel, vals_sel = materialize(
             select_topk(rec.scores, rec.budget_pairs, config.chunk), view)
         k = np.concatenate([view.sink_keys, keys_sel, view.local_keys,
@@ -426,12 +448,12 @@ def test_every_position_is_in_exactly_one_tier(window, windows, decode_steps,
                                  n_local=n_local, budget=chunk))
     for blk in generate_synthetic(cfg, None, seed=0).blocks():
         if blk.stage == "pre-filling":
-            view = engine.cache.snapshot().layer(0)
-            step = engine.prefill_step(blk.q, blk.k, blk.v, blk.index)
+            view = layer_view(engine.cache.snapshot(), 0)
+            step = engine.prefill_step(blk, blk.index)
             window_rows = window
         else:
-            step = engine.decode_step(blk.q, blk.k, blk.v, blk.index)
-            view = engine.cache.snapshot().layer(0)
+            step = engine.decode_step(blk, blk.index)
+            view = layer_view(engine.cache.snapshot(), 0)
             window_rows = 0
         cover = tier_cover(view, step.layers[0].candidate_ids, window_rows)
         assert (cover == 1).all(), (blk.stage, blk.index,
@@ -593,7 +615,7 @@ def test_batched_step_equals_per_layer_arithmetic(monkeypatch, rep_mode,
     for step, (probe, view) in zip(result.steps, scored, strict=True):
         thetas = []
         for l, rec in enumerate(step.layers):
-            layer = view.layer(l)
+            layer = layer_view(view, l)
             scores = score_chunks_across_heads(probe[l], layer, mode=rep_mode)
             assert rec.scores.tobytes() == scores.tobytes()
             assert rec.theta == layer_density(scores)
@@ -625,7 +647,7 @@ def test_ragged_budgets_select_and_attend_per_layer(monkeypatch):
         if step.stage != "decoding":
             continue
         for l, rec in enumerate(step.layers):
-            layer = view.layer(l)
+            layer = layer_view(view, l)
             sel = select_topk(rec.scores, ragged[l], layer.candidate_rows)
             assert rec.budget_pairs == ragged[l]
             assert (rec.selected, rec.pairs_used) == (sel.selected,
@@ -662,7 +684,7 @@ def test_batched_attention_equals_per_layer_attention(monkeypatch, rep_mode,
                                     strict=True):
         ragged |= len({rec.attended_pairs for rec in step.layers}) > 1
         for l, rec in enumerate(step.layers):
-            layer = view.layer(l)
+            layer = layer_view(view, l)
             keys_sel, vals_sel = materialize(
                 select_topk(rec.scores, rec.budget_pairs,
                             layer.candidate_rows), layer)
@@ -710,7 +732,7 @@ def test_each_phase_is_one_call_per_step(monkeypatch):
     for blk in generate_synthetic(cfg, None, seed=0).blocks():
         step = (engine.prefill_step if blk.stage == "pre-filling"
                 else engine.decode_step)
-        step(blk.q, blk.k, blk.v, blk.index)
+        step(blk, blk.index)
         assert calls == want, (blk.stage, blk.index, calls)
         calls.clear()
         stages.add(blk.stage)

@@ -89,7 +89,8 @@ def test_round_trip_bit_exact(heads, d_head, layers, window, windows,
         assert header == trace.header
         for got, want in zip(reader.blocks(), trace.blocks(), strict=True):
             assert (got.stage, got.index) == (want.stage, want.index)
-            assert np.array_equal(got.qkv, want.qkv)
+            for l in range(layers):
+                assert np.array_equal(got.layer(l), want.qkv[l])
         loaded = reader.load()
         assert np.array_equal(loaded.windows, trace.windows)
         assert np.array_equal(loaded.decode, trace.decode)
@@ -116,13 +117,38 @@ def test_streaming_blocks_match_eager_load(tmp_path):
         stages.append(blk.stage)
         for got in (blk, eager):
             assert (got.stage, got.index) == (want.stage, want.index)
-            # the file's axis of length 3 holds Q, K, V in that order
-            assert np.array_equal(np.stack((got.q, got.k, got.v), axis=2),
-                                  got.qkv)
-            assert np.array_equal(got.q, want.q)
-            assert np.array_equal(got.k, want.k)
-            assert np.array_equal(got.v, want.v)
+            for l in range(trace.header.layers):
+                assert np.array_equal(got.layer(l), want.qkv[l])
+        # the file's axis of length 3 holds Q, K, V in that order
+        assert np.array_equal(np.stack((eager.q, eager.k, eager.v), axis=2),
+                              eager.qkv)
+        assert np.array_equal(eager.q, want.q)
+        assert np.array_equal(eager.k, want.k)
+        assert np.array_equal(eager.v, want.v)
+        # a window streams one layer at a time; a decode token is whole
+        assert (blk.qkv is None) == (blk.stage == "pre-filling")
     assert stages == ["pre-filling"] * 4 + ["decoding"] * 2
+
+
+def test_streamed_windows_share_one_layer_buffer(tmp_path):
+    """Every layer of every window is read into the same (heads, 3,
+    window, d_head) buffer, and each read overwrites the last."""
+    trace = small_trace(seed=5)
+    path = tmp_path / "t.akvt"
+    write_trace(path, trace)
+    _, reader = read_trace(path)
+    h = trace.header
+    slabs = []
+    for blk in reader.blocks():
+        if blk.stage != "pre-filling":
+            break
+        for l in range(h.layers):
+            slab = blk.layer(l)
+            assert slab.shape == (h.heads, 3, h.window, h.d_head)
+            assert np.array_equal(slab, trace.windows[blk.index, l])
+            slabs.append(slab)
+    assert len(slabs) == h.num_windows * h.layers
+    assert all(slab is slabs[0] for slab in slabs)
 
 
 def test_concurrent_iterators(tmp_path):
