@@ -286,7 +286,7 @@ class Engine:
         d_head); scores is (layers, n).
         """
         selections = recall_layer(scores, budgets, view.candidate_rows)
-        rows = [selected_rows(sel, view) for sel in selections]
+        rows = selected_rows(selections, view)
         retrieved = Gathered(view.keys, rows)
         # the cache is token-major; attention reads
         # (layers, heads, pairs, d_head)

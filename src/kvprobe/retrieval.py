@@ -4,12 +4,16 @@ Scores are cosines between the probe and each candidate chunk's
 representative key ("mean" mode) or the best cosine over the chunk's
 member keys ("max-score" mode): one call per step for every layer
 over the cache view's (rows, layers, heads, d_head) arrays. In mean
-mode that is one stacked matrix-vector product per layer and head;
-max-score copies the member keys to float64 one layer at a time. The
-heads' cosines are averaged. A cosine is 0 when either norm is below
-1e-12, and a NaN or infinite one raises NonFinite. The scores are one
-read-only float64 (layers, n) array indexed by chunk id (candidates
-are chunks 0..n-1), and a layer's row of it goes to the step record.
+mode that is one stacked matrix-vector product per layer and head.
+Max-score copies every layer's member keys to float64 one block of
+rows at a time, each block a whole number of chunks and of 4-row
+groups within MEMBER_BLOCK_BYTES, and writes their products into one
+(layers, members, heads) array of dots; one cosine pass and one
+maximum per chunk follow. The heads' cosines are averaged. A cosine
+is 0 when either norm is below 1e-12, and a NaN or infinite one
+raises NonFinite. The scores are one read-only float64 (layers, n)
+array indexed by chunk id (candidates are chunks 0..n-1), and a
+layer's row of it goes to the step record.
 
 Selection is greedy by descending score in whole chunks, ties broken
 toward the older (smaller id) chunk, stopping as soon as the next
@@ -17,19 +21,27 @@ chunk would overflow the pair budget: one stable argsort of the
 negated scores along the chunk axis, one cumulative sum of the pair
 counts in that order, and a count of the prefixes within each layer's
 budget. A selection's rows are its chunks' rows in original token
-order, not score order: materialize gathers one layer's K*/V* rows,
-and Gathered gathers each layer's keys or values when attention reads
+order, not score order, derived for every layer at once by
+selected_rows: materialize gathers one layer's K*/V* rows, and
+Gathered gathers each layer's keys or values when attention reads
 them, one layer at a time.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cache import CacheView, rep_key_of
 from .linalg import ZERO_NORM_EPS, DimMismatch, NonFinite, row_norms
+
+
+# float64 bytes of member keys that max-score copies at once: its
+# blocks of rows stay cache-sized (256 rows at 4 layers of 64 dims)
+MEMBER_BLOCK_BYTES = 512 * 1024
 
 
 class UnknownChunk(KeyError):
@@ -57,7 +69,8 @@ def _cosines(dots: np.ndarray, norms: np.ndarray,
 
 def _dots(rows: np.ndarray, probe: np.ndarray) -> np.ndarray:
     """(..., n, heads) dots of n float64 token-first rows with the
-    (..., heads, d) probe: one matrix-vector product per layer and head."""
+    (..., heads, d) probe: one matrix-vector product per layer and head.
+    Max-score calls it once per block of rows, every layer at once."""
     per_head = np.moveaxis(rows.reshape(len(rows), *probe.shape), 0, -2)
     return np.matmul(per_head, probe[..., None])[..., 0].swapaxes(-1, -2)
 
@@ -102,16 +115,22 @@ def score_chunks_across_heads(probe, view: CacheView,
                              "this cache keeps none")
         lo = view.n_sink
         hi = view.chunk_rows(n - 1)[1] if n else lo
-        starts = np.arange(0, hi - lo, view.chunk)
-        cos = np.empty((*vec.shape[:-2], n, vec.shape[-2]))
-        # one layer at a time, so the float64 copy of the member keys
-        # stays one layer's size
-        for l in np.ndindex(vec.shape[:-2]):
-            rows = (slice(lo, hi), *l)
-            member = _cosines(
-                _dots(view.keys[rows].astype(np.float64), vec[l]),
-                _layered(view.key_norms[rows], vec.shape[-2:-1]), norm[l])
-            cos[l] = np.maximum.reduceat(member, starts)
+        # every layer's member keys go to float64 one block of rows at a
+        # time, whole chunks and whole groups of 4 rows, so that a row's
+        # dot is the same in any block: OpenBLAS's matrix-vector kernels
+        # take rows in fours, and numpy computes a one-row product as a
+        # plain dot, so a lone last row joins the block before it
+        unit = math.lcm(view.chunk, 4)
+        step = max(1, MEMBER_BLOCK_BYTES // (unit * vec.size * 8)) * unit
+        cuts = [lo, *range(lo + step, hi - 1, step), hi]
+        dots = np.empty((*vec.shape[:-2], hi - lo, vec.shape[-2]))
+        for a, b in zip(cuts, cuts[1:]):
+            dots[..., a - lo:b - lo, :] = _dots(
+                view.keys[a:b].astype(np.float64), vec)
+        member = _cosines(dots, _layered(view.key_norms[lo:hi],
+                                         vec.shape[:-1]), norm)
+        cos = np.maximum.reduceat(member, np.arange(0, hi - lo, view.chunk),
+                                  axis=-2)
     else:
         raise ValueError(f"unknown representative mode {mode!r}")
     # C order makes numpy sum each chunk's heads pairwise; another layout
@@ -147,22 +166,32 @@ def select_topk(scores: np.ndarray, budget_pairs, rows):
     return picks if scores.ndim > 1 else picks[0]
 
 
-def selected_rows(selection: SelectionResult, view: CacheView
-                  ) -> np.ndarray:
-    """Token rows of the selected chunks, ascending."""
-    ids = np.sort(np.asarray(selection.selected, dtype=np.int64))
-    bad = ids[(ids < 0) | (ids >= view.n_candidates)]
+def selected_rows(selections: Sequence[SelectionResult], view: CacheView
+                  ) -> list[np.ndarray]:
+    """Token rows of each selection's chunks, ascending: one array per
+    selection (per layer), all derived at once."""
+    n, c = view.n_candidates, view.chunk
+    counts = [len(sel.selected) for sel in selections]
+    ids = np.array([j for sel in selections for j in sel.selected],
+                   dtype=np.int64)
+    bad = ids[(ids < 0) | (ids >= n)]
     if bad.size:
         raise UnknownChunk(int(bad[0]))
-    rows = (view.n_sink + view.chunk * ids[:, None]
-            + np.arange(view.chunk)).ravel()
-    return rows[rows < view.total_pairs]
+    # one sort of layer * n + id orders the ids within each layer and
+    # keeps the layers in turn
+    base = np.repeat(np.arange(len(counts)) * n, counts)
+    ids = np.sort(base + ids) - base
+    rows = (view.n_sink + c * ids[:, None] + np.arange(c)).ravel()
+    kept = rows < view.total_pairs  # only the open chunk may be partial
+    # kept rows before each flat position, so at each layer's end
+    before = np.concatenate(([0], np.cumsum(kept)))
+    return np.split(rows[kept], before[np.cumsum(counts)[:-1] * c])
 
 
 def materialize(selection: SelectionResult, view: CacheView
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Gather the selected chunks' K/V rows in ascending token position."""
-    rows = selected_rows(selection, view)
+    rows, = selected_rows([selection], view)
     return view.keys[rows], view.values[rows]
 
 

@@ -189,10 +189,11 @@ def test_attention_rejects_a_gathered_block_that_misses_a_layer():
                             [Gathered(data, empty)])
 
 
-def _decode_peak(cfg: SyntheticConfig):
+def _decode_peak(cfg: SyntheticConfig, **engine_config):
     """The first decode step on cfg's trace and its tracemalloc peak."""
     engine = Engine(EngineConfig(d=cfg.d, layers=cfg.layers,
-                                 heads=cfg.heads, window=cfg.window))
+                                 heads=cfg.heads, window=cfg.window,
+                                 **engine_config))
     # as Engine.run does: no regrowth
     engine.cache.reserve(cfg.num_windows * cfg.window + cfg.num_decode_steps)
     for blk in generate_synthetic(cfg, None, seed=7).blocks():
@@ -247,6 +248,18 @@ def test_multi_head_decode_step_holds_one_layers_gather():
     one layer at a time, keys and values in turn."""
     cfg = SyntheticConfig(d=512, heads=8)
     step, peak = _decode_peak(cfg)
+    assert {rec.pairs_used for rec in step.layers} == {1472}
+    assert peak < 2 * 1472 * cfg.d * 4, peak
+
+
+@pytest.mark.parametrize("cfg", [SyntheticConfig(),
+                                 SyntheticConfig(d=512, heads=8)],
+                         ids=["H1", "H8"])
+def test_max_score_decode_step_holds_less_than_one_layers_gather(cfg):
+    """A max-score decode step on criterion 5's geometry allocates less
+    than one layer's gathered float32 K/V: every layer's member keys go
+    to float64 one block of rows at a time, not a layer's whole span."""
+    step, peak = _decode_peak(cfg, rep_mode="max-score")
     assert {rec.pairs_used for rec in step.layers} == {1472}
     assert peak < 2 * 1472 * cfg.d * 4, peak
 

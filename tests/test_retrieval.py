@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import kvprobe.retrieval as retrieval
 from kvprobe.cache import LayerCache, rep_key_of
 from kvprobe.linalg import DimMismatch, NonFinite
 from kvprobe.retrieval import (SelectionResult, UnknownChunk, materialize,
-                               score_chunks_across_heads, select_topk)
-from oracles import cosine
+                               score_chunks_across_heads, select_topk,
+                               selected_rows)
+from oracles import cosine, layer_view
 
 
 def view_of(keys, chunk, n_sink=0, n_local=0):
@@ -153,6 +155,14 @@ def test_materialize_unknown_chunk():
     view = view_of([[1.0, 0.0]] * 4, 2, n_local=2)
     with pytest.raises(UnknownChunk):
         materialize(SelectionResult(selected=(1,), pairs_used=2), view)
+    # every layer's rows at once: a bad id in any layer raises
+    view = view_of(np.ones((9, 2, 1, 2)), 2, n_sink=1, n_local=4)
+    assert view.n_candidates == 2
+    for bad in (2, -1):
+        with pytest.raises(UnknownChunk):
+            selected_rows([SelectionResult(selected=(0, 1), pairs_used=4),
+                           SelectionResult(selected=(bad,), pairs_used=2)],
+                          view)
 
 
 def oracle_scores(probe, view, mode, head) -> list[float]:
@@ -210,3 +220,71 @@ def test_vectorized_scores_match_cosine_oracle(n_sink, chunk, n_local, heads,
         [chunks[j].keys for j in picked] or empty))
     assert np.array_equal(values, np.concatenate(
         [chunks[j].values for j in picked] or empty))
+
+
+@settings(max_examples=40, deadline=None)
+@given(chunk=st.integers(1, 5), n_sink=st.integers(0, 6),
+       n_local=st.sampled_from([0, 0, 5]), total=st.integers(0, 90),
+       seed=st.integers(0, 2**32 - 1))
+# chunk=1: every row its own chunk, in 4-row blocks
+@example(chunk=1, n_sink=0, n_local=0, total=90, seed=0)
+# 12-row blocks; the open chunk's 2 rows end the third block mid-way
+@example(chunk=3, n_sink=1, n_local=0, total=30, seed=1)
+# a 25-row span: its lone last row (a 1-row open chunk) joins the block
+# before it
+@example(chunk=3, n_sink=1, n_local=0, total=26, seed=2)
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("layers", [1, 3])
+def test_max_score_blocks_match_one_block(layers, heads, chunk, n_sink,
+                                          n_local, total, seed):
+    """Max-score scores computed a block of rows at a time, with the
+    byte budget cut to one chunk's rows, are bit-identical to one block
+    over every member key, and match the cosine oracle."""
+    rng = np.random.default_rng(seed)
+    dim = 32  # wide enough that a dot's sum order shows in its bits
+    keys = rng.standard_normal((total, layers, heads, dim)).astype(np.float32)
+    keys[rng.random((total, layers, heads)) < 0.2] = 0.0
+    cache = LayerCache(dim=(layers, heads, dim), n_sink=n_sink,
+                       n_local=n_local, chunk=chunk)
+    if total:
+        cache.append(keys, keys + 1.0)
+    view = cache.snapshot()
+    probe = rng.standard_normal((layers, heads, dim)).astype(np.float32)
+    row_bytes = layers * heads * dim * 8
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(retrieval, "MEMBER_BLOCK_BYTES", chunk * row_bytes)
+        blocked = score_chunks_across_heads(probe, view, mode="max-score")
+        mp.setattr(retrieval, "MEMBER_BLOCK_BYTES", (total + 1) * row_bytes)
+        whole = score_chunks_across_heads(probe, view, mode="max-score")
+    assert blocked.tobytes() == whole.tobytes()
+    for l in range(layers):
+        per_head = [oracle_scores(probe[l, h], layer_view(view, l),
+                                  "max-score", h) for h in range(heads)]
+        want = np.mean(np.reshape(per_head, (heads, -1)), axis=0)
+        assert np.allclose(blocked[l], want, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chunk=st.integers(1, 5), n_sink=st.integers(0, 4),
+       n_local=st.sampled_from([0, 3]), total=st.integers(1, 40),
+       picks=st.lists(st.lists(st.integers(0, 12), unique=True),
+                      min_size=1, max_size=3))
+# the open chunk (id 2, 2 of 4 rows) is a candidate; the middle layer
+# selects nothing
+@example(chunk=4, n_sink=1, n_local=0, total=11,
+         picks=[[2, 0], [], [1, 2, 0]])
+def test_selected_rows_match_per_chunk_concatenation(chunk, n_sink, n_local,
+                                                     total, picks):
+    """Every layer's rows, derived at once, are its selected chunks'
+    rows concatenated in id order; a partial open chunk gives only its
+    cached rows, and an empty selection gives none."""
+    view = view_of(np.ones((total, len(picks), 1, 2)), chunk, n_sink=n_sink,
+                   n_local=n_local)
+    selections = [SelectionResult(
+        selected=tuple(j for j in p if j < view.n_candidates), pairs_used=0)
+        for p in picks]
+    got = selected_rows(selections, view)
+    assert len(got) == len(selections)
+    for sel, rows in zip(selections, got):
+        want = [np.arange(*view.chunk_rows(j)) for j in sorted(sel.selected)]
+        assert np.array_equal(rows, np.concatenate(want or [[]]))
