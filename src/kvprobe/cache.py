@@ -265,6 +265,10 @@ class LayerCache:
         self.total_pairs = stop
         full = sealed_chunks(stop, self.n_sink, self.chunk)
         first = self._sealed
+        # one chunk at a time on purpose: a one-call mean over a window's
+        # chunks gives the same reps but holds a window-sized float64 copy
+        # (4 MiB for 256 rows x 4 layers x 8 heads x 64), more than the
+        # pre-fill memory bounds in test_engine and test_cli allow
         for j in range(first, full):
             lo = self.n_sink + j * self.chunk
             rep = rep_key_of(self._k[lo:lo + self.chunk]).astype(np.float64)

@@ -143,7 +143,7 @@ def _cmd_gen_trace(args) -> int:
                           n_sink=args.sinks, chunk=args.chunk,
                           n_local=args.local, task_rows=args.task_rows)
     planted = None
-    if args.planted > 0:
+    if args.planted != 0:  # auto rejects a negative count
         planted = PlantedSpec.auto(cfg, per_step=args.planted,
                                    signal=args.signal,
                                    anchor_fraction=args.anchor_fraction,
@@ -211,11 +211,12 @@ def _cmd_run(args) -> int:
 
 
 def _is_report(doc) -> bool:
-    """Whether doc has the per-layer and overall means compare reads."""
+    """Whether doc has the config object and metric means compare reads."""
     try:
         cells = [doc["overall"]] + [lay["metrics"] for lay in doc["layers"]]
-        return all(isinstance(cell[m]["mean"], (int, float, type(None)))
-                   for cell in cells for m in ("recall", "perplexity"))
+        return isinstance(doc.get("config", {}), dict) and all(
+            isinstance(cell[m]["mean"], (int, float, type(None)))
+            for cell in cells for m in ("recall", "perplexity"))
     except (KeyError, TypeError):
         return False
 

@@ -161,11 +161,12 @@ class RunResult:
                 yield step, rec
 
 
-def reference_attention(q, k, v, causal: bool = True) -> np.ndarray:
+def reference_attention(q, k, v) -> np.ndarray:
     """Scaled dot-product attention of q (..., rows, d_head) over keys
     and values given as one array or an ordered list of blocks, each
     (..., n_i, d_head) with leading axes that broadcast against q's;
-    returns float64 (..., rows, d_head).
+    returns float64 (..., rows, d_head). Every query row sees every key
+    it is given.
 
     A block may also be a retrieval.Gathered, whose item l holds layer
     l's rows for q[l]. Each pass reads each item once: its keys for
@@ -176,16 +177,10 @@ def reference_attention(q, k, v, causal: bool = True) -> np.ndarray:
     given, so no key or value row is copied to float64. Masking,
     max-subtraction, exp and normalisation run in float64, in place on
     one (..., rows, keys) buffer.
-
-    With causal=True the trailing `rows` keys are treated as the
-    queries' own positions: query i may attend key j iff
-    j <= (keys - rows) + i. History keys (everything before the
-    trailing block) are visible to every query.
     """
     Q = np.asarray(q, dtype=np.float32)
     if Q.ndim < 2:
         raise DimMismatch(f"queries shaped {Q.shape}, want (..., rows, d)")
-    rows, d = Q.shape[-2:]
     ks, vs = _blocks(k), _blocks(v)
     if any(b.shape[:1] != Q.shape[:-2][:1]
            for b in ks + vs if isinstance(b, Gathered)):
@@ -201,9 +196,6 @@ def reference_attention(q, k, v, causal: bool = True) -> np.ndarray:
     # Python ints: numpy-integer slice bounds cost more per block
     widths = [b.shape[-2] for b in ks]
     n = sum(widths)
-    n_hist = n - rows
-    if causal and n_hist < 0:
-        raise EmptyInput("more queries than keys under a causal mask")
     starts = list(accumulate(widths, initial=0))
     w = np.empty((*Q.shape[:-1], n))
     for K, at, width in zip(ks, starts, widths):
@@ -215,9 +207,7 @@ def reference_attention(q, k, v, causal: bool = True) -> np.ndarray:
             w[l, ..., at:at + used] = Q[l] @ K[l].swapaxes(-1, -2)
             if used < width:
                 w[l, ..., at + used:at + width] = -np.inf
-    w /= sqrt(d)
-    if causal and rows > 1:  # a single query row sees every key
-        np.copyto(w[..., n_hist:], -np.inf, where=~np.tri(rows, dtype=bool))
+    w /= sqrt(Q.shape[-1])
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
@@ -277,13 +267,12 @@ class Engine:
                 window_v: np.ndarray | None = None
                 ) -> tuple[LayerStepRecord, ...]:
         """Select every layer's chunks under its budget in one call, then
-        attend every layer's and head's last query row over sinks, its
+        attend every layer's and head's query row over sinks, its
         retrieved chunks, the local tail and (pre-fill) the window in
         one call.
 
-        q has shape (layers, heads, rows, d_head), of which the last row
-        attends; window_k/window_v are (layers, heads, window rows,
-        d_head); scores is (layers, n).
+        q has shape (layers, heads, 1, d_head); window_k/window_v are
+        (layers, heads, window rows, d_head); scores is (layers, n).
         """
         selections = recall_layer(scores, budgets, view.candidate_rows)
         rows = selected_rows(selections, view)
@@ -298,8 +287,7 @@ class Engine:
         if window_k is not None:
             k_blocks.append(window_k)
             v_blocks.append(window_v)
-        out = reference_attention(q[:, :, -1:], k_blocks, v_blocks,
-                                  causal=True)
+        out = reference_attention(q, k_blocks, v_blocks)
         # every layer attends the sinks, the tail and the window
         shared = sum(b.shape[-2] for b in k_blocks if b is not retrieved)
         checksums = out.reshape(len(out), -1).sum(axis=1)

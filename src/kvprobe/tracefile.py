@@ -396,6 +396,8 @@ def read_trace(path) -> tuple[TraceHeader, TraceReader]:
         doc = json.loads(raw.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise TraceFormatError(f"header not valid JSON: {e}")
+    if not isinstance(doc, dict):
+        raise TraceFormatError("header JSON is not an object")
     declared = doc.pop("payload_bytes", None)
     try:
         header = TraceHeader(**doc)
@@ -486,13 +488,15 @@ class PlantedSpec:
 
     @classmethod
     def auto(cls, cfg: SyntheticConfig, per_step: int = 1,
-             signal: float = 0.8, anchor_fraction: float = 0.10,
-             anchor_scale: float = 3.0, drift_scale: float = 1.0) -> "PlantedSpec":
+             **knobs) -> "PlantedSpec":
         """Deterministic placement: spread steps over the latest windows
         whose chunks stay retrievable at decode time. Each step takes
         the highest free chunk ids retrievable at its probe window, so
         steps probing from early windows (small candidate pools) keep
-        the low ids only they can use."""
+        the low ids only they can use. knobs are the magnitude fields
+        (signal, anchor_fraction, ...), passed on as they are."""
+        if per_step < 0:
+            raise SpecOutOfRange(f"negative planted count {per_step}")
         steps = cfg.num_decode_steps
         # window w's own chunks must leave the tail by the first decode step
         tail_windows = math.ceil(cfg.n_local / cfg.window)
@@ -501,9 +505,7 @@ class PlantedSpec:
                      if cfg.retrievable_at_window(w) >= max(per_step, 1)), None)
         if steps == 0 or per_step == 0:
             return cls(targets=tuple(() for _ in range(steps)),
-                       probe_windows=tuple(-1 for _ in range(steps)),
-                       signal=signal, anchor_fraction=anchor_fraction,
-                       anchor_scale=anchor_scale, drift_scale=drift_scale)
+                       probe_windows=tuple(-1 for _ in range(steps)), **knobs)
         if w_lo is None or w_lo > w_hi:
             raise SpecOutOfRange("no window is late enough to probe from and "
                                  "early chunks are too few to plant")
@@ -532,8 +534,7 @@ class PlantedSpec:
             used.add(cand[0])
             targets[i] = targets[i] + (cand[0],)
         return cls(targets=tuple(targets), probe_windows=tuple(probe_windows),
-                   signal=signal, anchor_fraction=anchor_fraction,
-                   anchor_scale=anchor_scale, drift_scale=drift_scale)
+                   **knobs)
 
 
 def _validate_planted(cfg: SyntheticConfig, spec: PlantedSpec) -> None:
@@ -541,8 +542,10 @@ def _validate_planted(cfg: SyntheticConfig, spec: PlantedSpec) -> None:
         raise SpecOutOfRange(f"signal {spec.signal} outside [0, 1]")
     if not (0.0 <= spec.anchor_fraction <= 1.0):
         raise SpecOutOfRange("anchor fraction outside [0, 1]")
-    if spec.anchor_scale < 0 or spec.drift_scale < 0:
-        raise SpecOutOfRange("negative magnitude knob")
+    for name in ("anchor_scale", "drift_scale"):
+        value = getattr(spec, name)
+        if not 0 <= value < math.inf:  # NaN fails both comparisons
+            raise SpecOutOfRange(f"{name} {value} is negative or not finite")
     if len(spec.targets) != cfg.num_decode_steps:
         raise SpecOutOfRange(f"{len(spec.targets)} target sets for "
                              f"{cfg.num_decode_steps} decode steps")
@@ -573,6 +576,8 @@ def generate_synthetic(cfg: SyntheticConfig, planted: PlantedSpec | None,
 
     Output is a pure function of (cfg, planted, seed).
     """
+    if seed < 0:
+        raise SpecOutOfRange(f"seed {seed} is negative")
     if planted is not None:
         _validate_planted(cfg, planted)
     rng = np.random.default_rng(seed)

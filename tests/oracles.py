@@ -38,20 +38,18 @@ def cosine(a, b) -> float:
     return min(1.0, max(-1.0, c))
 
 
-def dense_attention(q, k, v, causal: bool = True) -> np.ndarray:
+def dense_attention(q, k, v) -> np.ndarray:
     """Scaled dot-product attention in float64, one query row at a time.
 
-    q is (rows, d), k and v are (keys, d) single arrays. With causal=True
-    query i sees keys 0..(keys - rows) + i.
+    q is (rows, d), k and v are (keys, d) single arrays; every row sees
+    every key.
     """
     Q = np.asarray(q, dtype=np.float64)
     K = np.asarray(k, dtype=np.float64)
     V = np.asarray(v, dtype=np.float64)
-    n_hist = K.shape[0] - Q.shape[0]
     out = np.empty((Q.shape[0], V.shape[1]))
     for i, row in enumerate(Q):
-        seen = K.shape[0] if not causal else n_hist + i + 1
-        logits = K[:seen] @ row / np.sqrt(Q.shape[1])
+        logits = K @ row / np.sqrt(Q.shape[1])
         w = np.exp(logits - logits.max())
-        out[i] = (w / w.sum()) @ V[:seen]
+        out[i] = (w / w.sum()) @ V
     return out

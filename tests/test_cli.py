@@ -343,6 +343,60 @@ def test_bad_generator_spec_exits_3(tmp_path):
         assert not out.exists(), bad
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("bad", [["--seed", "-1"], ["--planted", "-1"],
+                                 ["--anchor-scale", "inf"], ["--drift", "inf"],
+                                 ["--drift", "nan"],
+                                 ["--anchor-scale", "nan"]])
+def test_bad_seed_count_or_magnitude_exits_3(tmp_path, capsys, bad):
+    """A negative seed used to crash in numpy (exit 1); a negative
+    --planted wrote an unplanted trace, and an infinite or NaN magnitude
+    a trace that run rejects or, for NaN drift, silently leaves undrifted
+    (exit 0)."""
+    out = tmp_path / "t.akvt"
+    assert main(GEN + bad + ["--out", str(out)]) == 3
+    assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header", [b"[1,2]", b"7", b'"x"', b"null"])
+def test_header_json_that_is_not_an_object_exits_2(tmp_path, capsys, header):
+    """Valid header JSON that is not an object used to crash (exit 1)."""
+    original = gen(tmp_path).read_bytes()
+    hlen = struct.unpack("<I", original[8:12])[0]
+    trace = tmp_path / "edited.akvt"
+    trace.write_bytes(original[:8] + struct.pack("<I", len(header)) +
+                      header + original[12 + hlen:])
+    report = tmp_path / "r.json"
+    capsys.readouterr()
+    assert main(["run", "--trace", str(trace), "--report", str(report)]
+                + RUN_GEOM) == 2
+    assert_one_error_line(capsys)
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("config", ["x", 5, [1, 2]])
+def test_compare_rejects_a_report_whose_config_is_not_an_object(
+        tmp_path, capsys, config):
+    """Such a config used to crash in the config comparison (exit 1)."""
+    good = tmp_path / "good.json"
+    assert main(["run", "--trace", str(gen(tmp_path)), "--report", str(good)]
+                + RUN_GEOM) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**json.loads(good.read_text()),
+                               "config": config}))
+    out = tmp_path / "d.json"
+    capsys.readouterr()
+    assert main(["compare", "--a", str(good), "--b", str(bad),
+                 "--out", str(out)]) == 2
+    assert_one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_comparing_unrelated_runs_exits_4(tmp_path):
     t1 = gen(tmp_path, "t1.akvt", extra=["--seed", "5"])
     t2 = gen(tmp_path, "t2.akvt", extra=["--seed", "6"])

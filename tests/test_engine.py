@@ -72,7 +72,7 @@ def test_reference_attention_example():
     q = np.zeros((1, d)); q[0, 0] = 1.0
     k = np.zeros((2, d)); k[1, 0] = math.log(3.0) * math.sqrt(d)
     v = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
-    out = reference_attention(q, k, v, causal=False)
+    out = reference_attention(q, k, v)
     # inputs quantize to float32 on entry, hence the tolerance
     assert out[0] == pytest.approx([0.25, 0.75, 0.0, 0.0], abs=1e-6)
 
@@ -81,28 +81,23 @@ def test_reference_attention_uniform_keys_average_values():
     q = np.random.default_rng(0).standard_normal((1, 4))
     k = np.zeros((5, 4))
     v = np.arange(20.0).reshape(5, 4)
-    out = reference_attention(q, k, v, causal=False)
+    out = reference_attention(q, k, v)
     assert out[0] == pytest.approx(v.mean(axis=0))
 
 
-def test_causal_mask_blocks_future_keys():
+def test_every_query_row_sees_every_key():
+    """No key is masked: bumping the last key moves every row's output."""
     rng = np.random.default_rng(1)
     q = rng.standard_normal((3, 4))
-    k = rng.standard_normal((5, 4))  # 2 history rows + 3 own positions
+    k = rng.standard_normal((5, 4))
     v = rng.standard_normal((5, 4))
-    base = reference_attention(q, k, v, causal=True)
+    base = reference_attention(q, k, v)
     k2, v2 = k.copy(), v.copy()
-    k2[4] += 10.0  # future of queries 0 and 1
+    k2[4] += 10.0
     v2[4] -= 5.0
-    bumped = reference_attention(q, k2, v2, causal=True)
-    assert base[:2] == pytest.approx(bumped[:2], abs=1e-9)
-    assert not np.allclose(base[2], bumped[2])
-
-
-def test_causal_mask_rejects_more_queries_than_keys():
-    with pytest.raises(ValueError):
-        reference_attention(np.zeros((3, 2)), np.zeros((2, 2)),
-                            np.zeros((2, 2)), causal=True)
+    bumped = reference_attention(q, k2, v2)
+    for row in range(3):
+        assert not np.allclose(base[row], bumped[row])
 
 
 def _token_major_blocks(rng, sizes, heads, d):
@@ -117,7 +112,7 @@ def _token_major_blocks(rng, sizes, heads, d):
 
 
 def _dense_case(case):
-    """(q, k, v, causal, oracle output) for one attention shape."""
+    """(q, k, v, oracle output) for one attention shape."""
     rng = np.random.default_rng(sum(map(ord, case)))
     d = 64
     if case == "decode-heads":  # one row per head over sinks, chunks, tail
@@ -127,7 +122,7 @@ def _dense_case(case):
         want = np.stack([dense_attention(q[h], np.concatenate(
             [b[h] for b in k]), np.concatenate([b[h] for b in v]))
             for h in range(heads)])
-        return q, k, v, True, want
+        return q, k, v, want
     if case == "prefill-window":  # history then the queries' own rows
         q = rng.standard_normal((48, d)).astype(np.float32)
         hist = rng.standard_normal((2, 300, d)).astype(np.float32)
@@ -135,18 +130,17 @@ def _dense_case(case):
         win[0] = q
         k, v = [hist[0], win[0]], [hist[1], win[1]]
         want = dense_attention(q, np.concatenate(k), np.concatenate(v))
-        return q, k, v, True, want
+        return q, k, v, want
     if case == "split-blocks":  # uneven blocks, an empty one among them
         q = 2.0 * rng.standard_normal((5, d)).astype(np.float32)
         k, v = _token_major_blocks(rng, (7, 0, 130, 1, 61), 1, d)
         k, v = [b[0] for b in k], [b[0] for b in v]
-        want = dense_attention(q, np.concatenate(k), np.concatenate(v),
-                               causal=False)
-        return q, k, v, False, want
+        want = dense_attention(q, np.concatenate(k), np.concatenate(v))
+        return q, k, v, want
     q = rng.standard_normal((20, d))  # one float64 array, converted
     k = rng.standard_normal((400, d))
     v = rng.standard_normal((400, d))
-    return q, k, v, True, dense_attention(q, k, v)
+    return q, k, v, dense_attention(q, k, v)
 
 
 @pytest.mark.parametrize("case", ["decode-heads", "prefill-window",
@@ -154,8 +148,8 @@ def _dense_case(case):
 def test_reference_attention_matches_float64_oracle(case):
     """float32 products with a float64 softmax stay within 1e-5 relative
     of dense float64 attention, whatever the head axis and blocking."""
-    q, k, v, causal, want = _dense_case(case)
-    got = reference_attention(q, k, v, causal=causal)
+    q, k, v, want = _dense_case(case)
+    got = reference_attention(q, k, v)
     assert got.shape == want.shape
     err = np.linalg.norm(got - want) / np.linalg.norm(want)
     assert err <= 1e-5, err
@@ -354,7 +348,7 @@ def test_prefill_checksum_sums_the_last_rows_attention():
                             blk.k[0].transpose(1, 0, 2)])
         v = np.concatenate([view.sink_values, vals_sel, view.local_values,
                             blk.v[0].transpose(1, 0, 2)])
-        want = sum(dense_attention(blk.q[0, h], k[:, h], v[:, h])[-1].sum()
+        want = sum(dense_attention(blk.q[0, h, -1:], k[:, h], v[:, h]).sum()
                    for h in range(config.heads))
         assert rec.attended_pairs == k.shape[0]
         assert rec.attn_checksum == pytest.approx(want, rel=1e-5, abs=1e-5)
@@ -708,7 +702,7 @@ def test_batched_attention_equals_per_layer_attention(monkeypatch, rep_mode,
             if step.stage == "pre-filling":
                 k.append(blk.k[l])
                 v.append(blk.v[l])
-            out = reference_attention(blk.q[l][:, -1:], k, v, causal=True)
+            out = reference_attention(blk.q[l][:, -1:], k, v)
             assert rec.attended_pairs == sum(b.shape[1] for b in k)
             assert rec.attn_checksum == float(out.sum())
     # a partly filled open chunk makes the layers' pair counts differ
