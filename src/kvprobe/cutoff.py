@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import entropy, softmax
+from .linalg import softmax, unchecked_entropy
 from .retrieval import SelectionResult, select_topk
 
 
@@ -39,7 +39,8 @@ def layer_density(scores: np.ndarray):
     to tell apart)."""
     if scores.shape[-1] == 0:
         return np.zeros(scores.shape[:-1]) if scores.ndim > 1 else 0.0
-    return entropy(softmax(scores))
+    # softmax's rows are distributions, so entropy's checks could not fail
+    return unchecked_entropy(softmax(scores))
 
 
 def allocate(theta, initial_total: int, chunk_size: int = 1) -> BudgetAllocation:

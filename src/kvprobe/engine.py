@@ -191,7 +191,11 @@ def reference_attention(q, k, v) -> np.ndarray:
     if sizes != v_sizes:
         raise DimMismatch(f"key blocks of {sizes} rows, value blocks of "
                           f"{v_sizes}")
-    if sum(map(np.asarray, sizes), np.zeros(1, dtype=int)).min() == 0:
+    # keys per layer in Python ints (numpy calls cost more here): a plain
+    # block's one count repeats for every layer of a Gathered block
+    layers = max(map(len, sizes), default=1)
+    if min(map(sum, zip(*(s * (layers // len(s)) for s in sizes))),
+           default=0) == 0:
         raise EmptyInput("attention over zero keys")
     # Python ints: numpy-integer slice bounds cost more per block
     widths = [b.shape[-2] for b in ks]
@@ -211,13 +215,15 @@ def reference_attention(q, k, v) -> np.ndarray:
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
+    # one elementwise cast for every block: the same bits as one per block
+    w = w.astype(np.float32)
     out = np.zeros((*Q.shape[:-1], vs[0].shape[-1]))
     for V, at in zip(vs, starts):
         if isinstance(V, np.ndarray):
-            out += w[..., at:at + V.shape[-2]].astype(np.float32) @ V
+            out += w[..., at:at + V.shape[-2]] @ V
             continue
         for l, used in enumerate(V.sizes):
-            out[l] += w[l, ..., at:at + used].astype(np.float32) @ V[l]
+            out[l] += w[l, ..., at:at + used] @ V[l]
     return out
 
 
@@ -272,7 +278,8 @@ class Engine:
         one call.
 
         q has shape (layers, heads, 1, d_head); window_k/window_v are
-        (layers, heads, window rows, d_head); scores is (layers, n).
+        (layers, heads, window rows, d_head); scores is (layers, n),
+        thetas its (layers,) densities and budgets one int per layer.
         """
         selections = recall_layer(scores, budgets, view.candidate_rows)
         rows = selected_rows(selections, view)
@@ -290,20 +297,23 @@ class Engine:
         out = reference_attention(q, k_blocks, v_blocks)
         # every layer attends the sinks, the tail and the window
         shared = sum(b.shape[-2] for b in k_blocks if b is not retrieved)
-        checksums = out.reshape(len(out), -1).sum(axis=1)
+        candidates = range(scores.shape[1])
+        # Python floats, one conversion per array
+        checksums = out.reshape(len(out), -1).sum(axis=1).tolist()
         return tuple(
             LayerStepRecord(
                 layer=l,
-                candidate_ids=range(scores.shape[1]),
+                candidate_ids=candidates,
                 scores=scores[l],
-                theta=float(thetas[l]),
-                budget_pairs=int(budgets[l]),
+                theta=theta,
+                budget_pairs=budget,
                 selected=sel.selected,
                 pairs_used=sel.pairs_used,
                 attended_pairs=shared + retrieved.sizes[l],
-                attn_checksum=float(checksums[l]),
+                attn_checksum=checksum,
             )
-            for l, sel in enumerate(selections))
+            for l, (sel, theta, budget, checksum) in enumerate(zip(
+                selections, thetas.tolist(), budgets, checksums)))
 
     def prefill_step(self, window: StepBlock, index: int) -> StepRecord:
         """window is (layers, heads, 3, rows, d_head), read one layer at a
@@ -334,7 +344,7 @@ class Engine:
             values[:, l] = slab[:, 2].swapaxes(0, 1)
         scores = score_chunks_across_heads(probes, view, mode=cfg.rep_mode)
         recs = self._attend(last_q, view, scores, layer_density(scores),
-                            np.full(L, cfg.budget),
+                            [cfg.budget] * L,
                             keys.transpose(1, 2, 0, 3),
                             values.transpose(1, 2, 0, 3))
         self.cache.append(keys, values)
@@ -356,7 +366,7 @@ class Engine:
             budgets = allocate(thetas, cfg.total_budget,
                                chunk_size=cfg.chunk).budgets
         else:
-            budgets = np.full(cfg.layers, cfg.budget)
+            budgets = [cfg.budget] * cfg.layers
         recs = self._attend(token.q, view, scores, thetas, budgets)
         step = StepRecord(stage="decoding", index=index, layers=recs)
         self.steps.append(step)

@@ -61,6 +61,12 @@ def entropy(probs):
     if off.any():
         raise NotNormalized(f"probabilities sum to {total[off].flat[0]}, "
                             "not 1")
-    log_p = np.log(p, out=np.zeros_like(p), where=p > 0)
+    return unchecked_entropy(p)
+
+
+def unchecked_entropy(p: np.ndarray):
+    """entropy of a float64 array whose rows are known distributions,
+    such as softmax's output, without its checks."""
+    log_p = np.log(p, out=np.zeros(p.shape), where=p > 0)
     h = -(p * log_p).sum(axis=-1)
     return float(h) if h.ndim == 0 else h

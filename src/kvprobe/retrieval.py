@@ -17,19 +17,24 @@ layer's row of it goes to the step record.
 
 Selection is greedy by descending score in whole chunks, ties broken
 toward the older (smaller id) chunk, stopping as soon as the next
-chunk would overflow the pair budget: one stable argsort of the
-negated scores along the chunk axis, one cumulative sum of the pair
-counts in that order, and a count of the prefixes within each layer's
-budget. A selection's rows are its chunks' rows in original token
-order, not score order, derived for every layer at once by
-selected_rows: materialize gathers one layer's K*/V* rows, and
-Gathered gathers each layer's keys or values when attention reads
-them, one layer at a time.
+chunk would overflow the pair budget. Every chunk holds at least one
+pair, so no layer takes more than k = largest budget // smallest
+chunk chunks, and only the first k of each layer's descending order
+are needed. In a pool of more than 256 chunks and 4k, one partition
+finds each layer's k-th best score and one stable sort orders the
+chunks at or above it, ties included; a smaller pool is sorted whole.
+A binary search over the cumulative pair counts in that order finds
+where each layer's budget stops. A selection's rows are its chunks'
+rows in original token order, not score order, derived from its ids
+one layer at a time by selected_rows: materialize gathers one layer's
+K*/V* rows, and Gathered gathers each layer's keys or values when
+attention reads them, one layer at a time.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -71,14 +76,17 @@ def _dots(rows: np.ndarray, probe: np.ndarray) -> np.ndarray:
     """(..., n, heads) dots of n float64 token-first rows with the
     (..., heads, d) probe: one matrix-vector product per layer and head.
     Max-score calls it once per block of rows, every layer at once."""
-    per_head = np.moveaxis(rows.reshape(len(rows), *probe.shape), 0, -2)
+    d = probe.ndim  # the token axis goes before the last
+    per_head = rows.reshape(len(rows), *probe.shape).transpose(
+        *range(1, d), 0, d)
     return np.matmul(per_head, probe[..., None])[..., 0].swapaxes(-1, -2)
 
 
 def _layered(norms: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Token-first (n, ...) norms as (..., n, heads), shape being the
     probe's (..., heads)."""
-    return np.moveaxis(norms.reshape(len(norms), *shape), 0, -2)
+    d = len(shape)
+    return norms.reshape(len(norms), *shape).transpose(*range(1, d), 0, d)
 
 
 def score_chunks_across_heads(probe, view: CacheView,
@@ -140,52 +148,77 @@ def score_chunks_across_heads(probe, view: CacheView,
     return scores
 
 
+def _shaped(x, shape: tuple[int, ...]) -> np.ndarray:
+    """x as an array of shape, broadcast only when its shape differs
+    (broadcast_to costs more than the check)."""
+    a = np.asarray(x)
+    return a if a.shape == shape else np.broadcast_to(a, shape)
+
+
 def select_topk(scores: np.ndarray, budget_pairs, rows):
     """Greedy descending-score selection in whole chunks.
 
     scores is one layer's (n,) array with an int budget_pairs, giving
     a SelectionResult, or (layers, n) with one budget per layer, giving
     a tuple of one SelectionResult per layer. scores[..., j] is chunk
-    j's score; rows is its pair count, an int or an (n,) array. Stops
-    at the first chunk that would overflow the budget; with uniform
-    chunk size this equals the brute-force top floor(budget/c).
+    j's score; rows is its pair count, an int or an (n,) array, each at
+    least 1. Stops at the first chunk that would overflow the budget;
+    with uniform chunk size this equals the brute-force top floor(budget/c).
     """
-    budgets = np.asarray(budget_pairs)
-    if (budgets < 0).any():
+    n = scores.shape[-1]
+    budgets = _shaped(budget_pairs, scores.shape[:-1]).ravel().tolist()
+    if min(budgets, default=0) < 0:
         raise ValueError("negative budget")
-    # stable, so equal scores (0.0 and -0.0 included) keep id order
-    order = np.argsort(-scores, axis=-1, kind="stable")
-    used = np.broadcast_to(rows, scores.shape[-1:])[order].cumsum(axis=-1)
-    # the prefix sums rise, so this count is where a search would stop
-    taken = (used <= budgets[..., None]).sum(axis=-1)
-    picks = tuple(
-        SelectionResult(selected=tuple(o[:k].tolist()),
-                        pairs_used=int(u[k - 1]) if k else 0)
-        for o, u, k in zip(np.atleast_2d(order), np.atleast_2d(used),
-                           np.atleast_1d(taken)))
-    return picks if scores.ndim > 1 else picks[0]
+    rows = _shaped(rows, (n,))
+    least = int(rows.min()) if n else 1
+    if least < 1:
+        raise ValueError(f"chunk of {least} rows; each needs at least 1")
+    # no layer takes more than k chunks, so only the first k of its
+    # descending order are needed; stable, so equal scores (0.0 and
+    # -0.0 included) keep id order
+    k = min(n, int(max(budgets, default=0)) // least)
+    neg = -scores.reshape(len(budgets), n)
+    # the full stable sort is the cheaper one up to ~256 chunks, or when
+    # k is a quarter of them or more (timed at k 2-256, n 64-1,024)
+    if k and n > max(256, 4 * k):
+        # chunks at or above the k-th best score, ties included, in id
+        # order; their stable sort is the full sort's prefix (a NaN cut
+        # keeps every chunk)
+        cut = np.partition(neg, k - 1, axis=-1)[:, k - 1:k]
+        layer, ids = (~(neg > cut)).nonzero()
+        ids = ids[np.lexsort((neg[layer, ids], layer))]
+        # every layer keeps at least k, and nonzero lists the layers in turn
+        top = ids[layer.searchsorted(np.arange(len(neg)))[:, None]
+                  + np.arange(k)]
+    else:
+        top = np.argsort(neg, axis=-1, kind="stable")[:, :k]
+    picks = []
+    for best, used, budget in zip(top.tolist(),
+                                  rows[top].cumsum(axis=-1).tolist(), budgets):
+        # the prefix sums rise, so a binary search finds where the
+        # greedy loop would stop
+        t = bisect_right(used, budget)
+        picks.append(SelectionResult(selected=tuple(best[:t]),
+                                     pairs_used=used[t - 1] if t else 0))
+    return tuple(picks) if scores.ndim > 1 else picks[0]
 
 
 def selected_rows(selections: Sequence[SelectionResult], view: CacheView
                   ) -> list[np.ndarray]:
     """Token rows of each selection's chunks, ascending: one array per
-    selection (per layer), all derived at once."""
-    n, c = view.n_candidates, view.chunk
-    counts = [len(sel.selected) for sel in selections]
-    ids = np.array([j for sel in selections for j in sel.selected],
-                   dtype=np.int64)
-    bad = ids[(ids < 0) | (ids >= n)]
-    if bad.size:
-        raise UnknownChunk(int(bad[0]))
-    # one sort of layer * n + id orders the ids within each layer and
-    # keeps the layers in turn
-    base = np.repeat(np.arange(len(counts)) * n, counts)
-    ids = np.sort(base + ids) - base
-    rows = (view.n_sink + c * ids[:, None] + np.arange(c)).ravel()
-    kept = rows < view.total_pairs  # only the open chunk may be partial
-    # kept rows before each flat position, so at each layer's end
-    before = np.concatenate(([0], np.cumsum(kept)))
-    return np.split(rows[kept], before[np.cumsum(counts)[:-1] * c])
+    selection (per layer)."""
+    n, c, total = view.n_candidates, view.chunk, view.total_pairs
+    offsets = view.n_sink + np.arange(c)
+    out = []
+    for sel in selections:
+        ids = sorted(sel.selected)
+        if ids and (ids[0] < 0 or ids[-1] >= n):
+            raise UnknownChunk(ids[0] if ids[0] < 0 else ids[-1])
+        rows = (c * np.array(ids, dtype=np.intp)[:, None] + offsets).ravel()
+        # only the open chunk, the last id, may be partial
+        extra = view.n_sink + c * (ids[-1] + 1) - total if ids else 0
+        out.append(rows[:len(rows) - extra] if extra > 0 else rows)
+    return out
 
 
 def materialize(selection: SelectionResult, view: CacheView
@@ -208,4 +241,7 @@ class Gathered:
                       data.shape[3])
 
     def __getitem__(self, l: int) -> np.ndarray:
-        return self._data[self._rows[l], l].transpose(1, 0, 2)
+        # take beats fancy indexing when the layer is one contiguous
+        # block, as in the cache's layer-major buffers; on another layout
+        # it would first copy the whole layer
+        return self._data[:, l].take(self._rows[l], axis=0).transpose(1, 0, 2)

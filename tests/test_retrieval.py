@@ -135,6 +135,74 @@ def test_select_topk_equals_brute_force(scores, budget, c, partial):
         assert len(want) == min(len(scores), budget // c)
 
 
+@pytest.mark.parametrize("rows", [np.array([-3, 5]), np.array([4, 0]), 0])
+def test_select_topk_rejects_chunks_below_one_row(rows):
+    """[-3, 5] used to select both chunks with pairs_used=2, although
+    the 5-row chunk alone overflows the budget of 4."""
+    for scores, budget in ((np.array([0.9, 0.1]), 4),
+                           (np.array([[0.9, 0.1], [0.1, 0.9]]), [4, 0])):
+        with pytest.raises(ValueError):
+            select_topk(scores, budget, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(layers=st.integers(1, 4), n=st.integers(0, 600), c=st.integers(1, 8),
+       partial=st.integers(0, 7), levels=st.integers(1, 6),
+       budgets=st.lists(st.integers(0, 24), min_size=4, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+@example(layers=4, n=496, c=32, partial=0, levels=1, budgets=[8, 0, 9, 8],
+         seed=0)
+@example(layers=2, n=600, c=3, partial=1, levels=2, budgets=[24, 1],
+         seed=1)
+def test_select_topk_large_pools_equal_brute_force(layers, n, c, partial,
+                                                   levels, budgets, seed):
+    """(layers, n) pools of up to 600 chunks, past the size where only
+    each layer's best chunks are sorted: quantized scores with 0.0 and
+    -0.0 put ties on the cut, budgets (in chunks) differ by layer and
+    may be 0, and the last chunk may have only partial rows."""
+    rng = np.random.default_rng(seed)
+    # levels evenly spaced in [0, 1], each negated at random: 0.0 and
+    # -0.0 both occur
+    scores = rng.integers(0, levels + 1, size=(layers, n)) / levels
+    scores = np.where(rng.random((layers, n)) < 0.5, -scores, scores)
+    rows = np.full(n, c)
+    if n and partial % c:
+        rows[-1] = partial % c
+    pairs = [b * c for b in budgets[:layers]]
+    got = select_topk(scores, pairs, rows)
+    for l, sel in enumerate(got):
+        want, used = greedy_oracle(scores[l].tolist(), rows.tolist(), pairs[l])
+        assert sel.selected == want
+        assert sel.pairs_used == used
+
+
+def test_select_topk_sorts_only_each_layers_best(monkeypatch):
+    """On a 4 x 496 pool with budgets of 224 to 288 pairs in 32-row
+    chunks no layer takes more than k = 288 // 32 = 9 chunks, and with
+    distinct scores only those 9 per layer are sorted: a fall back to
+    sorting the whole pool fails here."""
+    sorted_sizes = []
+
+    def counted(name):
+        sort = getattr(np, name)
+
+        def wrapper(a, *args, **kwargs):
+            keys = a[0] if name == "lexsort" else a
+            sorted_sizes.append(np.size(keys))
+            return sort(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("argsort", "lexsort", "sort"):
+        monkeypatch.setattr(np, name, counted(name))
+    rng = np.random.default_rng(0)
+    scores = rng.uniform(-1.0, 1.0, size=(4, 496))
+    rows = np.full(496, 32)
+    got = select_topk(scores, [256, 256, 224, 288], rows)
+    assert sorted_sizes == [4 * 9]
+    for l, (sel, budget) in enumerate(zip(got, [256, 256, 224, 288])):
+        assert sel.selected == greedy_oracle(scores[l], rows, budget)[0]
+
+
 def test_materialize_orders_by_position():
     # one sink, then chunks of one row each
     view = view_of([[5.0, 5.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], 1,

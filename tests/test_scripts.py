@@ -32,3 +32,18 @@ def test_budget_sweep_runs(tmp_path, monkeypatch):
     assert lines[0] == "budget,probe,recall,perplexity"
     assert [line.split(",")[:2] for line in lines[1:]] == [["64", "act"],
                                                           ["64", "mean"]]
+
+
+def test_decode_calls_runs(monkeypatch, capsys):
+    run_script("decode_calls", ["--windows", "3", "4", "--dim", "16",
+                                "--decode-steps", "2", "--planted", "0"],
+               monkeypatch)
+    lines = capsys.readouterr().out.splitlines()
+    # 3 and 4 windows of 256 rows leave 6 and 14 candidates behind the
+    # 64 sinks and the 512-row tail
+    assert lines[0].split()[-4:] == ["6", "cand.", "14", "cand."]
+    counts = {line.rsplit(None, 2)[0]: line.split()[-2:] for line in lines[1:]}
+    assert int(counts["total"][0]) > 0
+    for name in ("engine.Engine.decode_step", "retrieval.select_topk",
+                 "engine.reference_attention"):
+        assert int(counts[name][0]) > 0
