@@ -30,7 +30,8 @@ from .engine import ConfigError, EngineConfig, run_trace
 from .metrics import (ConfigMismatch, build_report, check_geometry,
                       compare_runs, report_to_csv)
 from .tracefile import (PlantedSpec, SpecOutOfRange, SyntheticConfig,
-                        TraceFormatError, generate_synthetic, read_trace)
+                        TraceFormatError, generate_synthetic, read_trace,
+                        write_trace)
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -149,8 +150,8 @@ def _cmd_gen_trace(args) -> int:
                                    anchor_fraction=args.anchor_fraction,
                                    anchor_scale=args.anchor_scale,
                                    drift_scale=args.drift)
-    trace = generate_synthetic(cfg, planted, seed=args.seed,
-                               out_path=args.out)
+    trace = generate_synthetic(cfg, planted, seed=args.seed)
+    write_trace(args.out, trace)
     h = trace.header
     print(f"wrote {args.out}: {h.num_windows} windows x {h.window} rows, "
           f"{h.num_decode_steps} decode steps, layers={h.layers} "

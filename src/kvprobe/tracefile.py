@@ -23,7 +23,8 @@ a window is read one layer at a time into one reused (H, 3, window,
 d_head) buffer, which the replay copies straight into its cache. Every
 read is checked for NaN and infinity, so a replay holds its cache,
 the task block and one layer of one window, never a whole window or
-the payload. The footer's rules live in ``check_footer``.
+the payload. ``_footer`` builds a generated trace's footer, and
+``check_footer`` checks every footer, generated or read alike.
 
 Synthetic traces draw background tensors i.i.d. standard normal and
 then plant a relevance structure for each decode step: the step's
@@ -328,10 +329,11 @@ def _read_block(fh, out: np.ndarray, what: str) -> np.ndarray:
 def check_footer(gt, h: TraceHeader) -> None:
     """Raise TraceFormatError unless gt is a ground-truth footer that
     fits header h: the documented shape and version, one layer list per
-    trace layer in every entry, every decode step and probe window one
-    the header declares, a probe window for every entry that plants
-    chunks, and every chunk id one that the pre-fill windows seal under
-    the footer's geometry."""
+    trace layer in every entry, every decode step one the header
+    declares and named by one entry at most, every probe window one the
+    header declares, a probe window for every entry that plants chunks,
+    and every chunk id one that the pre-fill windows seal under the
+    footer's geometry."""
 
     def bad(what: str) -> TraceFormatError:
         return TraceFormatError(f"ground-truth footer: {what}")
@@ -351,6 +353,7 @@ def check_footer(gt, h: TraceHeader) -> None:
         raise bad("entries is not a list of objects")
     n_chunks = sealed_chunks(h.num_windows * h.window, gt["n_sink"],
                              gt["chunk"])
+    steps: set[int] = set()
     for i, e in enumerate(entries):
         window = e.get("probe_window")
         layers = e.get("layers")
@@ -368,6 +371,9 @@ def check_footer(gt, h: TraceHeader) -> None:
         if not 0 <= e["decode_step"] < h.num_decode_steps:
             raise bad(f"entry {i} names decode step {e['decode_step']}; the "
                       f"trace has {h.num_decode_steps}")
+        if e["decode_step"] in steps:
+            raise bad(f"entry {i} repeats decode step {e['decode_step']}")
+        steps.add(e["decode_step"])
         if window is None and any(layers):
             raise bad(f"entry {i} plants chunks but names no probe window")
         if window is not None and not 0 <= window < h.num_windows:
@@ -431,15 +437,13 @@ class SyntheticConfig:
     task_rows: int = 0
 
     def __post_init__(self):
-        if min(self.d, self.layers, self.heads, self.window, self.chunk) < 1:
-            raise SpecOutOfRange("dimensions, window and chunk must be "
-                                 "positive")
-        if min(self.num_windows, self.num_decode_steps, self.n_sink,
-               self.n_local, self.task_rows) < 0:
-            raise SpecOutOfRange("counts and capacities must be non-negative")
-        if self.d % self.heads != 0:
-            raise SpecOutOfRange(
-                f"d={self.d} not divisible by heads={self.heads}")
+        if self.chunk < 1 or min(self.n_sink, self.n_local) < 0:
+            raise SpecOutOfRange("chunk must be positive, n_sink and n_local "
+                                 "non-negative")
+        try:  # the trace's own shape rules
+            self.header(has_ground_truth=False)
+        except TraceFormatError as e:
+            raise SpecOutOfRange(str(e)) from None
 
     @property
     def d_head(self) -> int:
@@ -452,11 +456,6 @@ class SyntheticConfig:
                            has_task_block=self.task_rows > 0,
                            has_ground_truth=has_ground_truth,
                            task_rows=self.task_rows)
-
-    def prefill_chunks(self) -> int:
-        """Chunks sealed by the pre-filling windows alone."""
-        return sealed_chunks(self.num_windows * self.window, self.n_sink,
-                             self.chunk)
 
     def retrievable_at_window(self, w: int) -> int:
         """Chunks fully outside the local tail when window w pre-fills."""
@@ -538,6 +537,9 @@ class PlantedSpec:
 
 
 def _validate_planted(cfg: SyntheticConfig, spec: PlantedSpec) -> None:
+    """The spec's rules that its footer cannot state: magnitudes in
+    range, one target set and probe window per decode step, no chunk
+    planted twice, and no chunk generated after its probe window."""
     if not (0.0 <= spec.signal <= 1.0):
         raise SpecOutOfRange(f"signal {spec.signal} outside [0, 1]")
     if not (0.0 <= spec.anchor_fraction <= 1.0):
@@ -551,17 +553,9 @@ def _validate_planted(cfg: SyntheticConfig, spec: PlantedSpec) -> None:
                              f"{cfg.num_decode_steps} decode steps")
     if len(spec.probe_windows) != cfg.num_decode_steps:
         raise SpecOutOfRange("probe_windows length mismatch")
-    n_chunks = cfg.prefill_chunks()
     seen: set[int] = set()
     for i, (ids, w) in enumerate(zip(spec.targets, spec.probe_windows)):
-        if not ids:
-            continue
-        if not (0 <= w < cfg.num_windows):
-            raise SpecOutOfRange(f"step {i}: probe window {w} out of range")
         for j in ids:
-            if not (0 <= j < n_chunks):
-                raise SpecOutOfRange(f"step {i}: chunk {j} does not exist "
-                                     f"(pre-fill seals {n_chunks})")
             if j in seen:
                 raise SpecOutOfRange(f"chunk {j} planted for two steps")
             seen.add(j)
@@ -570,19 +564,39 @@ def _validate_planted(cfg: SyntheticConfig, spec: PlantedSpec) -> None:
                                      f"probe window {w}")
 
 
+def _footer(cfg: SyntheticConfig, spec: PlantedSpec) -> dict:
+    """The ground-truth footer of a trace planted by spec: per decode
+    step, its probe window and, for every layer, its sorted chunk ids."""
+    entries = []
+    for i, (ids, w) in enumerate(zip(spec.targets, spec.probe_windows)):
+        layer = sorted(int(j) for j in ids)
+        entries.append({"decode_step": i,
+                        "probe_window": int(w) if ids else None,
+                        "layers": [layer[:] for _ in range(cfg.layers)]})
+    return {"version": GT_VERSION, "n_sink": cfg.n_sink, "chunk": cfg.chunk,
+            "n_local": cfg.n_local, "signal": spec.signal,
+            "entries": entries}
+
+
 def generate_synthetic(cfg: SyntheticConfig, planted: PlantedSpec | None,
-                       seed: int, out_path=None) -> TraceData:
-    """Build a synthetic trace; optionally write it to out_path.
+                       seed: int) -> TraceData:
+    """Build a synthetic trace; ``write_trace`` writes it.
 
     Output is a pure function of (cfg, planted, seed).
     """
     if seed < 0:
         raise SpecOutOfRange(f"seed {seed} is negative")
+    header = cfg.header(has_ground_truth=planted is not None)
+    gt = None
     if planted is not None:
+        gt = _footer(cfg, planted)
+        try:  # probe windows and chunk ids the trace has
+            check_footer(gt, header)
+        except TraceFormatError as e:
+            raise SpecOutOfRange(str(e)) from None
         _validate_planted(cfg, planted)
     rng = np.random.default_rng(seed)
     L, H, m, dh = cfg.layers, cfg.heads, cfg.window, cfg.d_head
-    header = cfg.header(has_ground_truth=planted is not None)
     windows, decode = (np.empty((count, *shape), dtype=np.float32)
                        for _, count, shape in header.sections())
     # drawn in float64 in the order window Q, K, V, decode Q, K, V, one
@@ -598,7 +612,6 @@ def generate_synthetic(cfg: SyntheticConfig, planted: PlantedSpec | None,
     task = (rng.standard_normal((L, H, cfg.task_rows, dh)).astype(np.float32)
             if cfg.task_rows > 0 else None)
 
-    gt = None
     if planted is not None:
         scale = math.sqrt(dh)
         if planted.drift_scale > 0:
@@ -642,24 +655,5 @@ def generate_synthetic(cfg: SyntheticConfig, planted: PlantedSpec | None,
                           ).astype(np.float32)  # (L, H, dh)
                 wq[w][:, :, rset, :] = anchor[:, :, None, :]
 
-        entries = []
-        for i, ids in enumerate(planted.targets):
-            entries.append({
-                "decode_step": i,
-                "probe_window": int(planted.probe_windows[i]) if ids else None,
-                "layers": [sorted(int(j) for j in ids) for _ in range(L)],
-            })
-        gt = {
-            "version": GT_VERSION,
-            "n_sink": cfg.n_sink,
-            "chunk": cfg.chunk,
-            "n_local": cfg.n_local,
-            "signal": s,
-            "entries": entries,
-        }
-
-    trace = TraceData(header=header, windows=windows, decode=decode,
-                      task_queries=task, ground_truth=gt)
-    if out_path is not None:
-        write_trace(out_path, trace)
-    return trace
+    return TraceData(header=header, windows=windows, decode=decode,
+                     task_queries=task, ground_truth=gt)

@@ -196,6 +196,23 @@ def test_malformed_trace_exits_2(tmp_path):
     assert not report.exists()
 
 
+def test_footer_naming_a_decode_step_twice_exits_2(tmp_path, capsys):
+    """A footer that repeated one decode step's entry used to pass, and
+    the report counted that step's recall twice (exit 0)."""
+    original = gen(tmp_path).read_bytes()
+    hlen = struct.unpack("<I", original[8:12])[0]
+    footer_at = 12 + hlen + json.loads(original[12:12 + hlen])["payload_bytes"]
+    footer = json.loads(original[footer_at:])
+    footer["entries"].append(footer["entries"][0])
+    trace = tmp_path / "twice.akvt"
+    trace.write_bytes(original[:footer_at] + json.dumps(footer).encode())
+    report = tmp_path / "r.json"
+    assert main(["run", "--trace", str(trace), "--report", str(report)]
+                + RUN_GEOM) == 2
+    assert_one_error_line(capsys)
+    assert not report.exists()
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["run", "--trace", str(tmp_path / "absent.akvt"),
                  "--report", str(tmp_path / "r.json")]) == 2
@@ -447,3 +464,43 @@ def test_gen_trace_without_planting(tmp_path):
     header, reader = read_trace(path)
     assert not header.has_ground_truth
     assert reader.ground_truth() is None
+
+
+def test_cli_defaults_are_the_librarys(tmp_path, monkeypatch):
+    """Criterion 5 builds SyntheticConfig() as the CLI's defaults, and
+    cli.py restates each default as a literal: pin that they agree."""
+    import argparse
+
+    import kvprobe.cli as cli
+    from kvprobe.engine import (CUTOFF_MODES, PROBE_MODES, REP_MODES,
+                                EngineConfig)
+    from kvprobe.tracefile import PlantedSpec, SyntheticConfig
+
+    calls = {}
+
+    def capture(name):
+        fn = getattr(cli, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] = args
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapped)
+
+    capture("generate_synthetic")
+    capture("run_trace")
+    trace = tmp_path / "t.akvt"
+    assert main(["gen-trace", "--out", str(trace)]) == 0
+    assert main(["run", "--trace", str(trace),
+                 "--report", str(tmp_path / "r.json")]) == 0
+    cfg, planted = calls["generate_synthetic"]
+    assert cfg == SyntheticConfig()
+    assert planted == PlantedSpec.auto(SyntheticConfig(), per_step=1)
+    assert calls["run_trace"][1] == EngineConfig(d=64, layers=4, heads=1,
+                                                 window=256)
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    choices = {a.dest: tuple(a.choices)
+               for a in sub.choices["run"]._actions if a.choices}
+    assert choices == {"probe": PROBE_MODES, "cutoff": CUTOFF_MODES,
+                       "rep": REP_MODES}

@@ -47,3 +47,16 @@ def test_decode_calls_runs(monkeypatch, capsys):
     for name in ("engine.Engine.decode_step", "retrieval.select_topk",
                  "engine.reference_attention"):
         assert int(counts[name][0]) > 0
+
+
+def test_digests_are_repeatable(monkeypatch, capsys):
+    outputs = []
+    for _ in range(2):
+        run_script("digests", ["--smoke"], monkeypatch)
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    names = [line.split("  ")[1] for line in outputs[0].splitlines()]
+    assert len(names) == 24 and len(set(names)) == 24
+    for name in ("long-context", "multi-head", "max-score", "criterion-6",
+                 "odd-h2", "odd-h3"):
+        assert f"{name}.akvt" in names

@@ -236,10 +236,10 @@ def test_generation_is_deterministic(tmp_path):
     a = tmp_path / "a.akvt"
     b = tmp_path / "b.akvt"
     spec = PlantedSpec.auto(SMALL, per_step=1)
-    generate_synthetic(SMALL, spec, seed=11, out_path=a)
-    generate_synthetic(SMALL, spec, seed=11, out_path=b)
+    write_trace(a, generate_synthetic(SMALL, spec, seed=11))
+    write_trace(b, generate_synthetic(SMALL, spec, seed=11))
     assert a.read_bytes() == b.read_bytes()
-    generate_synthetic(SMALL, spec, seed=12, out_path=b)
+    write_trace(b, generate_synthetic(SMALL, spec, seed=12))
     assert a.read_bytes() != b.read_bytes()
 
 
