@@ -3,13 +3,15 @@
 
 Replays a planted trace at acceptance criterion 6's geometry (d=64,
 4 layers, 1 head, 256-row windows, budget 256) once per --windows
-value and wraps the last decode step in sys.setprofile. Every call
+value, scoring chunks with --rep (mean or max-score), and wraps the
+last decode step in sys.setprofile. Every call
 event, Python or C, is charged to the innermost kvprobe function on
 the stack when it is made, so a function's count includes the numpy
 internals it runs. Prints one column per geometry, headed by its
 candidate count; the total row is the step's whole call count.
 
     PYTHONPATH=src python3 scripts/decode_calls.py --windows 16 64
+    PYTHONPATH=src python3 scripts/decode_calls.py --rep max-score
 """
 
 import argparse
@@ -19,6 +21,7 @@ from pathlib import Path
 
 from kvprobe import (Engine, EngineConfig, PlantedSpec, SyntheticConfig,
                      generate_synthetic)
+from kvprobe.engine import REP_MODES
 
 PACKAGE = str(Path(sys.modules["kvprobe"].__file__).parent)
 
@@ -32,6 +35,7 @@ def parse_args():
     p.add_argument("--planted", type=int, default=3,
                    help="target chunks per decode step; 0 plants none")
     p.add_argument("--budget", type=int, default=256)
+    p.add_argument("--rep", choices=REP_MODES, default="mean")
     p.add_argument("--seed", type=int, default=0)
     return p.parse_args()
 
@@ -59,7 +63,8 @@ def count_last_decode_step(windows: int, args) -> tuple[int, Counter]:
                             drift_scale=3.0) if args.planted else None
     trace = generate_synthetic(cfg, spec, seed=args.seed)
     engine = Engine(EngineConfig(d=cfg.d, layers=cfg.layers, heads=cfg.heads,
-                                 window=cfg.window, budget=args.budget))
+                                 window=cfg.window, budget=args.budget,
+                                 rep_mode=args.rep))
     *blocks, last = trace.blocks()
     for blk in blocks:
         step = (engine.prefill_step if blk.stage == "pre-filling"

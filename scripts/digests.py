@@ -13,7 +13,10 @@ script needs only the CLI, so PYTHONPATH picks the checkout it checks:
 
 Cases, all at --seed (default 0):
 - the three benchmark workloads, their arguments taken from
-  perfbench/run.py's WORKLOADS;
+  perfbench/run.py's WORKLOADS, and multi-head's trace again under
+  ``--rep max-score --cutoff fixed``: 8 heads of 64 dims, the one
+  max-score run on several heads whose chunks all take the float32
+  screen;
 - acceptance criterion 6's trace, run under the defaults, under
   ``--rep max-score`` and under ``--probe mean --cutoff fixed
   --budget 96``;
@@ -32,6 +35,7 @@ import importlib.util
 import io
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from kvprobe.cli import main as kvprobe
@@ -77,8 +81,12 @@ def cases(seed: int, smoke: bool, out: Path):
     for wl in load_workloads().values():
         wl = wl.smoke() if smoke else wl
         trace = out / f"{wl.name}.akvt"
-        yield trace, wl.gen_args(seed, trace), [
-            (wl.name, wl.run_args(trace, report(wl.name)))]
+        runs = [(wl.name, wl.run_args(trace, report(wl.name)))]
+        if wl.name == "multi-head":
+            name = f"{wl.name}-max-score"
+            runs.append((name, replace(wl, cutoff="fixed", rep="max-score")
+                         .run_args(trace, report(name))))
+        yield trace, wl.gen_args(seed, trace), runs
     yield own("criterion-6", criterion_6(smoke), {
         "defaults": [], "max-score": ["--rep", "max-score"],
         "mean-fixed-96": ["--probe", "mean", "--cutoff", "fixed",

@@ -5,15 +5,32 @@ representative key ("mean" mode) or the best cosine over the chunk's
 member keys ("max-score" mode): one call per step for every layer
 over the cache view's (rows, layers, heads, d_head) arrays. In mean
 mode that is one stacked matrix-vector product per layer and head.
-Max-score copies every layer's member keys to float64 one block of
-rows at a time, each block a whole number of chunks and of 4-row
-groups within MEMBER_BLOCK_BYTES, and writes their products into one
-(layers, members, heads) array of dots; one cosine pass and one
-maximum per chunk follow. The heads' cosines are averaged. A cosine
-is 0 when either norm is below 1e-12, and a NaN or infinite one
-raises NonFinite. The scores are one read-only float64 (layers, n)
-array indexed by chunk id (candidates are chunks 0..n-1), and a
-layer's row of it goes to the step record.
+
+Max-score screens the member keys with one float32 matrix-vector
+product per layer and head, reading the cached rows in place. Each
+dot over the stored key norm, in float64 and 0 under the zero-norm
+rule, is the cosine times the head's probe norm |p| to within
+eps |p|, eps = gamma(d_head + 1) + (d_head + 4) * 2**-52 and
+gamma(k) = k u / (1 - k u) with u = 2**-24. A member within 2 eps |p|
+of its chunk's best is a contender, and the chunk's exact best is one
+of them. Each chunk's float32 winner alone goes to float64, in
+one batched product per layer and head padded to a multiple of 4
+rows; a chunk with two or more contenders has every row computed so,
+and takes their maximum. OpenBLAS's matrix-vector kernels compute
+rows in groups of 4, and a row in a whole group has the same bits
+wherever the group sits, so these dots are the exact pass's. The
+exact pass copies every member key to float64 one block of rows at a
+time, each block a whole number of chunks and of 4-row groups within
+MEMBER_BLOCK_BYTES, and takes each chunk's maximum. It runs where a
+partial open chunk is a candidate, where the member rows are not a
+multiple of 4 (the last ones fall outside whole groups), or where a
+screened value is not finite (a float32 overflow).
+
+The heads' cosines are averaged. A cosine is 0 when either norm is
+below 1e-12, and a NaN or infinite one raises NonFinite. The scores
+are one read-only float64 (layers, n) array indexed by chunk id
+(candidates are chunks 0..n-1), and a layer's row of it goes to the
+step record.
 
 Selection is greedy by descending score in whole chunks, ties broken
 toward the older (smaller id) chunk, stopping as soon as the next
@@ -44,8 +61,9 @@ from .cache import CacheView, rep_key_of
 from .linalg import ZERO_NORM_EPS, DimMismatch, NonFinite, row_norms
 
 
-# float64 bytes of member keys that max-score copies at once: its
-# blocks of rows stay cache-sized (256 rows at 4 layers of 64 dims)
+# bytes of member keys that max-score copies to float64 at once (256
+# rows at 4 layers of 64 dims), and of float32 keys its screen reads at
+# once when several heads' rows interleave: cache-sized blocks of rows
 MEMBER_BLOCK_BYTES = 512 * 1024
 
 
@@ -89,6 +107,107 @@ def _layered(norms: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return norms.reshape(len(norms), *shape).transpose(*range(1, d), 0, d)
 
 
+def _blocked_max(vec: np.ndarray, probe_norms: np.ndarray, view: CacheView,
+                 hi: int) -> np.ndarray:
+    """(..., n, heads) best member cosine of each candidate chunk, the
+    candidates' member rows being [n_sink, hi), from every member key
+    converted to float64: the exact pass."""
+    lo = view.n_sink
+    # every layer's member keys go to float64 one block of rows at a
+    # time, whole chunks and whole groups of 4 rows, so that a row's dot
+    # is the same in any block: OpenBLAS's matrix-vector kernels take
+    # rows in fours, and numpy computes a one-row product as a plain
+    # dot, so a lone last row joins the block before it
+    unit = math.lcm(view.chunk, 4)
+    step = max(1, MEMBER_BLOCK_BYTES // (unit * vec.size * 8)) * unit
+    cuts = [lo, *range(lo + step, hi - 1, step), hi]
+    dots = np.empty((*vec.shape[:-2], hi - lo, vec.shape[-2]))
+    for a, b in zip(cuts, cuts[1:]):
+        dots[..., a - lo:b - lo, :] = _dots(
+            view.keys[a:b].astype(np.float64), vec)
+    member = _cosines(dots, _layered(view.key_norms[lo:hi], vec.shape[:-1]),
+                      probe_norms[..., None, :])
+    return np.maximum.reduceat(member, np.arange(0, hi - lo, view.chunk),
+                               axis=-2)
+
+
+def _exact_dots(rows: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """(..., m) float64 dots of float32 (..., m, d) rows with the
+    (..., d) probe, m a multiple of 4 (at least 4): each row's bits are
+    those the blocked pass gives it, wherever it sits in its 4-row group."""
+    return np.matmul(rows.astype(np.float64), probe[..., None])[..., 0]
+
+
+def _screened_max(vec: np.ndarray, probe_norms: np.ndarray, view: CacheView,
+                  hi: int):
+    """_blocked_max's result, bit for bit, from a float32 screen and
+    float64 dots for each chunk's winner and each near-tied chunk's rows
+    (see the module docstring); None where the blocked pass must run: a
+    partial open chunk, member rows outside whole 4-row groups, or a
+    screened value that is not finite."""
+    c, lo = view.chunk, view.n_sink
+    span = hi - lo
+    n = span // c
+    if span % 4 or span != n * c:
+        return None
+    shape = vec.shape[:-1]  # (..., heads)
+    last = (*range(1, len(shape) + 1), 0)  # the token axis goes last
+    # (..., heads, span, d) and (..., heads, span) views: no copy
+    keys = view.keys[lo:hi].reshape(span, *vec.shape).transpose(
+        *last, len(shape) + 1)
+    norms = view.key_norms[lo:hi].reshape(span, *shape).transpose(last)
+    probe_norms = probe_norms[..., None]
+    screen = np.empty(keys.shape[:-1], dtype=np.float32)
+    # several heads' rows interleave in the cache, and a cache-sized
+    # block of rows at a time reads them faster (~1.7x at 8 heads of 64
+    # dims); one head's rows are contiguous, and one product over all
+    # of them is the faster (~2x at 15k rows)
+    step = max(1, span if shape[-1] == 1
+               else MEMBER_BLOCK_BYTES // (vec.size * 4))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        probe32 = vec.astype(np.float32)[..., None]
+        for a in range(0, span, step):
+            np.matmul(keys[..., a:a + step, :], probe32,
+                      out=screen[..., a:a + step, None])
+        # each cosine times its head's probe norm, a positive factor that
+        # changes no order within a head; the margin below carries it
+        screen = screen / norms
+    dead = norms < ZERO_NORM_EPS
+    if dead.any():
+        screen[dead] = 0.0  # _cosines' zero-norm rule
+    if not np.isfinite(screen).all():  # a float32 overflow
+        return None
+    screen = screen.reshape(-1, c)  # a row per layer, head and chunk
+    win = screen.argmax(axis=1)
+    best = screen[np.arange(len(win)), win].reshape(*shape, n)
+    # gamma(d+1) covers rounding the probe to float32 and a float32 sum
+    # in any order, FMA included; (d+4) ulps of 1 cover the float64
+    # cosines' own rounding and float32 underflow. A head whose probe
+    # norm is below ZERO_NORM_EPS scores 0 in every row, whichever wins.
+    d = vec.shape[-1]
+    eps = (d + 1) * 2.0**-24 / (1 - (d + 1) * 2.0**-24) + (d + 4) * 2.0**-52
+    near = (screen.reshape(*shape, n, c)
+            >= (best - 2 * eps * probe_norms)[..., None])
+    # each chunk's float32 winner, padded to a multiple of 4 rows by
+    # repeating the last
+    rows = win.reshape(*shape, n) + np.arange(0, span, c)
+    rows = np.concatenate([rows, rows[..., -1:].repeat(-n % 4, axis=-1)],
+                          axis=-1)
+    at = tuple(i[..., None] for i in np.indices(shape, sparse=True))
+    out = _cosines(_exact_dots(keys[(*at, rows)], vec)[..., :n],
+                   norms[(*at, rows[..., :n])], probe_norms)
+    if np.count_nonzero(near) > len(win):  # a chunk with two contenders
+        *at, j = (near.sum(axis=-1) > 1).nonzero()
+        # every row of each near-tied chunk, padded as above
+        rows = (j * c)[:, None] + np.minimum(np.arange(-(-c // 4) * 4), c - 1)
+        at = tuple(at)
+        lead = tuple(a[:, None] for a in at)
+        dots = _exact_dots(keys[(*lead, rows)], vec[at])[:, :c]
+        out[(*at, j)] = _cosines(dots, norms[(*lead, rows[:, :c])],
+                                 probe_norms[at]).max(axis=-1)
+    return out.swapaxes(-1, -2)
+
+
 def score_chunks_across_heads(probe, view: CacheView,
                               mode: str = "mean") -> np.ndarray:
     """Each layer's scores: arithmetic mean over heads of each
@@ -105,7 +224,7 @@ def score_chunks_across_heads(probe, view: CacheView,
         raise DimMismatch(f"probe {vec.shape} for rows {view.keys.shape[1:]}")
     if vec.ndim == 1:
         vec = vec[None]  # one head
-    norm = row_norms(vec)[..., None, :]
+    probe_norms = row_norms(vec)
     n = view.n_candidates
     if mode == "mean":
         sealed = min(n, view.rep_keys.shape[0])
@@ -116,29 +235,16 @@ def score_chunks_across_heads(probe, view: CacheView,
                              ).astype(np.float64)[None]
             dots = np.concatenate([dots, _dots(rep, vec)], axis=-2)
             norms = np.concatenate([norms, row_norms(rep)])
-        cos = _cosines(dots, _layered(norms, vec.shape[:-1]), norm)
+        cos = _cosines(dots, _layered(norms, vec.shape[:-1]),
+                       probe_norms[..., None, :])
     elif mode == "max-score":
         if view.key_norms is None:
             raise ValueError("max-score scoring needs member-key norms; "
                              "this cache keeps none")
-        lo = view.n_sink
-        hi = view.chunk_rows(n - 1)[1] if n else lo
-        # every layer's member keys go to float64 one block of rows at a
-        # time, whole chunks and whole groups of 4 rows, so that a row's
-        # dot is the same in any block: OpenBLAS's matrix-vector kernels
-        # take rows in fours, and numpy computes a one-row product as a
-        # plain dot, so a lone last row joins the block before it
-        unit = math.lcm(view.chunk, 4)
-        step = max(1, MEMBER_BLOCK_BYTES // (unit * vec.size * 8)) * unit
-        cuts = [lo, *range(lo + step, hi - 1, step), hi]
-        dots = np.empty((*vec.shape[:-2], hi - lo, vec.shape[-2]))
-        for a, b in zip(cuts, cuts[1:]):
-            dots[..., a - lo:b - lo, :] = _dots(
-                view.keys[a:b].astype(np.float64), vec)
-        member = _cosines(dots, _layered(view.key_norms[lo:hi],
-                                         vec.shape[:-1]), norm)
-        cos = np.maximum.reduceat(member, np.arange(0, hi - lo, view.chunk),
-                                  axis=-2)
+        hi = view.chunk_rows(n - 1)[1] if n else view.n_sink
+        cos = _screened_max(vec, probe_norms, view, hi)
+        if cos is None:
+            cos = _blocked_max(vec, probe_norms, view, hi)
     else:
         raise ValueError(f"unknown representative mode {mode!r}")
     # C order makes numpy sum each chunk's heads pairwise; another layout

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import kvprobe.engine as engine_module
+import kvprobe.retrieval as retrieval_module
 from kvprobe.cache import LayerCache
 from kvprobe.cutoff import BudgetAllocation, allocate, layer_density
 from kvprobe.engine import (CUTOFF_MODES, PROBE_MODES, REP_MODES,
@@ -251,11 +252,27 @@ def test_multi_head_decode_step_holds_one_layers_gather():
                          ids=["H1", "H8"])
 def test_max_score_decode_step_holds_less_than_one_layers_gather(cfg):
     """A max-score decode step on criterion 5's geometry allocates less
-    than one layer's gathered float32 K/V: every layer's member keys go
-    to float64 one block of rows at a time, not a layer's whole span."""
+    than one layer's gathered float32 K/V: scoring reads the member keys
+    in place in float32 and converts only each chunk's best rows to
+    float64."""
     step, peak = _decode_peak(cfg, rep_mode="max-score")
     assert {rec.pairs_used for rec in step.layers} == {1472}
     assert peak < 2 * 1472 * cfg.d * 4, peak
+
+
+@pytest.mark.parametrize("cfg", [SyntheticConfig(),
+                                 SyntheticConfig(d=512, heads=8)],
+                         ids=["H1", "H8"])
+def test_max_score_decode_step_takes_the_screen(cfg, monkeypatch):
+    """Max-score steps on criterion 5's geometry (chunk 32, n_local 512,
+    d_head 64) score through the float32 screen: the blocked float64
+    pass over every member key never runs."""
+    def blocked(*args):
+        raise AssertionError("max-score fell back to the blocked pass")
+
+    monkeypatch.setattr(retrieval_module, "_blocked_max", blocked)
+    step, _ = _decode_peak(cfg, rep_mode="max-score")
+    assert {rec.pairs_used for rec in step.layers} == {1472}
 
 
 def test_prefill_step_attends_only_the_last_query_row():

@@ -305,9 +305,10 @@ def test_vectorized_scores_match_cosine_oracle(n_sink, chunk, n_local, heads,
 @pytest.mark.parametrize("layers", [1, 3])
 def test_max_score_blocks_match_one_block(layers, heads, chunk, n_sink,
                                           n_local, total, seed):
-    """Max-score scores computed a block of rows at a time, with the
-    byte budget cut to one chunk's rows, are bit-identical to one block
-    over every member key, and match the cosine oracle."""
+    """Max-score scores from the blocked float64 pass (the screen
+    switched off), computed a block of rows at a time with the byte
+    budget cut to one chunk's rows, are bit-identical to one block over
+    every member key, and match the cosine oracle."""
     rng = np.random.default_rng(seed)
     dim = 32  # wide enough that a dot's sum order shows in its bits
     keys = rng.standard_normal((total, layers, heads, dim)).astype(np.float32)
@@ -320,6 +321,7 @@ def test_max_score_blocks_match_one_block(layers, heads, chunk, n_sink,
     probe = rng.standard_normal((layers, heads, dim)).astype(np.float32)
     row_bytes = layers * heads * dim * 8
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(retrieval, "_screened_max", lambda *args: None)
         mp.setattr(retrieval, "MEMBER_BLOCK_BYTES", chunk * row_bytes)
         blocked = score_chunks_across_heads(probe, view, mode="max-score")
         mp.setattr(retrieval, "MEMBER_BLOCK_BYTES", (total + 1) * row_bytes)
@@ -330,6 +332,74 @@ def test_max_score_blocks_match_one_block(layers, heads, chunk, n_sink,
                                   "max-score", h) for h in range(heads)]
         want = np.mean(np.reshape(per_head, (heads, -1)), axis=0)
         assert np.allclose(blocked[l], want, rtol=0.0, atol=1e-12)
+
+
+def near_tied_keys(rng, rows, chunk, n_sink, shape, twins, zeros):
+    """float32 keys of `rows` rows shaped `shape` in which a share
+    `twins` of the member rows copy an earlier row of their chunk,
+    exactly or one ulp away in one dimension, and a share `zeros` of
+    rows and of single heads are 0."""
+    keys = rng.standard_normal((rows, *shape)).astype(np.float32)
+    for r in range(n_sink, rows):
+        first = n_sink + (r - n_sink) // chunk * chunk
+        if r > first and rng.random() < twins:
+            keys[r] = keys[rng.integers(first, r)]
+            if rng.random() < 0.5:
+                at = (*(rng.integers(k) for k in shape),)
+                keys[(r, *at)] = np.nextafter(
+                    keys[(r, *at)], np.float32(rng.choice([-np.inf, np.inf])))
+    keys[rng.random(rows) < zeros] = 0.0
+    keys[rng.random((rows, *shape[:-1])) < zeros] = 0.0
+    return keys
+
+
+@settings(max_examples=250, deadline=None)
+@given(layers=st.integers(1, 3), heads=st.sampled_from([1, 2, 8]),
+       d_head=st.integers(1, 64),
+       chunk=st.sampled_from([4, 8, 12, 32, 1, 2, 3, 5, 6, 7]),
+       n_sink=st.integers(0, 9), n_local=st.sampled_from([0, 5, 64]),
+       chunks=st.integers(0, 12), extra=st.integers(0, 40),
+       twins=st.sampled_from([0.0, 0.3, 0.8]),
+       zeros=st.sampled_from([0.0, 0.1]),
+       # keys near 1e20 against a probe near 1e20 overflow float32
+       scale=st.sampled_from([(1.0, 1.0), (1.0, 1e-3), (1e20, 1.0),
+                              (1e20, 1e20)]),
+       seed=st.integers(0, 2**32 - 1))
+# 8 heads of 64 dims, chunk 32, half the member rows twins
+@example(layers=2, heads=8, d_head=64, chunk=32, n_sink=4, n_local=64,
+         chunks=12, extra=0, twins=0.8, zeros=0.0, scale=(1.0, 1.0), seed=3)
+# one candidate chunk: its winner's product is padded to 4 rows
+@example(layers=1, heads=1, d_head=48, chunk=4, n_sink=0, n_local=5,
+         chunks=1, extra=0, twins=0.8, zeros=0.0, scale=(1.0, 1.0), seed=4)
+# chunk 6: 12 member rows in whole groups of 4, near-tied rows padded
+@example(layers=3, heads=2, d_head=33, chunk=6, n_sink=1, n_local=5,
+         chunks=2, extra=0, twins=0.8, zeros=0.1, scale=(1.0, 1.0), seed=5)
+# float32 overflows: the blocked pass runs
+@example(layers=1, heads=2, d_head=16, chunk=8, n_sink=2, n_local=5,
+         chunks=6, extra=0, twins=0.3, zeros=0.0, scale=(1e20, 1e20), seed=6)
+def test_max_score_screen_matches_blocked_pass_bit_for_bit(
+        layers, heads, d_head, chunk, n_sink, n_local, chunks, extra, twins,
+        zeros, scale, seed):
+    """Max-score scores through the float32 screen and exact winners are
+    byte-identical to the blocked float64 pass's, near ties, zero norms,
+    partial open chunks and float32 overflow included."""
+    rng = np.random.default_rng(seed)
+    shape = (layers, heads, d_head)
+    rows = n_sink + chunks * chunk + n_local + extra
+    keys = near_tied_keys(rng, rows, chunk, n_sink, shape, twins, zeros)
+    keys *= np.float32(scale[0])
+    cache = LayerCache(dim=shape, n_sink=n_sink, n_local=n_local, chunk=chunk)
+    if rows:
+        cache.append(keys, keys)
+    view = cache.snapshot()
+    probe = rng.standard_normal(shape) * scale[1]  # float64, as the engine's
+    probe[rng.random(shape[:-1]) < zeros] = 0.0
+    got = score_chunks_across_heads(probe, view, mode="max-score")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(retrieval, "_screened_max", lambda *args: None)
+        want = score_chunks_across_heads(probe, view, mode="max-score")
+    assert got.shape == (layers, view.n_candidates)
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -35,18 +35,23 @@ def test_budget_sweep_runs(tmp_path, monkeypatch):
 
 
 def test_decode_calls_runs(monkeypatch, capsys):
-    run_script("decode_calls", ["--windows", "3", "4", "--dim", "16",
-                                "--decode-steps", "2", "--planted", "0"],
-               monkeypatch)
-    lines = capsys.readouterr().out.splitlines()
-    # 3 and 4 windows of 256 rows leave 6 and 14 candidates behind the
-    # 64 sinks and the 512-row tail
-    assert lines[0].split()[-4:] == ["6", "cand.", "14", "cand."]
-    counts = {line.rsplit(None, 2)[0]: line.split()[-2:] for line in lines[1:]}
-    assert int(counts["total"][0]) > 0
-    for name in ("engine.Engine.decode_step", "retrieval.select_topk",
-                 "engine.reference_attention"):
-        assert int(counts[name][0]) > 0
+    for rep in ("mean", "max-score"):
+        run_script("decode_calls", ["--windows", "3", "4", "--dim", "16",
+                                    "--decode-steps", "2", "--planted", "0",
+                                    "--rep", rep], monkeypatch)
+        lines = capsys.readouterr().out.splitlines()
+        # 3 and 4 windows of 256 rows leave 6 and 14 candidates behind
+        # the 64 sinks and the 512-row tail
+        assert lines[0].split()[-4:] == ["6", "cand.", "14", "cand."]
+        counts = {line.rsplit(None, 2)[0]: line.split()[-2:]
+                  for line in lines[1:]}
+        assert int(counts["total"][0]) > 0
+        for name in ("engine.Engine.decode_step", "retrieval.select_topk",
+                     "engine.reference_attention"):
+            assert int(counts[name][0]) > 0
+        # max-score scores through the float32 screen alone
+        assert ("retrieval._screened_max" in counts) == (rep == "max-score")
+        assert "retrieval._blocked_max" not in counts
 
 
 def test_digests_are_repeatable(monkeypatch, capsys):
@@ -56,7 +61,7 @@ def test_digests_are_repeatable(monkeypatch, capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     names = [line.split("  ")[1] for line in outputs[0].splitlines()]
-    assert len(names) == 24 and len(set(names)) == 24
+    assert len(names) == 26 and len(set(names)) == 26
     for name in ("long-context", "multi-head", "max-score", "criterion-6",
                  "odd-h2", "odd-h3"):
         assert f"{name}.akvt" in names
