@@ -30,6 +30,13 @@ writes every appended row's float64 key norms at append time;
 without it no member-key norm exists. Scoring reads only these
 arrays.
 
+Every append also writes each row's value sum, the sum over d_head of
+its values added in float64 and rounded once to float32, to a
+(rows, *dim[:-1], 1) column. Attention is linear in V and a step's
+output is read only as its sum over d_head, so the engine attends
+these sums in place of the values; the d_head-wide values stay for
+KVChunk, CacheView.values and materialize.
+
 The retrieval candidates are the chunks whose span ends before
 tail_start. A chunk that straddles tail_start is not one, and its
 rows before tail_start are neither retrievable nor in the tail, so no
@@ -89,8 +96,10 @@ class KVChunk:
 class CacheView:
     """Immutable snapshot of a cached stream.
 
-    keys, values and key_norms hold every cached pair in token order;
-    key_norms is None when the cache keeps no member-key norms.
+    keys, values, value_sums and key_norms hold every cached pair in
+    token order; value_sums is (pairs, *dim[:-1], 1), each row's values
+    summed over d_head, and key_norms is None when the cache keeps no
+    member-key norms.
     rep_keys (float64) and rep_norms hold one row per sealed chunk.
     All are read-only slices of the cache's buffers, indexed token
     first: keys is (pairs, *dim).
@@ -100,6 +109,7 @@ class CacheView:
     chunk: int
     keys: np.ndarray
     values: np.ndarray
+    value_sums: np.ndarray
     key_norms: np.ndarray | None
     rep_keys: np.ndarray
     rep_norms: np.ndarray
@@ -214,6 +224,7 @@ class LayerCache:
         self._lead = max(0, len(row) - 2)  # layer axes
         self._k = np.empty((0, *row), dtype=np.float32)
         self._v = np.empty((0, *row), dtype=np.float32)
+        self._vsum = np.empty((0, *row[:-1], 1), dtype=np.float32)
         self._knorm = np.empty((0, *row[:-1])) if key_norms else None
         self._rep = np.empty((0, *row))
         self._rep_norm = np.empty((0, *row[:-1]))
@@ -231,6 +242,7 @@ class LayerCache:
         n, sealed, lead = self.total_pairs, self._sealed, self._lead
         self._k = _resized(self._k, rows, n, lead)
         self._v = _resized(self._v, rows, n, lead)
+        self._vsum = _resized(self._vsum, rows, n, lead)
         if self._knorm is not None:
             self._knorm = _resized(self._knorm, rows, n, lead)
         self._rep = _resized(self._rep, chunks, sealed, lead)
@@ -260,6 +272,8 @@ class LayerCache:
         keys_at[...] = k
         values_at[...] = v
         start, stop = self.total_pairs, self.total_pairs + k.shape[0]
+        self._vsum[start:stop] = self._v[start:stop].sum(
+            axis=-1, dtype=np.float64, keepdims=True)
         if self._knorm is not None:
             self._knorm[start:stop] = row_norms(self._k[start:stop])
         self.total_pairs = stop
@@ -278,6 +292,12 @@ class LayerCache:
         return full - first
 
     @property
+    def value_sums(self) -> np.ndarray:
+        """Read-only value sums of every committed row, as in a snapshot
+        taken now."""
+        return _read_only(self._vsum[:self.total_pairs])
+
+    @property
     def tail_start(self) -> int:
         return tail_start_of(self.total_pairs, self.n_sink, self.n_local)
 
@@ -287,6 +307,7 @@ class LayerCache:
             n_sink=self.n_sink, chunk=self.chunk,
             keys=_read_only(self._k[:n]),
             values=_read_only(self._v[:n]),
+            value_sums=_read_only(self._vsum[:n]),
             key_norms=(None if self._knorm is None
                        else _read_only(self._knorm[:n])),
             rep_keys=_read_only(self._rep[:self._sealed]),

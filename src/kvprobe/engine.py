@@ -10,14 +10,16 @@ pre-filling
     at a time. The snapshot is taken first. Then each layer folds the
     window's queries (plus any task queries) into its running
     statistics, builds one (heads, d_head) probe, and writes the
-    window's keys and values straight into the cache's next rows,
-    which the snapshot does not see; so a replay holds the cache plus
-    one layer of one window. Then every layer's retrievable chunks are
-    scored and each layer greedily selects up to the layer budget;
-    reference attention runs over [sinks, retrieved, local tail,
-    window] for the window's last query row, every layer and head in
-    one call; that row sees the whole window and all of the history.
-    The window's rows are committed to the cache only after attention.
+    window's keys and values straight into the cache's next rows;
+    so a replay holds the cache plus one layer of one window. The
+    window's rows are then committed, which sums each row's values
+    once; the snapshot's slices stop at the old total, so scoring and
+    the tiers still see only the history. Every layer's retrievable
+    chunks are scored and each layer greedily selects up to the layer
+    budget; reference attention runs over [sinks, retrieved, local
+    tail, window] for the window's last query row, every layer and
+    head in one call; that row sees the whole window and all of the
+    history.
 
 decoding
     One token at a time, two phases. The token's key/value pair enters
@@ -30,11 +32,16 @@ decoding
     attended set is exactly sinks + retrieved + local, and every layer
     and head attends it in one call.
 
+A record keeps only the attention output's sum over heads and d_head,
+and attention is linear in V, so the value blocks are the rows' value
+sums, one float32 per row and head kept by the cache: the output is
+(layers, heads, 1, 1), and no step reads a d_head-wide value row.
 Attention reads the sink and local tiers (and the pre-fill window) as
-(layers, heads, pairs, d_head) views of the float32 rows. Only the
-retrieved chunks are gathered, one layer at a time: a layer's keys
-while the logits are written, then its values while the outputs are
-summed, so the step holds one layer's gathered keys or values at once.
+(layers, heads, pairs, d_head) views of the float32 keys and
+(layers, heads, pairs, 1) views of the value sums. Only the retrieved
+chunks are gathered, one layer at a time: a layer's keys while the
+logits are written, then its value sums while the outputs are summed,
+so the step holds one layer's gathered keys or value sums at once.
 """
 
 from __future__ import annotations
@@ -163,10 +170,10 @@ class RunResult:
 
 def reference_attention(q, k, v) -> np.ndarray:
     """Scaled dot-product attention of q (..., rows, d_head) over keys
-    and values given as one array or an ordered list of blocks, each
-    (..., n_i, d_head) with leading axes that broadcast against q's;
-    returns float64 (..., rows, d_head). Every query row sees every key
-    it is given.
+    and values given as one array or an ordered list of blocks, keys
+    (..., n_i, d_head) and values (..., n_i, d_v), with leading axes
+    that broadcast against q's; returns float64 (..., rows, d_v). Every
+    query row sees every key it is given.
 
     A block may also be a retrieval.Gathered, whose item l holds layer
     l's rows for q[l]. Each pass reads each item once: its keys for
@@ -270,30 +277,33 @@ class Engine:
 
     def _attend(self, q: np.ndarray, view: CacheView, scores: np.ndarray,
                 thetas, budgets, window_k: np.ndarray | None = None,
-                window_v: np.ndarray | None = None
+                window_sums: np.ndarray | None = None
                 ) -> tuple[LayerStepRecord, ...]:
         """Select every layer's chunks under its budget in one call, then
         attend every layer's and head's query row over sinks, its
         retrieved chunks, the local tail and (pre-fill) the window in
-        one call.
+        one call. The value blocks are the rows' value sums, so the
+        output is (layers, heads, 1, 1) and no value row is read.
 
-        q has shape (layers, heads, 1, d_head); window_k/window_v are
-        (layers, heads, window rows, d_head); scores is (layers, n),
-        thetas its (layers,) densities and budgets one int per layer.
+        q has shape (layers, heads, 1, d_head); window_k is (layers,
+        heads, window rows, d_head) and window_sums (layers, heads,
+        window rows, 1); scores is (layers, n), thetas its (layers,)
+        densities and budgets one int per layer.
         """
         selections = recall_layer(scores, budgets, view.candidate_rows)
         rows = selected_rows(selections, view)
         retrieved = Gathered(view.keys, rows)
+        sums = view.value_sums
         # the cache is token-major; attention reads
         # (layers, heads, pairs, d_head)
         k_blocks = [view.sink_keys.transpose(1, 2, 0, 3), retrieved,
                     view.local_keys.transpose(1, 2, 0, 3)]
-        v_blocks = [view.sink_values.transpose(1, 2, 0, 3),
-                    Gathered(view.values, rows),
-                    view.local_values.transpose(1, 2, 0, 3)]
+        v_blocks = [sums[:view.n_sink].transpose(1, 2, 0, 3),
+                    Gathered(sums, rows),
+                    sums[view.tail_start:].transpose(1, 2, 0, 3)]
         if window_k is not None:
             k_blocks.append(window_k)
-            v_blocks.append(window_v)
+            v_blocks.append(window_sums)
         out = reference_attention(q, k_blocks, v_blocks)
         # every layer attends the sinks, the tail and the window
         shared = sum(b.shape[-2] for b in k_blocks if b is not retrieved)
@@ -342,12 +352,15 @@ class Engine:
             probes[l] = self._probe_for(l, q_eff).vector
             keys[:, l] = slab[:, 1].swapaxes(0, 1)
             values[:, l] = slab[:, 2].swapaxes(0, 1)
+        # committed before attention, which reads the window's value sums
+        # from the cache; the snapshot's slices stop at the old total
+        self.cache.append(keys, values)
         scores = score_chunks_across_heads(probes, view, mode=cfg.rep_mode)
         recs = self._attend(last_q, view, scores, layer_density(scores),
                             [cfg.budget] * L,
                             keys.transpose(1, 2, 0, 3),
-                            values.transpose(1, 2, 0, 3))
-        self.cache.append(keys, values)
+                            self.cache.value_sums[view.total_pairs:]
+                            .transpose(1, 2, 0, 3))
         step = StepRecord(stage="pre-filling", index=index, layers=recs)
         self.steps.append(step)
         return step

@@ -4,8 +4,10 @@ Stored payloads are float32. Norms, softmax and entropy accumulate in
 float64, so scores and densities are reproducible across platforms at
 the dimensions this engine targets (d <= 4096). Attention
 (engine.reference_attention, one call per step for every layer and
-head) is the exception: its logits and weighted value sums are float32
-products on the cached rows, and only its softmax runs in float64.
+head) is the exception: its logits are float32 products on the cached
+keys, and its weighted sums are float32 products on the rows' value
+sums (each added in float64 and rounded once by the cache); only its
+softmax runs in float64.
 """
 
 from __future__ import annotations

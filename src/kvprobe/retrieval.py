@@ -44,7 +44,7 @@ A binary search over the cumulative pair counts in that order finds
 where each layer's budget stops. A selection's rows are its chunks'
 rows in original token order, not score order, derived from its ids
 one layer at a time by selected_rows: materialize gathers one layer's
-K*/V* rows, and Gathered gathers each layer's keys or values when
+K*/V* rows, and Gathered gathers each layer's keys or value sums when
 attention reads them, one layer at a time.
 """
 
@@ -336,9 +336,10 @@ def materialize(selection: SelectionResult, view: CacheView
 
 class Gathered:
     """Each layer's selected rows of a view's (pairs, layers, heads,
-    d_head) keys or values: item l is layer l's (heads, rows, d_head),
-    gathered when it is read. shape is the block's shape padded to its
-    widest layer, and sizes holds each layer's rows."""
+    width) keys (width d_head) or value sums (width 1): item l is layer
+    l's (heads, rows, width), gathered when it is read. shape is the
+    block's shape padded to its widest layer, and sizes holds each
+    layer's rows."""
 
     def __init__(self, data: np.ndarray, rows: list[np.ndarray]):
         self._data, self._rows = data, rows

@@ -12,8 +12,9 @@ def layer_view(view: CacheView, l: int) -> CacheView:
     tiers over that layer's contiguous rows, slices only."""
     norms = None if view.key_norms is None else view.key_norms[:, l]
     return CacheView(view.n_sink, view.chunk, view.keys[:, l],
-                     view.values[:, l], norms, view.rep_keys[:, l],
-                     view.rep_norms[:, l], view.tail_start)
+                     view.values[:, l], view.value_sums[:, l], norms,
+                     view.rep_keys[:, l], view.rep_norms[:, l],
+                     view.tail_start)
 
 
 def cosine(a, b) -> float:

@@ -141,8 +141,41 @@ def test_staged_rows_are_unseen_until_append_commits_them():
         assert staged.snapshot().keys.tobytes() == before.keys.tobytes()
         assert staged.append(k, v) == copied.append(keys, keys + 1.0)
     got, want = staged.snapshot(), copied.snapshot()
-    for field in ("keys", "values", "key_norms", "rep_keys", "rep_norms"):
+    for field in ("keys", "values", "value_sums", "key_norms", "rep_keys",
+                  "rep_norms"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
+@pytest.mark.parametrize("dim", [4, (2, 4), (3, 2, 4)])
+def test_value_sums_add_each_rows_values_in_float64_once(dim):
+    """A row's value sum is its values added in float64 and rounded once
+    to float32: 1 + 2**-24 + 2**-24 is 1 + 2**-23, which a float32 sum
+    from the left rounds to 1. It is kept for staged and copied rows
+    alike, (rows, *dim[:-1], 1), and read-only."""
+    rng = np.random.default_rng(7)
+    shape = np.empty(dim).shape
+    cache = LayerCache(dim=dim, n_sink=2, n_local=3, chunk=2)
+    written = []
+    for rows in (3, 1, 6):
+        values = rng.standard_normal((rows, *shape)).astype(np.float32)
+        values[0, ...] = (1.0, 2.0**-24, 2.0**-24, 0.0)
+        if rows > 1:  # written in place through staged()
+            k, v = cache.staged(rows)
+            k[...] = v[...] = values
+            cache.append(k, v)
+        else:
+            cache.append(values, values)
+        written.append(values)
+    values = np.concatenate(written)
+    want = values.astype(np.float64).sum(axis=-1, keepdims=True)
+    got = cache.snapshot().value_sums
+    assert got.shape == (values.shape[0], *shape[:-1], 1)
+    assert got.dtype == np.float32
+    assert got.tobytes() == want.astype(np.float32).tobytes()
+    assert (got[0] == np.float32(1.0 + 2.0**-23)).all()
+    assert cache.value_sums.tobytes() == got.tobytes()
+    with pytest.raises(ValueError):
+        got[0] = 0.0
 
 
 def test_one_cache_holds_every_layer_stored_layer_major():
@@ -164,7 +197,8 @@ def test_one_cache_holds_every_layer_stored_layer_major():
     assert view.sink_keys.shape[0] == 2
     for l, single in enumerate(singles):
         got, want = layer_view(view, l), single.snapshot()
-        for field in ("keys", "values", "key_norms", "rep_keys", "rep_norms"):
+        for field in ("keys", "values", "value_sums", "key_norms",
+                      "rep_keys", "rep_norms"):
             a, b = getattr(got, field), getattr(want, field)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
             assert a.flags.c_contiguous, field

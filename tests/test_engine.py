@@ -16,7 +16,8 @@ from kvprobe.engine import (CUTOFF_MODES, PROBE_MODES, REP_MODES,
                             reference_attention, run_trace)
 from kvprobe.linalg import DimMismatch, EmptyInput
 from kvprobe.retrieval import (Gathered, materialize,
-                               score_chunks_across_heads, select_topk)
+                               score_chunks_across_heads, select_topk,
+                               selected_rows)
 from kvprobe.tracefile import (PlantedSpec, SyntheticConfig,
                                generate_synthetic, read_trace, write_trace)
 from oracles import dense_attention, layer_view
@@ -676,10 +677,12 @@ def test_ragged_budgets_select_and_attend_per_layer(monkeypatch):
             assert rec.budget_pairs == ragged[l]
             assert (rec.selected, rec.pairs_used) == (sel.selected,
                                                       sel.pairs_used)
-            keys_sel, vals_sel = materialize(sel, layer)
+            keys_sel, _ = materialize(sel, layer)
+            rows, = selected_rows([sel], layer)
+            sums = layer.value_sums
             k = np.concatenate([layer.sink_keys, keys_sel, layer.local_keys])
-            v = np.concatenate([layer.sink_values, vals_sel,
-                                layer.local_values])
+            v = np.concatenate([sums[:layer.n_sink], sums[rows],
+                                sums[layer.tail_start:]])
             assert rec.attended_pairs == k.shape[0]
             got = attended[i][l]
             want = np.stack([dense_attention(blk.q[l, h], k[:, h], v[:, h])
@@ -709,21 +712,86 @@ def test_batched_attention_equals_per_layer_attention(monkeypatch, rep_mode,
         ragged |= len({rec.attended_pairs for rec in step.layers}) > 1
         for l, rec in enumerate(step.layers):
             layer = layer_view(view, l)
-            keys_sel, vals_sel = materialize(
-                select_topk(rec.scores, rec.budget_pairs,
-                            layer.candidate_rows), layer)
+            sel = select_topk(rec.scores, rec.budget_pairs,
+                              layer.candidate_rows)
+            keys_sel, _ = materialize(sel, layer)
+            rows, = selected_rows([sel], layer)
+            sums = layer.value_sums
             k = [a.transpose(1, 0, 2) for a in
                  (layer.sink_keys, keys_sel, layer.local_keys)]
             v = [a.transpose(1, 0, 2) for a in
-                 (layer.sink_values, vals_sel, layer.local_values)]
+                 (sums[:layer.n_sink], sums[rows], sums[layer.tail_start:])]
             if step.stage == "pre-filling":
                 k.append(blk.k[l])
-                v.append(blk.v[l])
+                # token-major like the cache's sums, so the float32
+                # products take the same path
+                window = np.ascontiguousarray(blk.v[l].swapaxes(0, 1))
+                v.append(window.sum(axis=-1, dtype=np.float64, keepdims=True)
+                         .astype(np.float32).swapaxes(0, 1))
             out = reference_attention(blk.q[l][:, -1:], k, v)
             assert rec.attended_pairs == sum(b.shape[1] for b in k)
             assert rec.attn_checksum == float(out.sum())
     # a partly filled open chunk makes the layers' pair counts differ
     assert ragged == (n_local == 0)
+
+
+@pytest.mark.parametrize("n_local", [0, 4])
+@pytest.mark.parametrize("rep_mode", ["mean", "max-score"])
+def test_decode_checksum_sums_the_tokens_attention(monkeypatch, rep_mode,
+                                                   n_local):
+    """A decode record's checksum is the sum over heads and d_head of the
+    token's query attended, in float64, over the full values of the
+    sinks, the layer's retrieved chunks and the local tail."""
+    trace, config, result, scored, _ = layered_run(monkeypatch, rep_mode,
+                                                   n_local)
+    checked = 0
+    for step, (_, view), blk in zip(result.steps, scored, trace.blocks(),
+                                    strict=True):
+        if step.stage != "decoding":
+            continue
+        for l, rec in enumerate(step.layers):
+            layer = layer_view(view, l)
+            keys_sel, vals_sel = materialize(
+                select_topk(rec.scores, rec.budget_pairs,
+                            layer.candidate_rows), layer)
+            k = np.concatenate([layer.sink_keys, keys_sel, layer.local_keys])
+            v = np.concatenate([layer.sink_values, vals_sel,
+                                layer.local_values])
+            want = sum(dense_attention(blk.q[l, h], k[:, h], v[:, h]).sum()
+                       for h in range(config.heads))
+            assert rec.attended_pairs == k.shape[0]
+            assert rec.attn_checksum == pytest.approx(want, rel=1e-5,
+                                                      abs=1e-5)
+            checked += 1
+    assert checked == LAYERED.num_decode_steps * LAYERED.layers
+
+
+@pytest.mark.parametrize("n_local", [0, 4])
+@pytest.mark.parametrize("rep_mode", ["mean", "max-score"])
+def test_steps_read_no_value_row(monkeypatch, rep_mode, n_local):
+    """Attention reads the rows' value sums, never a d_head-wide value
+    row: a replay whose snapshots hold NaN values gives the same
+    records."""
+    trace = generate_synthetic(
+        dataclasses.replace(LAYERED, n_local=n_local, task_rows=2), None,
+        seed=4)
+    config = EngineConfig(d=LAYERED.d, layers=LAYERED.layers,
+                          heads=LAYERED.heads, window=LAYERED.window,
+                          chunk=LAYERED.chunk, n_sink=LAYERED.n_sink,
+                          n_local=n_local, budget=6, rep_mode=rep_mode)
+    want = [s.to_json() for s in run_trace(trace, config).steps]
+    snapshot, blanked = LayerCache.snapshot, []
+
+    def nan_values(cache):
+        view = snapshot(cache)
+        blanked.append(view.total_pairs)
+        return dataclasses.replace(view,
+                                   values=np.full_like(view.values, np.nan))
+
+    monkeypatch.setattr(LayerCache, "snapshot", nan_values)
+    got = [s.to_json() for s in run_trace(trace, config).steps]
+    assert len(blanked) == len(want) and max(blanked) > 0
+    assert got == want
 
 
 def test_each_phase_is_one_call_per_step(monkeypatch):
