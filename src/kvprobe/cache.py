@@ -1,11 +1,14 @@
 """Chunked, tiered KV cache: one cache holds every layer of a stream.
 
-The stream lives in one float32 K buffer and one V buffer. A row is
-dim: (layers, heads, d_head) in the engine, or (heads, d_head) or an
-int for a single layer. The buffers are stored layer-major,
-(layers, capacity, heads, d_head), so each layer's rows are one
+The stream lives in one float32 K buffer and one float32 V buffer. A
+row is dim: (layers, heads, d_head) in the engine, or (heads, d_head)
+or an int for a single layer. A row's value is the sum of its d_head
+values, added in float64 and rounded once: attention is linear in V
+and a step's output is read only as its sum over d_head, so the V
+buffer is (capacity, *dim[:-1], 1). The buffers are stored layer-major,
+(layers, capacity, heads, width), so each layer's rows are one
 contiguous token-ordered block; every array is read token first,
-(capacity, *dim), through a transposed view. Every tier is a row
+(capacity, ...), through a transposed view. Every tier is a row
 range:
 
     sinks       [0, n_sink)
@@ -17,25 +20,19 @@ One append commits a token's (or a window's) rows for every layer, and
 one snapshot serves every layer. Appends only write rows past the
 current total, so a snapshot is a set of read-only slices and copies
 nothing; a later regrowth moves the cache to new buffers and leaves
-old snapshots on the old ones. A writer may fill the next rows in
-place, one layer at a time, through the writable views that
-staged(rows) returns, and then commit them by appending those same
-views, which copies nothing: the replay reads each pre-fill window
-into the cache this way, so the cache plus one layer of one window is
-all it holds. When a chunk seals, its representative key and that
-key's float64 norms (one per layer and head) go to (chunks, *dim)
-arrays. A cache built with key_norms (the default, and
-what the engine asks for in max-score mode only, the one reader) also
-writes every appended row's float64 key norms at append time;
-without it no member-key norm exists. Scoring reads only these
-arrays.
-
-Every append also writes each row's value sum, the sum over d_head of
-its values added in float64 and rounded once to float32, to a
-(rows, *dim[:-1], 1) column. Attention is linear in V and a step's
-output is read only as its sum over d_head, so the engine attends
-these sums in place of the values; the d_head-wide values stay for
-KVChunk, CacheView.values and materialize.
+old snapshots on the old ones. An append takes d_head-wide values and
+sums them from its argument. A writer may fill the next rows in place,
+one layer at a time, through the writable views that staged(rows)
+returns: the K rows the append fills and a V staging buffer of one
+append's rows, reused by the next staged call. Appending those same
+views copies no key: the replay reads each pre-fill window into the
+cache this way, so the cache plus one window of values is all it
+holds. When a chunk seals, its representative key and that key's
+float64 norms (one per layer and head) go to (chunks, *dim) arrays. A
+cache built with key_norms (the default, and what the engine asks for
+in max-score mode only, the one reader) also writes every appended
+row's float64 key norms at append time; without it no member-key norm
+exists. Scoring reads only these arrays.
 
 The retrieval candidates are the chunks whose span ends before
 tail_start. A chunk that straddles tail_start is not one, and its
@@ -79,7 +76,8 @@ def rep_key_of(keys) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KVChunk:
-    """One chunk's rows of a snapshot (slices, built only when read)."""
+    """One chunk's rows of a snapshot (slices, built only when read);
+    values holds each row's value sum, (rows, *dim[:-1], 1)."""
 
     chunk_id: int
     start: int  # inclusive token positions
@@ -96,10 +94,10 @@ class KVChunk:
 class CacheView:
     """Immutable snapshot of a cached stream.
 
-    keys, values, value_sums and key_norms hold every cached pair in
-    token order; value_sums is (pairs, *dim[:-1], 1), each row's values
-    summed over d_head, and key_norms is None when the cache keeps no
-    member-key norms.
+    keys, values and key_norms hold every cached pair in token order;
+    values is (pairs, *dim[:-1], 1), each row's values summed over
+    d_head, and key_norms is None when the cache keeps no member-key
+    norms.
     rep_keys (float64) and rep_norms hold one row per sealed chunk.
     All are read-only slices of the cache's buffers, indexed token
     first: keys is (pairs, *dim).
@@ -109,7 +107,6 @@ class CacheView:
     chunk: int
     keys: np.ndarray
     values: np.ndarray
-    value_sums: np.ndarray
     key_norms: np.ndarray | None
     rep_keys: np.ndarray
     rep_norms: np.ndarray
@@ -223,8 +220,8 @@ class LayerCache:
         row = np.empty(dim).shape  # dim as a shape tuple
         self._lead = max(0, len(row) - 2)  # layer axes
         self._k = np.empty((0, *row), dtype=np.float32)
-        self._v = np.empty((0, *row), dtype=np.float32)
-        self._vsum = np.empty((0, *row[:-1], 1), dtype=np.float32)
+        self._v = np.empty((0, *row[:-1], 1), dtype=np.float32)
+        self._v_staged = np.empty((0, *row), dtype=np.float32)
         self._knorm = np.empty((0, *row[:-1])) if key_norms else None
         self._rep = np.empty((0, *row))
         self._rep_norm = np.empty((0, *row[:-1]))
@@ -235,32 +232,37 @@ class LayerCache:
 
     def reserve(self, rows: int) -> None:
         """Size the buffers for at least `rows` pairs, so appends up to
-        that total never regrow them."""
+        that total never regrow them; a regrowth at least doubles them."""
         if rows <= self.capacity:
             return
+        rows = max(rows, 2 * self.capacity)
         chunks = -(-max(0, rows - self.n_sink) // self.chunk)
         n, sealed, lead = self.total_pairs, self._sealed, self._lead
         self._k = _resized(self._k, rows, n, lead)
         self._v = _resized(self._v, rows, n, lead)
-        self._vsum = _resized(self._vsum, rows, n, lead)
         if self._knorm is not None:
             self._knorm = _resized(self._knorm, rows, n, lead)
         self._rep = _resized(self._rep, chunks, sealed, lead)
         self._rep_norm = _resized(self._rep_norm, chunks, sealed, lead)
 
     def staged(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Writable (rows, *dim) views of the K and V rows that the next
-        append of `rows` rows fills. They lie past total_pairs, so no
-        snapshot sees them until that append commits them."""
+        """Writable (rows, *dim) views of the K rows that the next append
+        of `rows` rows fills and of a V staging buffer for its values.
+        The K rows lie past total_pairs, so no snapshot sees them until
+        that append commits them; the staging buffer holds one append's
+        rows and is reused by the next staged call."""
         start, stop = self.total_pairs, self.total_pairs + rows
-        if stop > self.capacity:
-            self.reserve(max(stop, 2 * self.capacity))
-        return self._k[start:stop], self._v[start:stop]
+        self.reserve(stop)
+        if rows > self._v_staged.shape[0]:
+            self._v_staged = _resized(self._v_staged, rows, 0, self._lead)
+        return self._k[start:stop], self._v_staged[:rows]
 
     def append(self, keys, values) -> int:
         """Append KV pairs, rows first: (rows, *dim); returns how many
-        chunks this call sealed. Given the views staged(rows) returned,
-        it copies nothing: numpy skips assigning an array to itself."""
+        chunks this call sealed. The values are summed straight from
+        `values`, so a row's d_head values are not stored. Given the K
+        view staged(rows) returned, it copies no key: numpy skips
+        assigning an array to itself."""
         k = np.asarray(keys, dtype=np.float32)
         v = np.asarray(values, dtype=np.float32)
         if k.shape[1:] != self._k.shape[1:] or v.shape != k.shape:
@@ -268,12 +270,10 @@ class LayerCache:
                               f"{self._k.shape[1:]}")
         if k.shape[0] < 1:
             raise DimMismatch("append of zero rows")
-        keys_at, values_at = self.staged(k.shape[0])
-        keys_at[...] = k
-        values_at[...] = v
         start, stop = self.total_pairs, self.total_pairs + k.shape[0]
-        self._vsum[start:stop] = self._v[start:stop].sum(
-            axis=-1, dtype=np.float64, keepdims=True)
+        self.reserve(stop)
+        self._k[start:stop] = k
+        self._v[start:stop] = v.sum(axis=-1, dtype=np.float64, keepdims=True)
         if self._knorm is not None:
             self._knorm[start:stop] = row_norms(self._k[start:stop])
         self.total_pairs = stop
@@ -292,10 +292,10 @@ class LayerCache:
         return full - first
 
     @property
-    def value_sums(self) -> np.ndarray:
+    def values(self) -> np.ndarray:
         """Read-only value sums of every committed row, as in a snapshot
         taken now."""
-        return _read_only(self._vsum[:self.total_pairs])
+        return _read_only(self._v[:self.total_pairs])
 
     @property
     def tail_start(self) -> int:
@@ -307,7 +307,6 @@ class LayerCache:
             n_sink=self.n_sink, chunk=self.chunk,
             keys=_read_only(self._k[:n]),
             values=_read_only(self._v[:n]),
-            value_sums=_read_only(self._vsum[:n]),
             key_norms=(None if self._knorm is None
                        else _read_only(self._knorm[:n])),
             rep_keys=_read_only(self._rep[:self._sealed]),

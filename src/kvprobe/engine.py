@@ -10,16 +10,16 @@ pre-filling
     at a time. The snapshot is taken first. Then each layer folds the
     window's queries (plus any task queries) into its running
     statistics, builds one (heads, d_head) probe, and writes the
-    window's keys and values straight into the cache's next rows;
-    so a replay holds the cache plus one layer of one window. The
-    window's rows are then committed, which sums each row's values
-    once; the snapshot's slices stop at the old total, so scoring and
-    the tiers still see only the history. Every layer's retrievable
-    chunks are scored and each layer greedily selects up to the layer
-    budget; reference attention runs over [sinks, retrieved, local
-    tail, window] for the window's last query row, every layer and
-    head in one call; that row sees the whole window and all of the
-    history.
+    window's keys straight into the cache's next rows and its values
+    into the cache's staging buffer; so a replay holds the cache plus
+    one window of values. The append then commits the rows and sums
+    each row's values; the snapshot's slices stop at the old total, so
+    scoring and the tiers still see only the history. Every layer's
+    retrievable chunks are scored and each layer greedily selects up
+    to the layer budget; reference attention runs over [sinks,
+    retrieved, local tail, window] for the window's last query row,
+    every layer and head in one call; that row sees the whole window
+    and all of the history.
 
 decoding
     One token at a time, two phases. The token's key/value pair enters
@@ -34,11 +34,11 @@ decoding
 
 A record keeps only the attention output's sum over heads and d_head,
 and attention is linear in V, so the value blocks are the rows' value
-sums, one float32 per row and head kept by the cache: the output is
-(layers, heads, 1, 1), and no step reads a d_head-wide value row.
-Attention reads the sink and local tiers (and the pre-fill window) as
-(layers, heads, pairs, d_head) views of the float32 keys and
-(layers, heads, pairs, 1) views of the value sums. Only the retrieved
+sums, the one float32 per row and head that the cache keeps as its
+values: the output is (layers, heads, 1, 1). Attention reads the sink
+and local tiers (and the pre-fill window) as (layers, heads, pairs,
+d_head) views of the float32 keys and (layers, heads, pairs, 1) views
+of the value sums. Only the retrieved
 chunks are gathered, one layer at a time: a layer's keys while the
 logits are written, then its value sums while the outputs are summed,
 so the step holds one layer's gathered keys or value sums at once.
@@ -282,8 +282,8 @@ class Engine:
         """Select every layer's chunks under its budget in one call, then
         attend every layer's and head's query row over sinks, its
         retrieved chunks, the local tail and (pre-fill) the window in
-        one call. The value blocks are the rows' value sums, so the
-        output is (layers, heads, 1, 1) and no value row is read.
+        one call. The value blocks are the cache's values, each row's
+        value sum, so the output is (layers, heads, 1, 1).
 
         q has shape (layers, heads, 1, d_head); window_k is (layers,
         heads, window rows, d_head) and window_sums (layers, heads,
@@ -293,14 +293,13 @@ class Engine:
         selections = recall_layer(scores, budgets, view.candidate_rows)
         rows = selected_rows(selections, view)
         retrieved = Gathered(view.keys, rows)
-        sums = view.value_sums
         # the cache is token-major; attention reads
         # (layers, heads, pairs, d_head)
         k_blocks = [view.sink_keys.transpose(1, 2, 0, 3), retrieved,
                     view.local_keys.transpose(1, 2, 0, 3)]
-        v_blocks = [sums[:view.n_sink].transpose(1, 2, 0, 3),
-                    Gathered(sums, rows),
-                    sums[view.tail_start:].transpose(1, 2, 0, 3)]
+        v_blocks = [view.sink_values.transpose(1, 2, 0, 3),
+                    Gathered(view.values, rows),
+                    view.local_values.transpose(1, 2, 0, 3)]
         if window_k is not None:
             k_blocks.append(window_k)
             v_blocks.append(window_sums)
@@ -331,8 +330,8 @@ class Engine:
         cfg = self.config
         L, H, dh = cfg.layers, cfg.heads, cfg.d_head
         view = self.cache.snapshot()
-        # the rows this window's append commits; token-major, so a
-        # layer's keys are keys[:, l], (rows, heads, d_head)
+        # the key rows this window's append commits and staged values;
+        # token-major, so a layer's keys are keys[:, l], (rows, heads, d)
         keys, values = self.cache.staged(cfg.window)
         probes = np.empty((L, H, dh), dtype=np.float32)
         last_q = np.empty((L, H, 1, dh), dtype=np.float32)
@@ -359,7 +358,7 @@ class Engine:
         recs = self._attend(last_q, view, scores, layer_density(scores),
                             [cfg.budget] * L,
                             keys.transpose(1, 2, 0, 3),
-                            self.cache.value_sums[view.total_pairs:]
+                            self.cache.values[view.total_pairs:]
                             .transpose(1, 2, 0, 3))
         step = StepRecord(stage="pre-filling", index=index, layers=recs)
         self.steps.append(step)

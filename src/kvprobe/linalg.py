@@ -1,13 +1,13 @@
 """Dense numeric kernels and error types shared by every other module.
 
 Stored payloads are float32. Norms, softmax and entropy accumulate in
-float64, so scores and densities are reproducible across platforms at
-the dimensions this engine targets (d <= 4096). Attention
+float64 at the dimensions this engine targets (d <= 4096). Scores and
+densities are byte-identical run to run on one numpy/BLAS stack only:
+another BLAS kernel or SIMD level may move their last bit. Attention
 (engine.reference_attention, one call per step for every layer and
-head) is the exception: its logits are float32 products on the cached
-keys, and its weighted sums are float32 products on the rows' value
-sums (each added in float64 and rounded once by the cache); only its
-softmax runs in float64.
+head) keeps less: its logits are float32 products on the cached keys
+and its weighted sums float32 products on the cached values, each
+row's value sum; only its softmax runs in float64.
 """
 
 from __future__ import annotations

@@ -44,8 +44,8 @@ A binary search over the cumulative pair counts in that order finds
 where each layer's budget stops. A selection's rows are its chunks'
 rows in original token order, not score order, derived from its ids
 one layer at a time by selected_rows: materialize gathers one layer's
-K*/V* rows, and Gathered gathers each layer's keys or value sums when
-attention reads them, one layer at a time.
+keys and values (each row's value sum), and Gathered gathers each
+layer's keys or values when attention reads them, one layer at a time.
 """
 
 from __future__ import annotations
@@ -329,14 +329,15 @@ def selected_rows(selections: Sequence[SelectionResult], view: CacheView
 
 def materialize(selection: SelectionResult, view: CacheView
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gather the selected chunks' K/V rows in ascending token position."""
+    """Gather the selected chunks' keys, (rows, *dim), and values,
+    (rows, *dim[:-1], 1) value sums, in ascending token position."""
     rows, = selected_rows([selection], view)
     return view.keys[rows], view.values[rows]
 
 
 class Gathered:
     """Each layer's selected rows of a view's (pairs, layers, heads,
-    width) keys (width d_head) or value sums (width 1): item l is layer
+    width) keys (width d_head) or values (width 1): item l is layer
     l's (heads, rows, width), gathered when it is read. shape is the
     block's shape padded to its widest layer, and sizes holds each
     layer's rows."""

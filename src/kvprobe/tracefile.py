@@ -20,11 +20,11 @@ sections and a ``StepBlock`` one (L, H, 3, rows, d_head) block, or
 gives it one layer at a time. The payload is read in one place,
 ``TraceReader.blocks()``, in file order. A decode token is read whole;
 a window is read one layer at a time into one reused (H, 3, window,
-d_head) buffer, which the replay copies straight into its cache. Every
-read is checked for NaN and infinity, so a replay holds its cache,
-the task block and one layer of one window, never a whole window or
-the payload. ``_footer`` builds a generated trace's footer, and
-``check_footer`` checks every footer, generated or read alike.
+d_head) buffer, which the replay copies into its cache and staging
+buffer. Every read is checked for NaN and infinity, so a replay holds
+its cache, the task block and one layer of one window, never a whole
+window or the payload. ``_footer`` builds a generated trace's footer,
+and ``check_footer`` checks every footer, generated or read alike.
 
 Synthetic traces draw background tensors i.i.d. standard normal and
 then plant a relevance structure for each decode step: the step's

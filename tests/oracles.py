@@ -5,6 +5,7 @@ import numpy as np
 
 from kvprobe.cache import CacheView
 from kvprobe.linalg import DimMismatch, NonFinite
+from kvprobe.tracefile import TraceData
 
 
 def layer_view(view: CacheView, l: int) -> CacheView:
@@ -12,9 +13,28 @@ def layer_view(view: CacheView, l: int) -> CacheView:
     tiers over that layer's contiguous rows, slices only."""
     norms = None if view.key_norms is None else view.key_norms[:, l]
     return CacheView(view.n_sink, view.chunk, view.keys[:, l],
-                     view.values[:, l], view.value_sums[:, l], norms,
-                     view.rep_keys[:, l], view.rep_norms[:, l],
-                     view.tail_start)
+                     view.values[:, l], norms, view.rep_keys[:, l],
+                     view.rep_norms[:, l], view.tail_start)
+
+
+def trace_values(trace: TraceData) -> np.ndarray:
+    """Every position's d_head-wide values in token order, (positions,
+    layers, heads, d_head): the windows' rows, then the decode tokens'.
+    The cache keeps only their sums."""
+    h = trace.header
+    windows = trace.windows[:, :, :, 2].transpose(0, 3, 1, 2, 4)
+    return np.concatenate([
+        windows.reshape(-1, h.layers, h.heads, h.d_head),
+        trace.decode[:, :, :, 2, 0]])
+
+
+def value_sums(values) -> np.ndarray:
+    """One layer's (pairs, heads, d_head) values as the cache keeps them:
+    each row's sum, added in float64 and rounded once to float32, in a
+    contiguous (pairs, heads, 1) array like a layer of the cache."""
+    return (np.ascontiguousarray(values, dtype=np.float32)
+            .sum(axis=-1, dtype=np.float64, keepdims=True)
+            .astype(np.float32))
 
 
 def cosine(a, b) -> float:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,17 +143,49 @@ def test_staged_rows_are_unseen_until_append_commits_them():
         assert staged.snapshot().keys.tobytes() == before.keys.tobytes()
         assert staged.append(k, v) == copied.append(keys, keys + 1.0)
     got, want = staged.snapshot(), copied.snapshot()
-    for field in ("keys", "values", "value_sums", "key_norms", "rep_keys",
-                  "rep_norms"):
+    for field in ("keys", "values", "key_norms", "rep_keys", "rep_norms"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
+def test_cache_holds_one_window_of_d_head_wide_values():
+    """Over many staged windows a cache grows by its keys, one-wide
+    values and reps, plus one window of d_head-wide values in a staging
+    buffer that every window reuses: a row's d_head values are summed
+    when it is appended and not kept."""
+    L, H, d, window, windows, chunk = 2, 4, 64, 32, 16, 8
+    rows = window * windows
+    tracemalloc.start()
+    try:
+        cache = LayerCache(dim=(L, H, d), n_sink=4, n_local=16, chunk=chunk,
+                           key_norms=False)
+        cache.reserve(rows)  # as Engine.run does: no regrowth
+        first = cache.staged(window)[1]
+        for i in range(windows):
+            k, v = cache.staged(window)
+            assert np.shares_memory(v, first)
+            k[...], v[...] = i, 1.0
+            cache.append(k, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cache.values.shape == (rows, L, H, 1)
+    assert (cache.values == d).all()
+    chunks = -(-(rows - 4) // chunk)
+    held = (rows * L * H * (d + 1) * 4  # float32 keys and value sums
+            + chunks * L * H * (d + 1) * 8  # float64 reps and their norms
+            + window * L * H * d * 4)  # one window of values
+    # 128 KiB covers append's temporaries: numpy's 64 KiB buffer for the
+    # float64 sum and a chunk's float64 copy for its rep. Keeping every
+    # row's values would add 15 windows' worth (960 KiB)
+    assert peak < held + 128 * 1024, (peak, held)
 
 
 @pytest.mark.parametrize("dim", [4, (2, 4), (3, 2, 4)])
 def test_value_sums_add_each_rows_values_in_float64_once(dim):
-    """A row's value sum is its values added in float64 and rounded once
-    to float32: 1 + 2**-24 + 2**-24 is 1 + 2**-23, which a float32 sum
-    from the left rounds to 1. It is kept for staged and copied rows
-    alike, (rows, *dim[:-1], 1), and read-only."""
+    """A row's cached value is its values' sum, added in float64 and
+    rounded once to float32: 1 + 2**-24 + 2**-24 is 1 + 2**-23, which a
+    float32 sum from the left rounds to 1. It is kept for staged and
+    copied rows alike, (rows, *dim[:-1], 1), and read-only."""
     rng = np.random.default_rng(7)
     shape = np.empty(dim).shape
     cache = LayerCache(dim=dim, n_sink=2, n_local=3, chunk=2)
@@ -168,12 +202,12 @@ def test_value_sums_add_each_rows_values_in_float64_once(dim):
         written.append(values)
     values = np.concatenate(written)
     want = values.astype(np.float64).sum(axis=-1, keepdims=True)
-    got = cache.snapshot().value_sums
+    got = cache.snapshot().values
     assert got.shape == (values.shape[0], *shape[:-1], 1)
     assert got.dtype == np.float32
     assert got.tobytes() == want.astype(np.float32).tobytes()
     assert (got[0] == np.float32(1.0 + 2.0**-23)).all()
-    assert cache.value_sums.tobytes() == got.tobytes()
+    assert cache.values.tobytes() == got.tobytes()
     with pytest.raises(ValueError):
         got[0] = 0.0
 
@@ -197,8 +231,8 @@ def test_one_cache_holds_every_layer_stored_layer_major():
     assert view.sink_keys.shape[0] == 2
     for l, single in enumerate(singles):
         got, want = layer_view(view, l), single.snapshot()
-        for field in ("keys", "values", "value_sums", "key_norms",
-                      "rep_keys", "rep_norms"):
+        for field in ("keys", "values", "key_norms", "rep_keys",
+                      "rep_norms"):
             a, b = getattr(got, field), getattr(want, field)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
             assert a.flags.c_contiguous, field

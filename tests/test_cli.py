@@ -278,17 +278,23 @@ def test_geometry_mismatch_exits_4_before_the_replay(tmp_path):
         assert not report.exists()
 
 
+def cache_bytes(header) -> int:
+    """A replay's cache: float32 keys and value sums of every token, and
+    one staged window of d_head-wide values."""
+    tokens = header.num_windows * header.window + header.num_decode_steps
+    return 4 * header.layers * (tokens * (header.d + header.heads)
+                                + header.window * header.d)
+
+
 def test_run_holds_one_step_block_of_the_payload(tmp_path):
     """Traced peak of `run` on criterion 6's geometry stays under the
-    payload plus the caches' K/V buffers; holding the whole payload, as
-    an eager read does, peaks near 2.3x the payload."""
+    payload plus the cache; holding the whole payload, as an eager read
+    does, peaks near 2.3x the payload."""
     trace = tmp_path / "t.akvt"
     assert main(["gen-trace", "--windows", "12", "--decode-steps", "5",
                  "--planted", "3", "--anchor-scale", "4.0", "--drift", "3.0",
                  "--seed", "0", "--out", str(trace)]) == 0
     header, _ = read_trace(trace)
-    tokens = header.num_windows * header.window + header.num_decode_steps
-    kv_cache = 2 * header.layers * tokens * header.d * 4
     tracemalloc.start()
     try:
         assert main(["run", "--trace", str(trace), "--budget", "256",
@@ -296,24 +302,24 @@ def test_run_holds_one_step_block_of_the_payload(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < header.payload_bytes() + kv_cache, peak
+    assert peak < header.payload_bytes() + cache_bytes(header), peak
 
 
 def test_run_holds_less_than_one_step_block_beyond_its_cache(tmp_path):
     """Traced peak of `run` on criterion 6's geometry with 8 heads of
-    d_head 64 stays under the caches' K/V buffers plus one (L, H, 3,
-    window, d_head) float32 step block: a window goes from the file into
-    the cache one layer at a time, so no whole step block is ever held
-    (reading the block whole and then copying it peaks ~1.5 blocks above
-    the cache)."""
+    d_head 64 stays under the cache plus one (L, H, 3, window, d_head)
+    float32 step block: a window goes from the file into the cache one
+    layer at a time, so no whole step block is ever held (reading the
+    block whole and then copying it peaks ~1.5 blocks above the
+    cache), and the cache keeps no d_head-wide value row beyond one
+    window (keeping them all would add 24 MiB here)."""
     trace = tmp_path / "t.akvt"
     assert main(["gen-trace", "--dim", "512", "--heads", "8",
                  "--windows", "12", "--decode-steps", "5", "--planted", "3",
                  "--anchor-scale", "4.0", "--drift", "3.0", "--seed", "0",
                  "--out", str(trace)]) == 0
     header, _ = read_trace(trace)
-    tokens = header.num_windows * header.window + header.num_decode_steps
-    kv_cache = 2 * header.layers * tokens * header.d * 4
+    cache = cache_bytes(header)
     block = header.layers * 3 * header.window * header.d * 4
     tracemalloc.start()
     try:
@@ -322,7 +328,7 @@ def test_run_holds_less_than_one_step_block_beyond_its_cache(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < kv_cache + block, (peak - kv_cache, block)
+    assert peak < cache + block, (peak - cache, block)
 
 
 def test_bad_engine_config_exits_3(tmp_path):

@@ -20,7 +20,7 @@ from kvprobe.retrieval import (Gathered, materialize,
                                selected_rows)
 from kvprobe.tracefile import (PlantedSpec, SyntheticConfig,
                                generate_synthetic, read_trace, write_trace)
-from oracles import dense_attention, layer_view
+from oracles import dense_attention, layer_view, trace_values, value_sums
 
 TINY = SyntheticConfig(d=8, layers=2, heads=2, window=8, num_windows=6,
                        num_decode_steps=3, n_sink=2, chunk=2, n_local=4)
@@ -351,8 +351,9 @@ def test_only_max_score_keeps_member_key_norms():
 def test_prefill_checksum_sums_the_last_rows_attention():
     """A pre-fill record's checksum is the sum over heads of the window's
     last query row attended over sinks, retrieved chunks, local tail and
-    the whole window."""
+    the whole window, its values taken from the trace."""
     trace = tiny_trace(seed=5)
+    values = trace_values(trace)[:, 0]
     config = tiny_config()
     engine = Engine(config)
     for blk in trace.blocks():
@@ -360,11 +361,14 @@ def test_prefill_checksum_sums_the_last_rows_attention():
             break
         view = layer_view(engine.cache.snapshot(), 0)
         rec = engine.prefill_step(blk, blk.index).layers[0]
-        keys_sel, vals_sel = materialize(
-            select_topk(rec.scores, rec.budget_pairs, config.chunk), view)
+        sel = select_topk(rec.scores, rec.budget_pairs, config.chunk)
+        keys_sel, _ = materialize(sel, view)
+        rows, = selected_rows([sel], view)
+        past = values[:view.total_pairs]
         k = np.concatenate([view.sink_keys, keys_sel, view.local_keys,
                             blk.k[0].transpose(1, 0, 2)])
-        v = np.concatenate([view.sink_values, vals_sel, view.local_values,
+        v = np.concatenate([past[:view.n_sink], past[rows],
+                            past[view.tail_start:],
                             blk.v[0].transpose(1, 0, 2)])
         want = sum(dense_attention(blk.q[0, h, -1:], k[:, h], v[:, h]).sum()
                    for h in range(config.heads))
@@ -451,7 +455,7 @@ def tier_cover(view, candidate_ids, window_rows: int) -> np.ndarray:
     "the chunk straddling tail_start is not a candidate, and its rows "
     "before tail_start are not in the local tail either: on the "
     "criterion-5 geometry decode step s leaves s+1 rows of chunk 46 in "
-    "no tier (ROADMAP item 3)"))
+    "no tier (ROADMAP item 8)"))
 @settings(max_examples=60, deadline=None)
 @given(window=st.integers(1, 8), windows=st.integers(1, 6),
        decode_steps=st.integers(0, 12), n_sink=st.integers(0, 6),
@@ -660,12 +664,14 @@ def test_batched_step_equals_per_layer_arithmetic(monkeypatch, rep_mode,
 
 def test_ragged_budgets_select_and_attend_per_layer(monkeypatch):
     """Unequal per-layer budgets: each layer selects under its own budget
-    and attends its own chunks, within 1e-6 of float64 attention."""
+    and attends its own chunks, within 1e-6 of float64 attention over the
+    trace's value sums."""
     ragged = (0, 3, 15)
     monkeypatch.setattr(engine_module, "allocate",
                         lambda *args, **kwargs: BudgetAllocation(ragged))
     trace, config, result, scored, attended = layered_run(monkeypatch)
     blocks = list(trace.blocks())
+    values = trace_values(trace)
     checked = 0
     for i, (step, (_, view), blk) in enumerate(zip(result.steps, scored,
                                                    blocks, strict=True)):
@@ -679,7 +685,7 @@ def test_ragged_budgets_select_and_attend_per_layer(monkeypatch):
                                                       sel.pairs_used)
             keys_sel, _ = materialize(sel, layer)
             rows, = selected_rows([sel], layer)
-            sums = layer.value_sums
+            sums = value_sums(values[:layer.total_pairs, l])
             k = np.concatenate([layer.sink_keys, keys_sel, layer.local_keys])
             v = np.concatenate([sums[:layer.n_sink], sums[rows],
                                 sums[layer.tail_start:]])
@@ -698,7 +704,8 @@ def test_ragged_budgets_select_and_attend_per_layer(monkeypatch):
 def test_batched_attention_equals_per_layer_attention(monkeypatch, rep_mode,
                                                       n_local):
     """With equal budgets every record's checksum is, bit for bit, that of
-    one layer's attention over its own materialized chunks. On this trace
+    one layer's attention over its own materialized chunks, with value
+    sums taken from the trace. On this trace
     that holds also where a partly filled open chunk (n_local = 0) gives
     the layers different pair counts, so the shorter layers' logits are
     padded with -inf."""
@@ -706,6 +713,7 @@ def test_batched_attention_equals_per_layer_attention(monkeypatch, rep_mode,
                         BudgetAllocation((6,) * LAYERED.layers))
     trace, config, result, scored, _ = layered_run(monkeypatch, rep_mode,
                                                    n_local)
+    values = trace_values(trace)
     ragged = False
     for step, (_, view), blk in zip(result.steps, scored, trace.blocks(),
                                     strict=True):
@@ -716,18 +724,18 @@ def test_batched_attention_equals_per_layer_attention(monkeypatch, rep_mode,
                               layer.candidate_rows)
             keys_sel, _ = materialize(sel, layer)
             rows, = selected_rows([sel], layer)
-            sums = layer.value_sums
+            n = layer.total_pairs
+            # token-major like the cache's values, so the float32
+            # products take the same path
+            sums = value_sums(values[:n + config.window, l])
+            past = sums[:n]
             k = [a.transpose(1, 0, 2) for a in
                  (layer.sink_keys, keys_sel, layer.local_keys)]
             v = [a.transpose(1, 0, 2) for a in
-                 (sums[:layer.n_sink], sums[rows], sums[layer.tail_start:])]
+                 (past[:layer.n_sink], past[rows], past[layer.tail_start:])]
             if step.stage == "pre-filling":
                 k.append(blk.k[l])
-                # token-major like the cache's sums, so the float32
-                # products take the same path
-                window = np.ascontiguousarray(blk.v[l].swapaxes(0, 1))
-                v.append(window.sum(axis=-1, dtype=np.float64, keepdims=True)
-                         .astype(np.float32).swapaxes(0, 1))
+                v.append(sums[n:n + config.window].transpose(1, 0, 2))
             out = reference_attention(blk.q[l][:, -1:], k, v)
             assert rec.attended_pairs == sum(b.shape[1] for b in k)
             assert rec.attn_checksum == float(out.sum())
@@ -740,10 +748,12 @@ def test_batched_attention_equals_per_layer_attention(monkeypatch, rep_mode,
 def test_decode_checksum_sums_the_tokens_attention(monkeypatch, rep_mode,
                                                    n_local):
     """A decode record's checksum is the sum over heads and d_head of the
-    token's query attended, in float64, over the full values of the
-    sinks, the layer's retrieved chunks and the local tail."""
+    token's query attended, in float64, over the sinks, the layer's
+    retrieved chunks and the local tail, with their full values taken
+    from the trace."""
     trace, config, result, scored, _ = layered_run(monkeypatch, rep_mode,
                                                    n_local)
+    values = trace_values(trace)
     checked = 0
     for step, (_, view), blk in zip(result.steps, scored, trace.blocks(),
                                     strict=True):
@@ -751,12 +761,14 @@ def test_decode_checksum_sums_the_tokens_attention(monkeypatch, rep_mode,
             continue
         for l, rec in enumerate(step.layers):
             layer = layer_view(view, l)
-            keys_sel, vals_sel = materialize(
-                select_topk(rec.scores, rec.budget_pairs,
-                            layer.candidate_rows), layer)
+            sel = select_topk(rec.scores, rec.budget_pairs,
+                              layer.candidate_rows)
+            keys_sel, _ = materialize(sel, layer)
+            rows, = selected_rows([sel], layer)
+            past = values[:layer.total_pairs, l]
             k = np.concatenate([layer.sink_keys, keys_sel, layer.local_keys])
-            v = np.concatenate([layer.sink_values, vals_sel,
-                                layer.local_values])
+            v = np.concatenate([past[:layer.n_sink], past[rows],
+                                past[layer.tail_start:]])
             want = sum(dense_attention(blk.q[l, h], k[:, h], v[:, h]).sum()
                        for h in range(config.heads))
             assert rec.attended_pairs == k.shape[0]
@@ -764,34 +776,6 @@ def test_decode_checksum_sums_the_tokens_attention(monkeypatch, rep_mode,
                                                       abs=1e-5)
             checked += 1
     assert checked == LAYERED.num_decode_steps * LAYERED.layers
-
-
-@pytest.mark.parametrize("n_local", [0, 4])
-@pytest.mark.parametrize("rep_mode", ["mean", "max-score"])
-def test_steps_read_no_value_row(monkeypatch, rep_mode, n_local):
-    """Attention reads the rows' value sums, never a d_head-wide value
-    row: a replay whose snapshots hold NaN values gives the same
-    records."""
-    trace = generate_synthetic(
-        dataclasses.replace(LAYERED, n_local=n_local, task_rows=2), None,
-        seed=4)
-    config = EngineConfig(d=LAYERED.d, layers=LAYERED.layers,
-                          heads=LAYERED.heads, window=LAYERED.window,
-                          chunk=LAYERED.chunk, n_sink=LAYERED.n_sink,
-                          n_local=n_local, budget=6, rep_mode=rep_mode)
-    want = [s.to_json() for s in run_trace(trace, config).steps]
-    snapshot, blanked = LayerCache.snapshot, []
-
-    def nan_values(cache):
-        view = snapshot(cache)
-        blanked.append(view.total_pairs)
-        return dataclasses.replace(view,
-                                   values=np.full_like(view.values, np.nan))
-
-    monkeypatch.setattr(LayerCache, "snapshot", nan_values)
-    got = [s.to_json() for s in run_trace(trace, config).steps]
-    assert len(blanked) == len(want) and max(blanked) > 0
-    assert got == want
 
 
 def test_each_phase_is_one_call_per_step(monkeypatch):

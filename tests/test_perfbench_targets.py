@@ -40,8 +40,9 @@ def test_snapshot_counter_reads_the_open_chunk():
     rows = np.ones((3, 2), dtype=np.float32)
     cache.append(rows, rows)
     counts = load_child()._snapshot_counts((cache,), cache.snapshot())
-    # k and v of 1 sink, 2 local rows and the 2-row open chunk, 8 B a row
-    assert counts == {"bytes": 2 * (1 + 2 + 2) * 8}
+    # k (8 B a row) and v (a row's value sum, 4 B) of 1 sink, 2 local
+    # rows and the 2-row open chunk
+    assert counts == {"bytes": (1 + 2 + 2) * (8 + 4)}
 
 
 WINDOWS, DECODE, WINDOW, LAYERS = 6, 3, 16, 2

@@ -212,7 +212,8 @@ def test_materialize_orders_by_position():
     assert sel.selected == (2, 0, 1)
     keys, values = materialize(sel, view)
     assert np.allclose(keys, [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    assert np.allclose(values, keys + 100.0)
+    # each row's value sum: the fed values are keys + 100
+    assert np.allclose(values, (keys + 100.0).sum(axis=-1, keepdims=True))
 
 
 def test_materialize_unknown_chunk():
@@ -283,11 +284,10 @@ def test_vectorized_scores_match_cosine_oracle(n_sink, chunk, n_local, heads,
     assert sel == select_topk(want, budget, want_rows)
     keys, values = materialize(sel, view)
     picked = sorted(sel.selected)
-    empty = [np.zeros((0, heads, dim))]
     assert np.array_equal(keys, np.concatenate(
-        [chunks[j].keys for j in picked] or empty))
+        [chunks[j].keys for j in picked] or [np.zeros((0, heads, dim))]))
     assert np.array_equal(values, np.concatenate(
-        [chunks[j].values for j in picked] or empty))
+        [chunks[j].values for j in picked] or [np.zeros((0, heads, 1))]))
 
 
 @settings(max_examples=40, deadline=None)
