@@ -15,8 +15,7 @@ Cases, all at --seed (default 0):
 - the three benchmark workloads, their arguments taken from
   perfbench/run.py's WORKLOADS, and multi-head's trace again under
   ``--rep max-score --cutoff fixed``: 8 heads of 64 dims, the one
-  max-score run on several heads whose chunks all take the float32
-  screen;
+  max-score run on several heads;
 - acceptance criterion 6's trace, run under the defaults, under
   ``--rep max-score`` and under ``--probe mean --cutoff fixed
   --budget 96``;

@@ -65,6 +65,8 @@ def allocate(theta, initial_total: int, chunk_size: int = 1) -> BudgetAllocation
         raise ValueError("negative density")
 
     mass = sum(th)
+    if not math.isfinite(mass):
+        raise ValueError(f"densities {th} sum to {mass}, not a finite mass")
     if mass > 0.0:
         real = [t / mass * initial_total for t in th]
     else:

@@ -86,6 +86,8 @@ class ProbeQuery:
 
 def uniform_bias(rows: int, dim: int) -> ActivationBias:
     """Degenerate fallback: zero bias, uniform weights (mean pooling)."""
+    if rows < 1:
+        raise DimMismatch("bias of an empty window")
     return ActivationBias(phi=np.zeros((rows, dim), dtype=np.float32),
                           weights=np.full(rows, 1.0 / rows))
 

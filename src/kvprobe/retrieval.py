@@ -18,13 +18,11 @@ one batched product per layer and head padded to a multiple of 4
 rows; a chunk with two or more contenders has every row computed so,
 and takes their maximum. OpenBLAS's matrix-vector kernels compute
 rows in groups of 4, and a row in a whole group has the same bits
-wherever the group sits, so these dots are the exact pass's. The
-exact pass copies every member key to float64 one block of rows at a
-time, each block a whole number of chunks and of 4-row groups within
-MEMBER_BLOCK_BYTES, and takes each chunk's maximum. It runs where a
-partial open chunk is a candidate, where the member rows are not a
-multiple of 4 (the last ones fall outside whole groups), or where a
-screened value is not finite (a float32 overflow).
+wherever the group sits, so the scores are those of one float64
+product over every member key padded to a multiple of 4 rows. A
+partial open chunk's missing rows are screened as -inf and never win.
+A screened value that is not finite (a float32 overflow) has every
+row computed in float64.
 
 The heads' cosines are averaged. A cosine is 0 when either norm is
 below 1e-12, and a NaN or infinite one raises NonFinite. The scores
@@ -50,7 +48,6 @@ layer's keys or values when attention reads them, one layer at a time.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -61,9 +58,8 @@ from .cache import CacheView, rep_key_of
 from .linalg import ZERO_NORM_EPS, DimMismatch, NonFinite, row_norms
 
 
-# bytes of member keys that max-score copies to float64 at once (256
-# rows at 4 layers of 64 dims), and of float32 keys its screen reads at
-# once when several heads' rows interleave: cache-sized blocks of rows
+# bytes of float32 member keys that max-score's screen reads at once
+# when several heads' rows interleave: cache-sized blocks of rows
 MEMBER_BLOCK_BYTES = 512 * 1024
 
 
@@ -92,8 +88,7 @@ def _cosines(dots: np.ndarray, norms: np.ndarray,
 
 def _dots(rows: np.ndarray, probe: np.ndarray) -> np.ndarray:
     """(..., n, heads) dots of n float64 token-first rows with the
-    (..., heads, d) probe: one matrix-vector product per layer and head.
-    Max-score calls it once per block of rows, every layer at once."""
+    (..., heads, d) probe: one matrix-vector product per layer and head."""
     d = probe.ndim  # the token axis goes before the last
     per_head = rows.reshape(len(rows), *probe.shape).transpose(
         *range(1, d), 0, d)
@@ -107,49 +102,22 @@ def _layered(norms: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return norms.reshape(len(norms), *shape).transpose(*range(1, d), 0, d)
 
 
-def _blocked_max(vec: np.ndarray, probe_norms: np.ndarray, view: CacheView,
-                 hi: int) -> np.ndarray:
-    """(..., n, heads) best member cosine of each candidate chunk, the
-    candidates' member rows being [n_sink, hi), from every member key
-    converted to float64: the exact pass."""
-    lo = view.n_sink
-    # every layer's member keys go to float64 one block of rows at a
-    # time, whole chunks and whole groups of 4 rows, so that a row's dot
-    # is the same in any block: OpenBLAS's matrix-vector kernels take
-    # rows in fours, and numpy computes a one-row product as a plain
-    # dot, so a lone last row joins the block before it
-    unit = math.lcm(view.chunk, 4)
-    step = max(1, MEMBER_BLOCK_BYTES // (unit * vec.size * 8)) * unit
-    cuts = [lo, *range(lo + step, hi - 1, step), hi]
-    dots = np.empty((*vec.shape[:-2], hi - lo, vec.shape[-2]))
-    for a, b in zip(cuts, cuts[1:]):
-        dots[..., a - lo:b - lo, :] = _dots(
-            view.keys[a:b].astype(np.float64), vec)
-    member = _cosines(dots, _layered(view.key_norms[lo:hi], vec.shape[:-1]),
-                      probe_norms[..., None, :])
-    return np.maximum.reduceat(member, np.arange(0, hi - lo, view.chunk),
-                               axis=-2)
-
-
 def _exact_dots(rows: np.ndarray, probe: np.ndarray) -> np.ndarray:
     """(..., m) float64 dots of float32 (..., m, d) rows with the
-    (..., d) probe, m a multiple of 4 (at least 4): each row's bits are
-    those the blocked pass gives it, wherever it sits in its 4-row group."""
+    (..., d) probe, m a multiple of 4 (at least 4), so that every row
+    sits in a whole 4-row group and has the same bits in any of them."""
     return np.matmul(rows.astype(np.float64), probe[..., None])[..., 0]
 
 
 def _screened_max(vec: np.ndarray, probe_norms: np.ndarray, view: CacheView,
-                  hi: int):
-    """_blocked_max's result, bit for bit, from a float32 screen and
+                  hi: int) -> np.ndarray:
+    """(..., n, heads) best member cosine of each candidate chunk, the
+    candidates' member rows being [n_sink, hi): a float32 screen, then
     float64 dots for each chunk's winner and each near-tied chunk's rows
-    (see the module docstring); None where the blocked pass must run: a
-    partial open chunk, member rows outside whole 4-row groups, or a
-    screened value that is not finite."""
+    (see the module docstring)."""
     c, lo = view.chunk, view.n_sink
     span = hi - lo
-    n = span // c
-    if span % 4 or span != n * c:
-        return None
+    n = -(-span // c)
     shape = vec.shape[:-1]  # (..., heads)
     last = (*range(1, len(shape) + 1), 0)  # the token axis goes last
     # (..., heads, span, d) and (..., heads, span) views: no copy
@@ -175,8 +143,10 @@ def _screened_max(vec: np.ndarray, probe_norms: np.ndarray, view: CacheView,
     dead = norms < ZERO_NORM_EPS
     if dead.any():
         screen[dead] = 0.0  # _cosines' zero-norm rule
-    if not np.isfinite(screen).all():  # a float32 overflow
-        return None
+    overflow = not np.isfinite(screen).all()
+    if span < n * c:  # a partial open chunk: its missing rows never win
+        screen = np.concatenate(
+            [screen, np.full((*shape, n * c - span), -np.inf)], axis=-1)
     screen = screen.reshape(-1, c)  # a row per layer, head and chunk
     win = screen.argmax(axis=1)
     best = screen[np.arange(len(win)), win].reshape(*shape, n)
@@ -188,6 +158,8 @@ def _screened_max(vec: np.ndarray, probe_norms: np.ndarray, view: CacheView,
     eps = (d + 1) * 2.0**-24 / (1 - (d + 1) * 2.0**-24) + (d + 4) * 2.0**-52
     near = (screen.reshape(*shape, n, c)
             >= (best - 2 * eps * probe_norms)[..., None])
+    if overflow:  # a float32 overflow: every row is computed exactly
+        near[...] = True
     # each chunk's float32 winner, padded to a multiple of 4 rows by
     # repeating the last
     rows = win.reshape(*shape, n) + np.arange(0, span, c)
@@ -200,6 +172,7 @@ def _screened_max(vec: np.ndarray, probe_norms: np.ndarray, view: CacheView,
         *at, j = (near.sum(axis=-1) > 1).nonzero()
         # every row of each near-tied chunk, padded as above
         rows = (j * c)[:, None] + np.minimum(np.arange(-(-c // 4) * 4), c - 1)
+        np.minimum(rows, span - 1, out=rows)  # within a partial open chunk
         at = tuple(at)
         lead = tuple(a[:, None] for a in at)
         dots = _exact_dots(keys[(*lead, rows)], vec[at])[:, :c]
@@ -243,8 +216,6 @@ def score_chunks_across_heads(probe, view: CacheView,
                              "this cache keeps none")
         hi = view.chunk_rows(n - 1)[1] if n else view.n_sink
         cos = _screened_max(vec, probe_norms, view, hi)
-        if cos is None:
-            cos = _blocked_max(vec, probe_norms, view, hi)
     else:
         raise ValueError(f"unknown representative mode {mode!r}")
     # C order makes numpy sum each chunk's heads pairwise; another layout

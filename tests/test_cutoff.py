@@ -65,6 +65,14 @@ def test_allocate_validates_inputs():
         allocate([-0.5, 1.0], 100, chunk_size=1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_allocate_rejects_non_finite_density(bad):
+    """A NaN density would split the budget evenly, and an infinite one
+    would fail converting NaN to an int: both are named instead."""
+    with pytest.raises(ValueError, match=rf"densities \[{bad}, 1.0\]"):
+        allocate([bad, 1.0], 96, chunk_size=32)
+
+
 @settings(max_examples=150, deadline=None)
 @given(densities, st.integers(0, 64), st.integers(1, 8))
 def test_allocation_conserves_total(theta, chunks_per_layer, chunk_size):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import kvprobe.engine as engine_module
-import kvprobe.retrieval as retrieval_module
 from kvprobe.cache import LayerCache
 from kvprobe.cutoff import BudgetAllocation, allocate, layer_density
 from kvprobe.engine import (CUTOFF_MODES, PROBE_MODES, REP_MODES,
@@ -20,7 +19,8 @@ from kvprobe.retrieval import (Gathered, materialize,
                                selected_rows)
 from kvprobe.tracefile import (PlantedSpec, SyntheticConfig,
                                generate_synthetic, read_trace, write_trace)
-from oracles import dense_attention, layer_view, trace_values, value_sums
+from oracles import (dense_attention, layer_view, max_score_scores,
+                     trace_values, value_sums)
 
 TINY = SyntheticConfig(d=8, layers=2, heads=2, window=8, num_windows=6,
                        num_decode_steps=3, n_sink=2, chunk=2, n_local=4)
@@ -259,21 +259,6 @@ def test_max_score_decode_step_holds_less_than_one_layers_gather(cfg):
     step, peak = _decode_peak(cfg, rep_mode="max-score")
     assert {rec.pairs_used for rec in step.layers} == {1472}
     assert peak < 2 * 1472 * cfg.d * 4, peak
-
-
-@pytest.mark.parametrize("cfg", [SyntheticConfig(),
-                                 SyntheticConfig(d=512, heads=8)],
-                         ids=["H1", "H8"])
-def test_max_score_decode_step_takes_the_screen(cfg, monkeypatch):
-    """Max-score steps on criterion 5's geometry (chunk 32, n_local 512,
-    d_head 64) score through the float32 screen: the blocked float64
-    pass over every member key never runs."""
-    def blocked(*args):
-        raise AssertionError("max-score fell back to the blocked pass")
-
-    monkeypatch.setattr(retrieval_module, "_blocked_max", blocked)
-    step, _ = _decode_peak(cfg, rep_mode="max-score")
-    assert {rec.pairs_used for rec in step.layers} == {1472}
 
 
 def test_prefill_step_attends_only_the_last_query_row():
@@ -605,16 +590,18 @@ LAYERED = SyntheticConfig(d=8, layers=3, heads=2, window=8, num_windows=6,
                           num_decode_steps=5, n_sink=2, chunk=3, n_local=0)
 
 
-def layered_run(monkeypatch, rep_mode="mean", n_local=0):
-    """Replay a LAYERED trace; returns the trace, the engine config, the
-    result, the (probe, view) of every scoring call and the output of
-    every attention call, (layers, heads, 1, d_head), in call order."""
-    cfg = dataclasses.replace(LAYERED, n_local=n_local)
+def layered_run(monkeypatch, rep_mode="mean", n_local=0, **geometry):
+    """Replay a LAYERED trace, with any other geometry fields given, at a
+    budget of two chunks per layer; returns the trace, the engine
+    config, the result, the (probe, view) of every scoring call and the
+    output of every attention call, (layers, heads, 1, d_head), in call
+    order."""
+    cfg = dataclasses.replace(LAYERED, n_local=n_local, **geometry)
     trace = generate_synthetic(cfg, None, seed=3)
     config = EngineConfig(d=cfg.d, layers=cfg.layers, heads=cfg.heads,
                           window=cfg.window, chunk=cfg.chunk,
-                          n_sink=cfg.n_sink, n_local=n_local, budget=6,
-                          rep_mode=rep_mode)
+                          n_sink=cfg.n_sink, n_local=n_local,
+                          budget=2 * cfg.chunk, rep_mode=rep_mode)
     scored, attended = [], []
     score, attend = (engine_module.score_chunks_across_heads,
                      engine_module.reference_attention)
@@ -660,6 +647,24 @@ def test_batched_step_equals_per_layer_arithmetic(monkeypatch, rep_mode,
         else:
             assert budgets == [config.budget] * config.layers
     assert partial == (n_local == 0)
+
+
+def test_max_score_replay_matches_the_exact_oracle(monkeypatch):
+    """A max-score replay with chunk 7, no local tail and 2 heads of 33
+    dims scores a partial open chunk at 8 of its 11 steps and a member
+    span that is not a multiple of 4 rows at 9: each record's scores are
+    the exact float64 oracle's, bit for bit."""
+    _, config, result, scored, _ = layered_run(monkeypatch, "max-score",
+                                               d=66, chunk=7)
+    partial = odd = 0
+    for step, (probe, view) in zip(result.steps, scored, strict=True):
+        want = max_score_scores(probe, view)
+        for l, rec in enumerate(step.layers):
+            assert rec.scores.tobytes() == want[l].tobytes()
+        span = max(view.total_pairs - view.n_sink, 0)
+        partial += span % config.chunk != 0
+        odd += span % 4 != 0
+    assert (partial, odd) == (8, 9)
 
 
 def test_ragged_budgets_select_and_attend_per_layer(monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kvprobe.linalg import DimMismatch
 from kvprobe.probe import (LengthMismatch, StatsUndefined, StreamingStats,
                            activation_bias, build_probe, decoding_probe,
                            uniform_bias)
@@ -89,6 +90,12 @@ def test_uniform_bias_shape():
     bias = uniform_bias(4, 3)
     assert bias.weights == pytest.approx(np.full(4, 0.25))
     assert bias.phi.shape == (4, 3)
+
+
+def test_uniform_bias_of_an_empty_window_raises():
+    """As activation_bias does, not with a division by zero rows."""
+    with pytest.raises(DimMismatch, match="empty window"):
+        uniform_bias(0, 3)
 
 
 def test_build_probe_example():

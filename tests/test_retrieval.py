@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import kvprobe.retrieval as retrieval
 from kvprobe.cache import LayerCache, rep_key_of
 from kvprobe.linalg import DimMismatch, NonFinite
 from kvprobe.retrieval import (SelectionResult, UnknownChunk, materialize,
                                score_chunks_across_heads, select_topk,
                                selected_rows)
-from oracles import cosine, layer_view
+from oracles import cosine, layer_view, max_score_scores
 
 
 def view_of(keys, chunk, n_sink=0, n_local=0):
@@ -290,50 +289,6 @@ def test_vectorized_scores_match_cosine_oracle(n_sink, chunk, n_local, heads,
         [chunks[j].values for j in picked] or [np.zeros((0, heads, 1))]))
 
 
-@settings(max_examples=40, deadline=None)
-@given(chunk=st.integers(1, 5), n_sink=st.integers(0, 6),
-       n_local=st.sampled_from([0, 0, 5]), total=st.integers(0, 90),
-       seed=st.integers(0, 2**32 - 1))
-# chunk=1: every row its own chunk, in 4-row blocks
-@example(chunk=1, n_sink=0, n_local=0, total=90, seed=0)
-# 12-row blocks; the open chunk's 2 rows end the third block mid-way
-@example(chunk=3, n_sink=1, n_local=0, total=30, seed=1)
-# a 25-row span: its lone last row (a 1-row open chunk) joins the block
-# before it
-@example(chunk=3, n_sink=1, n_local=0, total=26, seed=2)
-@pytest.mark.parametrize("heads", [1, 2])
-@pytest.mark.parametrize("layers", [1, 3])
-def test_max_score_blocks_match_one_block(layers, heads, chunk, n_sink,
-                                          n_local, total, seed):
-    """Max-score scores from the blocked float64 pass (the screen
-    switched off), computed a block of rows at a time with the byte
-    budget cut to one chunk's rows, are bit-identical to one block over
-    every member key, and match the cosine oracle."""
-    rng = np.random.default_rng(seed)
-    dim = 32  # wide enough that a dot's sum order shows in its bits
-    keys = rng.standard_normal((total, layers, heads, dim)).astype(np.float32)
-    keys[rng.random((total, layers, heads)) < 0.2] = 0.0
-    cache = LayerCache(dim=(layers, heads, dim), n_sink=n_sink,
-                       n_local=n_local, chunk=chunk)
-    if total:
-        cache.append(keys, keys + 1.0)
-    view = cache.snapshot()
-    probe = rng.standard_normal((layers, heads, dim)).astype(np.float32)
-    row_bytes = layers * heads * dim * 8
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(retrieval, "_screened_max", lambda *args: None)
-        mp.setattr(retrieval, "MEMBER_BLOCK_BYTES", chunk * row_bytes)
-        blocked = score_chunks_across_heads(probe, view, mode="max-score")
-        mp.setattr(retrieval, "MEMBER_BLOCK_BYTES", (total + 1) * row_bytes)
-        whole = score_chunks_across_heads(probe, view, mode="max-score")
-    assert blocked.tobytes() == whole.tobytes()
-    for l in range(layers):
-        per_head = [oracle_scores(probe[l, h], layer_view(view, l),
-                                  "max-score", h) for h in range(heads)]
-        want = np.mean(np.reshape(per_head, (heads, -1)), axis=0)
-        assert np.allclose(blocked[l], want, rtol=0.0, atol=1e-12)
-
-
 def near_tied_keys(rng, rows, chunk, n_sink, shape, twins, zeros):
     """float32 keys of `rows` rows shaped `shape` in which a share
     `twins` of the member rows copy an earlier row of their chunk,
@@ -374,15 +329,29 @@ def near_tied_keys(rng, rows, chunk, n_sink, shape, twins, zeros):
 # chunk 6: 12 member rows in whole groups of 4, near-tied rows padded
 @example(layers=3, heads=2, d_head=33, chunk=6, n_sink=1, n_local=5,
          chunks=2, extra=0, twins=0.8, zeros=0.1, scale=(1.0, 1.0), seed=5)
-# float32 overflows: the blocked pass runs
+# float32 overflows: every row is computed exactly
 @example(layers=1, heads=2, d_head=16, chunk=8, n_sink=2, n_local=5,
          chunks=6, extra=0, twins=0.3, zeros=0.0, scale=(1e20, 1e20), seed=6)
+# chunk 1: every row its own chunk, 90 of them
+@example(layers=3, heads=2, d_head=32, chunk=1, n_sink=0, n_local=0,
+         chunks=90, extra=0, twins=0.0, zeros=0.1, scale=(1.0, 1.0), seed=0)
+# a 29-row span: the open chunk's 2 of 3 rows end a 4-row group mid-way
+@example(layers=3, heads=2, d_head=32, chunk=3, n_sink=1, n_local=0,
+         chunks=9, extra=2, twins=0.0, zeros=0.1, scale=(1.0, 1.0), seed=1)
+# a 25-row span: its last row is a 1-row open chunk
+@example(layers=3, heads=2, d_head=32, chunk=3, n_sink=1, n_local=0,
+         chunks=8, extra=1, twins=0.0, zeros=0.1, scale=(1.0, 1.0), seed=2)
+# one 7-row chunk: its last 3 rows are no whole 4-row group unless padded
+@example(layers=1, heads=1, d_head=33, chunk=7, n_sink=0, n_local=5,
+         chunks=1, extra=0, twins=0.8, zeros=0.0, scale=(1.0, 1.0), seed=2)
 def test_max_score_screen_matches_blocked_pass_bit_for_bit(
         layers, heads, d_head, chunk, n_sink, n_local, chunks, extra, twins,
         zeros, scale, seed):
     """Max-score scores through the float32 screen and exact winners are
-    byte-identical to the blocked float64 pass's, near ties, zero norms,
-    partial open chunks and float32 overflow included."""
+    byte-identical to the exact float64 pass over every member key (the
+    oracle), near ties, zero norms, partial open chunks, member spans
+    that are not a multiple of 4 rows and float32 overflow included; the
+    oracle is the cosine oracle's mean over heads to within 1e-12."""
     rng = np.random.default_rng(seed)
     shape = (layers, heads, d_head)
     rows = n_sink + chunks * chunk + n_local + extra
@@ -395,11 +364,14 @@ def test_max_score_screen_matches_blocked_pass_bit_for_bit(
     probe = rng.standard_normal(shape) * scale[1]  # float64, as the engine's
     probe[rng.random(shape[:-1]) < zeros] = 0.0
     got = score_chunks_across_heads(probe, view, mode="max-score")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(retrieval, "_screened_max", lambda *args: None)
-        want = score_chunks_across_heads(probe, view, mode="max-score")
+    want = max_score_scores(probe, view)
     assert got.shape == (layers, view.n_candidates)
     assert got.tobytes() == want.tobytes()
+    for l in range(layers):
+        per_head = [oracle_scores(probe[l, h], layer_view(view, l),
+                                  "max-score", h) for h in range(heads)]
+        mean = np.mean(np.reshape(per_head, (heads, -1)), axis=0)
+        assert np.allclose(want[l], mean, rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)

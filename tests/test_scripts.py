@@ -49,9 +49,7 @@ def test_decode_calls_runs(monkeypatch, capsys):
         for name in ("engine.Engine.decode_step", "retrieval.select_topk",
                      "engine.reference_attention"):
             assert int(counts[name][0]) > 0
-        # max-score scores through the float32 screen alone
         assert ("retrieval._screened_max" in counts) == (rep == "max-score")
-        assert "retrieval._blocked_max" not in counts
 
 
 def test_digests_are_repeatable(monkeypatch, capsys):
