@@ -1,13 +1,16 @@
 """Dense numeric kernels and error types shared by every other module.
 
 Stored payloads are float32. Norms, softmax and entropy accumulate in
-float64 at the dimensions this engine targets (d <= 4096). Scores and
-densities are byte-identical run to run on one numpy/BLAS stack only:
-another BLAS kernel or SIMD level may move their last bit. Attention
+float64 at the dimensions this engine targets (d <= 4096). Max-score
+scores take their exact dots without BLAS and are the same on any
+BLAS kernel. Mean-mode scores and attention are BLAS products, which
+another kernel may move in the last bit, and densities (theta) use
+numpy's SIMD exp and log, which another SIMD level
+(NPY_DISABLE_CPU_FEATURES) may move. Attention
 (engine.reference_attention, one call per step for every layer and
-head) keeps less: its logits are float32 products on the cached keys
-and its weighted sums float32 products on the cached values, each
-row's value sum; only its softmax runs in float64.
+head) keeps less precision: its logits are float32 products on the
+cached keys and its weighted sums float32 products on the cached
+values, each row's value sum; only its softmax runs in float64.
 """
 
 from __future__ import annotations

@@ -13,16 +13,14 @@ rule, is the cosine times the head's probe norm |p| to within
 eps |p|, eps = gamma(d_head + 1) + (d_head + 4) * 2**-52 and
 gamma(k) = k u / (1 - k u) with u = 2**-24. A member within 2 eps |p|
 of its chunk's best is a contender, and the chunk's exact best is one
-of them. Each chunk's float32 winner alone goes to float64, in
-one batched product per layer and head padded to a multiple of 4
-rows; a chunk with two or more contenders has every row computed so,
-and takes their maximum. OpenBLAS's matrix-vector kernels compute
-rows in groups of 4, and a row in a whole group has the same bits
-wherever the group sits, so the scores are those of one float64
-product over every member key padded to a multiple of 4 rows. A
-partial open chunk's missing rows are screened as -inf and never win.
-A screened value that is not finite (a float32 overflow) has every
-row computed in float64.
+of them. A contender's exact dot is a float64 sum in numpy's fixed
+order along its row, never BLAS, so its bits do not depend on the
+rows beside it or on the BLAS kernel. Each chunk's float32 winner is
+computed in one batch, then any other contender (usually none) in a
+second, and a chunk scores its contenders' best: the scores are those
+of the same dot over every member key. A partial open chunk's
+missing rows are screened as -inf and never win. A screened value
+that is not finite (a float32 overflow) makes every row a contender.
 
 The heads' cosines are averaged. A cosine is 0 when either norm is
 below 1e-12, and a NaN or infinite one raises NonFinite. The scores
@@ -103,18 +101,17 @@ def _layered(norms: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _exact_dots(rows: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """(..., m) float64 dots of float32 (..., m, d) rows with the
-    (..., d) probe, m a multiple of 4 (at least 4), so that every row
-    sits in a whole 4-row group and has the same bits in any of them."""
-    return np.matmul(rows.astype(np.float64), probe[..., None])[..., 0]
+    """float64 dots of float32 (..., d) rows with the (..., d) probe,
+    each summed in numpy's fixed order along its contiguous row: no
+    BLAS, so a row has the same bits in any batch and on any kernel."""
+    return (rows.astype(np.float64) * probe).sum(axis=-1)
 
 
 def _screened_max(vec: np.ndarray, probe_norms: np.ndarray, view: CacheView,
                   hi: int) -> np.ndarray:
     """(..., n, heads) best member cosine of each candidate chunk, the
     candidates' member rows being [n_sink, hi): a float32 screen, then
-    float64 dots for each chunk's winner and each near-tied chunk's rows
-    (see the module docstring)."""
+    exact dots for each chunk's contenders (see the module docstring)."""
     c, lo = view.chunk, view.n_sink
     span = hi - lo
     n = -(-span // c)
@@ -124,7 +121,6 @@ def _screened_max(vec: np.ndarray, probe_norms: np.ndarray, view: CacheView,
     keys = view.keys[lo:hi].reshape(span, *vec.shape).transpose(
         *last, len(shape) + 1)
     norms = view.key_norms[lo:hi].reshape(span, *shape).transpose(last)
-    probe_norms = probe_norms[..., None]
     screen = np.empty(keys.shape[:-1], dtype=np.float32)
     # several heads' rows interleave in the cache, and a cache-sized
     # block of rows at a time reads them faster (~1.7x at 8 heads of 64
@@ -157,27 +153,20 @@ def _screened_max(vec: np.ndarray, probe_norms: np.ndarray, view: CacheView,
     d = vec.shape[-1]
     eps = (d + 1) * 2.0**-24 / (1 - (d + 1) * 2.0**-24) + (d + 4) * 2.0**-52
     near = (screen.reshape(*shape, n, c)
-            >= (best - 2 * eps * probe_norms)[..., None])
-    if overflow:  # a float32 overflow: every row is computed exactly
-        near[...] = True
-    # each chunk's float32 winner, padded to a multiple of 4 rows by
-    # repeating the last
+            >= (best - 2 * eps * probe_norms[..., None])[..., None])
+    if overflow:  # a float32 overflow: every row is a contender
+        near[...] = (np.arange(n * c) < span).reshape(n, c)
     rows = win.reshape(*shape, n) + np.arange(0, span, c)
-    rows = np.concatenate([rows, rows[..., -1:].repeat(-n % 4, axis=-1)],
-                          axis=-1)
     at = tuple(i[..., None] for i in np.indices(shape, sparse=True))
-    out = _cosines(_exact_dots(keys[(*at, rows)], vec)[..., :n],
-                   norms[(*at, rows[..., :n])], probe_norms)
-    if np.count_nonzero(near) > len(win):  # a chunk with two contenders
-        *at, j = (near.sum(axis=-1) > 1).nonzero()
-        # every row of each near-tied chunk, padded as above
-        rows = (j * c)[:, None] + np.minimum(np.arange(-(-c // 4) * 4), c - 1)
-        np.minimum(rows, span - 1, out=rows)  # within a partial open chunk
+    out = _cosines(_exact_dots(keys[(*at, rows)], vec[..., None, :]),
+                   norms[(*at, rows)], probe_norms[..., None])
+    near.reshape(-1, c)[np.arange(len(win)), win] = False
+    if near.any():  # contenders other than the winners
+        *at, r = near.reshape(*shape, n * c).nonzero()
         at = tuple(at)
-        lead = tuple(a[:, None] for a in at)
-        dots = _exact_dots(keys[(*lead, rows)], vec[at])[:, :c]
-        out[(*at, j)] = _cosines(dots, norms[(*lead, rows[:, :c])],
-                                 probe_norms[at]).max(axis=-1)
+        np.maximum.at(out, (*at, r // c), _cosines(
+            _exact_dots(keys[(*at, r)], vec[at]), norms[(*at, r)],
+            probe_norms[at]))
     return out.swapaxes(-1, -2)
 
 

@@ -38,22 +38,19 @@ def value_sums(values) -> np.ndarray:
 
 
 def max_score_scores(probe, view: CacheView) -> np.ndarray:
-    """Max-score scores, bit for bit, from every member key in float64:
-    the member span padded to a multiple of 4 rows by repeating its
-    last, so that each row's dot comes from a whole 4-row group of one
-    matrix-vector product per layer and head; then the cosines (0 below
-    a norm of 1e-12), each chunk's best and the mean over heads, summed
-    in C order. probe and the scores are shaped as
-    score_chunks_across_heads takes and gives them."""
+    """Max-score scores, bit for bit, from every member key: each row's
+    float64 dot with the probe summed in numpy's fixed order along the
+    row, the cosines (0 below a norm of 1e-12), each chunk's best and
+    the mean over heads, summed in C order. probe and the scores are
+    shaped as score_chunks_across_heads takes and gives them."""
     vec = np.asarray(probe, dtype=np.float64)
     if vec.ndim == 1:
         vec = vec[None]  # one head
     shape, c, lo, n = vec.shape[:-1], view.chunk, view.n_sink, view.n_candidates
     span = (view.chunk_rows(n - 1)[1] if n else lo) - lo
-    rows = np.minimum(np.arange(lo, lo + span + -span % 4), lo + span - 1)
-    keys = np.moveaxis(view.keys[rows].astype(np.float64)
-                       .reshape(len(rows), *vec.shape), 0, -2)
-    dots = np.matmul(np.ascontiguousarray(keys), vec[..., None])[..., :span, 0]
+    keys = np.moveaxis(view.keys[lo:lo + span].reshape(span, *vec.shape),
+                       0, -2)
+    dots = (keys.astype(np.float64) * vec[..., None, :]).sum(axis=-1)
     norms = np.moveaxis(view.key_norms[lo:lo + span].reshape(span, *shape),
                         0, -1)
     probe_norms = np.sqrt(np.square(vec).sum(axis=-1))[..., None]

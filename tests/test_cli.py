@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import kvprobe
 from kvprobe.cli import _dumps, main
 from kvprobe.tracefile import read_trace
 
+RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 GEN = ["gen-trace", "--dim", "16", "--layers", "2", "--heads", "2",
        "--window-size", "16", "--windows", "6", "--decode-steps", "2",
        "--sinks", "4", "--chunk", "4", "--local", "8", "--seed", "5"]
@@ -127,6 +129,32 @@ def test_replay_leaves_openssl_unloaded_and_digests_the_trace(tmp_path):
                 + RUN_GEOM) == 0
     assert json.loads(report.read_text())["trace_sha256"] == hashlib.sha256(
         trace.read_bytes()).hexdigest()
+
+
+def test_max_score_report_is_the_same_on_any_openblas_kernel(
+        tmp_path, monkeypatch):
+    """The smoke max-score workload's report is byte-identical whether
+    OpenBLAS runs its default kernel or its Prescott one
+    (OPENBLAS_CORETYPE, read when a child process loads it): max-score's
+    exact dots call no BLAS routine."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PY)
+    mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mod)  # for dataclasses
+    spec.loader.exec_module(mod)
+    wl = mod.WORKLOADS["max-score"].smoke()
+    trace = tmp_path / "t.akvt"
+    assert main(wl.gen_args(0, trace)) == 0
+    src = Path(kvprobe.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(src)
+    reports = []
+    for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        report = tmp_path / f"{len(reports)}.report.json"
+        subprocess.run([sys.executable, "-m", "kvprobe.cli",
+                        *wl.run_args(trace, report)],
+                       env=env | kernel, capture_output=True, check=True)
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_records_and_csv_outputs(tmp_path):

@@ -652,8 +652,9 @@ def test_batched_step_equals_per_layer_arithmetic(monkeypatch, rep_mode,
 def test_max_score_replay_matches_the_exact_oracle(monkeypatch):
     """A max-score replay with chunk 7, no local tail and 2 heads of 33
     dims scores a partial open chunk at 8 of its 11 steps and a member
-    span that is not a multiple of 4 rows at 9: each record's scores are
-    the exact float64 oracle's, bit for bit."""
+    span that is not a multiple of 4 rows, a BLAS kernel's row group, at
+    9: each record's scores are the fixed-order exact oracle's, bit for
+    bit."""
     _, config, result, scored, _ = layered_run(monkeypatch, "max-score",
                                                d=66, chunk=7)
     partial = odd = 0

@@ -323,10 +323,10 @@ def near_tied_keys(rng, rows, chunk, n_sink, shape, twins, zeros):
 # 8 heads of 64 dims, chunk 32, half the member rows twins
 @example(layers=2, heads=8, d_head=64, chunk=32, n_sink=4, n_local=64,
          chunks=12, extra=0, twins=0.8, zeros=0.0, scale=(1.0, 1.0), seed=3)
-# one candidate chunk: its winner's product is padded to 4 rows
+# one candidate chunk: one winner's exact dot
 @example(layers=1, heads=1, d_head=48, chunk=4, n_sink=0, n_local=5,
          chunks=1, extra=0, twins=0.8, zeros=0.0, scale=(1.0, 1.0), seed=4)
-# chunk 6: 12 member rows in whole groups of 4, near-tied rows padded
+# chunk 6, 2 chunks: near-tied contenders beside their winners
 @example(layers=3, heads=2, d_head=33, chunk=6, n_sink=1, n_local=5,
          chunks=2, extra=0, twins=0.8, zeros=0.1, scale=(1.0, 1.0), seed=5)
 # float32 overflows: every row is computed exactly
@@ -335,23 +335,23 @@ def near_tied_keys(rng, rows, chunk, n_sink, shape, twins, zeros):
 # chunk 1: every row its own chunk, 90 of them
 @example(layers=3, heads=2, d_head=32, chunk=1, n_sink=0, n_local=0,
          chunks=90, extra=0, twins=0.0, zeros=0.1, scale=(1.0, 1.0), seed=0)
-# a 29-row span: the open chunk's 2 of 3 rows end a 4-row group mid-way
+# a 29-row span: the open chunk holds 2 of its 3 rows
 @example(layers=3, heads=2, d_head=32, chunk=3, n_sink=1, n_local=0,
          chunks=9, extra=2, twins=0.0, zeros=0.1, scale=(1.0, 1.0), seed=1)
 # a 25-row span: its last row is a 1-row open chunk
 @example(layers=3, heads=2, d_head=32, chunk=3, n_sink=1, n_local=0,
          chunks=8, extra=1, twins=0.0, zeros=0.1, scale=(1.0, 1.0), seed=2)
-# one 7-row chunk: its last 3 rows are no whole 4-row group unless padded
+# one 7-row chunk, most rows twins: contenders beside the winner
 @example(layers=1, heads=1, d_head=33, chunk=7, n_sink=0, n_local=5,
          chunks=1, extra=0, twins=0.8, zeros=0.0, scale=(1.0, 1.0), seed=2)
-def test_max_score_screen_matches_blocked_pass_bit_for_bit(
+def test_max_score_scores_match_the_exact_oracle_bit_for_bit(
         layers, heads, d_head, chunk, n_sink, n_local, chunks, extra, twins,
         zeros, scale, seed):
     """Max-score scores through the float32 screen and exact winners are
-    byte-identical to the exact float64 pass over every member key (the
-    oracle), near ties, zero norms, partial open chunks, member spans
-    that are not a multiple of 4 rows and float32 overflow included; the
-    oracle is the cosine oracle's mean over heads to within 1e-12."""
+    byte-identical to the same exact dot over every member key (the
+    oracle), near ties, zero norms, partial open chunks, member spans of
+    any length and float32 overflow included; the oracle is the cosine
+    oracle's mean over heads to within 1e-12."""
     rng = np.random.default_rng(seed)
     shape = (layers, heads, d_head)
     rows = n_sink + chunks * chunk + n_local + extra
