@@ -1,0 +1,70 @@
+#!/usr/bin/env python3
+"""What one replay holds beyond its cache, traced by tracemalloc.
+
+Generates acceptance criterion 6's trace (4 layers, 12 windows of 256
+rows, 5 decode steps, 3 planted chunks per step) at the given --dim,
+--heads and --windows, then replays it with ``run --budget 256``; both
+go through ``kvprobe.cli.main`` in-process, the replay under
+tracemalloc. Prints the bytes of the replay's cache (float32 keys and
+value sums of every token, float64 chunk reps and their norms), the
+traced peak of the run and their difference:
+
+    PYTHONPATH=src python3 scripts/replay_memory.py
+    PYTHONPATH=src python3 scripts/replay_memory.py --dim 64 --heads 1
+"""
+
+import argparse
+import contextlib
+import io
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+from kvprobe.cli import main as kvprobe
+from kvprobe.tracefile import read_trace
+
+SINKS, CHUNK = 64, 32  # run's defaults
+
+
+def cache_bytes(header) -> int:
+    """Keys, value sums, chunk reps and rep norms of a mean-mode replay."""
+    tokens = header.num_windows * header.window + header.num_decode_steps
+    chunks = -(-max(0, tokens - SINKS) // CHUNK)
+    return header.layers * (4 * tokens * (header.d + header.heads)
+                            + 8 * chunks * (header.d + header.heads))
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--dim", type=int, default=512)
+    ap.add_argument("--heads", type=int, default=8)
+    ap.add_argument("--windows", type=int, default=12)
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        trace, report = Path(tmp) / "t.akvt", Path(tmp) / "r.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            if kvprobe(["gen-trace", "--dim", str(args.dim),
+                        "--heads", str(args.heads),
+                        "--windows", str(args.windows),
+                        "--decode-steps", "5", "--planted", "3",
+                        "--anchor-scale", "4.0", "--drift", "3.0",
+                        "--seed", "0", "--out", str(trace)]) != 0:
+                raise SystemExit("gen-trace failed")
+            tracemalloc.start()
+            try:
+                code = kvprobe(["run", "--trace", str(trace),
+                                "--budget", "256", "--report", str(report)])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        if code != 0:
+            raise SystemExit(f"run exited {code}")
+        header, _ = read_trace(trace)
+    cache = cache_bytes(header)
+    for name, n in (("cache", cache), ("peak", peak),
+                    ("above cache", peak - cache)):
+        print(f"{name:<12}{n / 2**20:8.2f} MiB {n:>12,} bytes")
+
+
+if __name__ == "__main__":
+    main()

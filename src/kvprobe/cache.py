@@ -20,14 +20,15 @@ One append commits a token's (or a window's) rows for every layer, and
 one snapshot serves every layer. Appends only write rows past the
 current total, so a snapshot is a set of read-only slices and copies
 nothing; a later regrowth moves the cache to new buffers and leaves
-old snapshots on the old ones. An append takes d_head-wide values and
-sums them from its argument. A writer may fill the next rows in place,
-one layer at a time, through the writable views that staged(rows)
-returns: the K rows the append fills and a V staging buffer of one
-append's rows, reused by the next staged call. Appending those same
-views copies no key: the replay reads each pre-fill window into the
-cache this way, so the cache plus one window of values is all it
-holds. When a chunk seals, its representative key and that key's
+old snapshots on the old ones. An append takes d_head-wide values, or
+values already summed (last axis 1), and sums them from its argument:
+the float64 sum of one float32 is that float32. A writer may fill the
+next rows in place, one layer and head at a time, through the
+writable views that staged(rows) returns: the K rows and value-sum
+rows the append commits. Appending those same views copies no key:
+the replay reads each pre-fill window into the cache this way, so it
+holds no window-sized buffer of keys or values beside the cache.
+When a chunk seals, its representative key and that key's
 float64 norms (one per layer and head) go to (chunks, *dim) arrays. A
 cache built with key_norms (the default, and what the engine asks for
 in max-score mode only, the one reader) also writes every appended
@@ -221,7 +222,6 @@ class LayerCache:
         self._lead = max(0, len(row) - 2)  # layer axes
         self._k = np.empty((0, *row), dtype=np.float32)
         self._v = np.empty((0, *row[:-1], 1), dtype=np.float32)
-        self._v_staged = np.empty((0, *row), dtype=np.float32)
         self._knorm = np.empty((0, *row[:-1])) if key_norms else None
         self._rep = np.empty((0, *row))
         self._rep_norm = np.empty((0, *row[:-1]))
@@ -246,26 +246,25 @@ class LayerCache:
         self._rep_norm = _resized(self._rep_norm, chunks, sealed, lead)
 
     def staged(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Writable (rows, *dim) views of the K rows that the next append
-        of `rows` rows fills and of a V staging buffer for its values.
-        The K rows lie past total_pairs, so no snapshot sees them until
-        that append commits them; the staging buffer holds one append's
-        rows and is reused by the next staged call."""
+        """Writable views of the (rows, *dim) K rows and the (rows,
+        *dim[:-1], 1) value-sum rows that the next append of `rows` rows
+        fills. They lie past total_pairs, so no snapshot sees them until
+        that append commits them."""
         start, stop = self.total_pairs, self.total_pairs + rows
         self.reserve(stop)
-        if rows > self._v_staged.shape[0]:
-            self._v_staged = _resized(self._v_staged, rows, 0, self._lead)
-        return self._k[start:stop], self._v_staged[:rows]
+        return self._k[start:stop], self._v[start:stop]
 
     def append(self, keys, values) -> int:
-        """Append KV pairs, rows first: (rows, *dim); returns how many
-        chunks this call sealed. The values are summed straight from
-        `values`, so a row's d_head values are not stored. Given the K
-        view staged(rows) returned, it copies no key: numpy skips
+        """Append KV pairs, rows first: keys (rows, *dim) and values of
+        the same shape or already summed, (rows, *dim[:-1], 1); returns
+        how many chunks this call sealed. The values are summed straight
+        from `values`, so a row's d_head values are not stored. Given
+        the views staged(rows) returned, it copies no key: numpy skips
         assigning an array to itself."""
         k = np.asarray(keys, dtype=np.float32)
         v = np.asarray(values, dtype=np.float32)
-        if k.shape[1:] != self._k.shape[1:] or v.shape != k.shape:
+        if (k.shape[1:] != self._k.shape[1:] or v.shape[:-1] != k.shape[:-1]
+                or v.shape[-1] not in (1, k.shape[-1])):
             raise DimMismatch(f"keys {k.shape}, values {v.shape} for rows "
                               f"{self._k.shape[1:]}")
         if k.shape[0] < 1:

@@ -57,10 +57,26 @@ def _emit(path: str | None, obj) -> None:
 def _sha256(path: str) -> str:
     import hashlib  # loads OpenSSL, so only once the replay has freed its cache
     h = hashlib.sha256()
+    block = bytearray(1 << 16)  # one buffer for every read
+    view = memoryview(block)
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
+        while got := fh.readinto(block):
+            h.update(view[:got])
     return h.hexdigest()
+
+
+def _numeric_stack() -> dict:
+    """numpy's version, the SIMD extensions it dispatches to and its
+    BLAS name and version: what a report's last bits depend on. null
+    where numpy's show_config cannot give them as dicts (before 1.26)."""
+    try:
+        config = np.show_config(mode="dicts")
+        simd = config["SIMD Extensions"]["found"]
+        blas = {k: config["Build Dependencies"]["blas"].get(k)
+                for k in ("name", "version")}
+    except (TypeError, KeyError):
+        simd = blas = None
+    return {"numpy": np.__version__, "simd": simd, "blas": blas}
 
 
 def _max_rss_mb() -> float | None:
@@ -199,6 +215,7 @@ def _cmd_run(args) -> int:
             "pairs_materialized": sum(rec.pairs_used
                                       for _, rec in result.layer_records()),
             "max_rss_mb": _max_rss_mb(),
+            "numeric_stack": _numeric_stack(),
         })
     if args.report:
         rec = report["overall"]["recall"]["mean"]

@@ -6,15 +6,17 @@ call, one selection call and one attention call for all layers; only
 gathering the retrieved chunks runs one layer at a time.
 
 pre-filling
-    Windows arrive a block of rows at a time, and are read one layer
-    at a time. The snapshot is taken first. Then each layer folds the
-    window's queries (plus any task queries) into its running
-    statistics, builds one (heads, d_head) probe, and writes the
-    window's keys straight into the cache's next rows and its values
-    into the cache's staging buffer; so a replay holds the cache plus
-    one window of values. The append then commits the rows and sums
-    each row's values; the snapshot's slices stop at the old total, so
-    scoring and the tiers still see only the history. Every layer's
+    Windows arrive a block of rows at a time. The snapshot is taken
+    first. Then each layer reads the window's queries for every head,
+    folds them (plus any task queries) into its running statistics
+    and builds one (heads, d_head) probe; then, one head at a time,
+    it reads the window's keys straight into the cache's next key rows
+    and its values, summed over d_head in float64 and rounded once,
+    into the cache's next value-sum rows. So a replay holds the cache
+    plus one layer's queries and one head's keys or values, never a
+    window of every layer. The append then commits the rows; the
+    snapshot's slices stop at the old total, so scoring and the tiers
+    still see only the history. Every layer's
     retrievable chunks are scored and each layer greedily selects up
     to the layer budget; reference attention runs over [sinks,
     retrieved, local tail, window] for the window's last query row,
@@ -325,41 +327,41 @@ class Engine:
                 selections, thetas.tolist(), budgets, checksums)))
 
     def prefill_step(self, window: StepBlock, index: int) -> StepRecord:
-        """window is (layers, heads, 3, rows, d_head), read one layer at a
-        time by window.layer(l)."""
+        """window is (layers, heads, 3, rows, d_head), read one layer's
+        queries and one head's keys or values at a time."""
         cfg = self.config
         L, H, dh = cfg.layers, cfg.heads, cfg.d_head
         view = self.cache.snapshot()
-        # the key rows this window's append commits and staged values;
-        # token-major, so a layer's keys are keys[:, l], (rows, heads, d)
-        keys, values = self.cache.staged(cfg.window)
+        # the key and value-sum rows this window's append commits;
+        # token-major, so a head's keys are keys[:, l, h], (rows, d)
+        keys, sums = self.cache.staged(cfg.window)
         probes = np.empty((L, H, dh), dtype=np.float32)
         last_q = np.empty((L, H, 1, dh), dtype=np.float32)
         # one layer at a time, so a probe's float64 copies of the window
-        # stay one layer's size and a streamed window is read one layer
-        # at a time
+        # stay one layer's size and a streamed window holds one layer's
+        # queries
         for l in range(L):
-            slab = window.layer(l)
-            if slab.shape != (H, 3, cfg.window, dh):
-                raise DimMismatch(f"window layer shaped {slab.shape}, want "
-                                  f"{(H, 3, cfg.window, dh)}")
-            q_eff = slab[:, 0]
+            q_eff = window.queries(l)
+            if q_eff.shape != (H, cfg.window, dh):
+                raise DimMismatch(f"window queries shaped {q_eff.shape}, "
+                                  f"want {(H, cfg.window, dh)}")
             last_q[l] = q_eff[:, -1:]
             if self.task_queries is not None:
                 q_eff = np.concatenate([q_eff, self.task_queries[l]], axis=1)
             self.stats[l].update(q_eff)
             probes[l] = self._probe_for(l, q_eff).vector
-            keys[:, l] = slab[:, 1].swapaxes(0, 1)
-            values[:, l] = slab[:, 2].swapaxes(0, 1)
+            for h in range(H):
+                keys[:, l, h] = window.keys(l, h)
+                # the float64 sum rounded once that append makes
+                sums[:, l, h] = window.values(l, h).sum(
+                    axis=-1, dtype=np.float64, keepdims=True)
         # committed before attention, which reads the window's value sums
         # from the cache; the snapshot's slices stop at the old total
-        self.cache.append(keys, values)
+        self.cache.append(keys, sums)
         scores = score_chunks_across_heads(probes, view, mode=cfg.rep_mode)
         recs = self._attend(last_q, view, scores, layer_density(scores),
-                            [cfg.budget] * L,
-                            keys.transpose(1, 2, 0, 3),
-                            self.cache.values[view.total_pairs:]
-                            .transpose(1, 2, 0, 3))
+                            [cfg.budget] * L, keys.transpose(1, 2, 0, 3),
+                            sums.transpose(1, 2, 0, 3))
         step = StepRecord(stage="pre-filling", index=index, layers=recs)
         self.steps.append(step)
         return step
@@ -388,7 +390,7 @@ class Engine:
 
     def run(self, trace: TraceData | TraceReader) -> RunResult:
         """Replay every step block of trace, read from a TraceReader as
-        it goes (a window one layer at a time) or taken from a TraceData
+        it goes (a window one block at a time) or taken from a TraceData
         in memory; the same steps serve both."""
         h = trace.header
         cfg = self.config
@@ -411,7 +413,7 @@ class Engine:
             step(blk, index=blk.index)
             seconds[blk.stage].append(time.perf_counter() - started)
             # dropped before the next read, so a reader never holds two
-            # tokens and frees its window buffer before the first one
+            # tokens and frees its window buffers before the first one
             del blk
         return RunResult(config=cfg, steps=tuple(self.steps), header=h,
                          step_seconds=seconds)

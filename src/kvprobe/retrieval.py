@@ -104,7 +104,7 @@ def _exact_dots(rows: np.ndarray, probe: np.ndarray) -> np.ndarray:
     """float64 dots of float32 (..., d) rows with the (..., d) probe,
     each summed in numpy's fixed order along its contiguous row: no
     BLAS, so a row has the same bits in any batch and on any kernel."""
-    return (rows.astype(np.float64) * probe).sum(axis=-1)
+    return np.multiply(rows, probe, dtype=np.float64).sum(axis=-1)
 
 
 def _screened_max(vec: np.ndarray, probe_norms: np.ndarray, view: CacheView,

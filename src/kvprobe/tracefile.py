@@ -16,15 +16,20 @@ File layout (version 1, all integers little-endian):
     footer        ground-truth JSON document (when flagged)
 
 In memory a trace keeps this layout: ``TraceData`` holds the two step
-sections and a ``StepBlock`` one (L, H, 3, rows, d_head) block, or
-gives it one layer at a time. The payload is read in one place,
-``TraceReader.blocks()``, in file order. A decode token is read whole;
-a window is read one layer at a time into one reused (H, 3, window,
-d_head) buffer, which the replay copies into its cache and staging
-buffer. Every read is checked for NaN and infinity, so a replay holds
-its cache, the task block and one layer of one window, never a whole
-window or the payload. ``_footer`` builds a generated trace's footer,
-and ``check_footer`` checks every footer, generated or read alike.
+sections and a ``StepBlock`` one (L, H, 3, rows, d_head) block, which
+it gives as one layer's queries and one head's keys or values at a
+time. The payload is read in one place, ``TraceReader.blocks()``, in
+file order. A decode token is read whole. A window is read one
+(layer, head, Q/K/V) block at a time, each one contiguous (window,
+d_head) range of the file: a layer's queries into one reused (H,
+window, d_head) buffer, as the probe reads every head of a layer at
+once, and a head's keys or values into one reused (window, d_head)
+buffer, which the replay copies into its cache's next key rows or
+sums into its next value-sum rows. Every read is checked for NaN and
+infinity, so a replay holds its cache, the task block, one layer's
+queries and one block, never a whole window or the payload.
+``_footer`` builds a generated trace's footer, and ``check_footer``
+checks every footer, generated or read alike.
 
 Synthetic traces draw background tensors i.i.d. standard normal and
 then plant a relevance structure for each decode step: the step's
@@ -48,8 +53,7 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass, fields
-from functools import partial
-from typing import Callable, Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -138,18 +142,35 @@ class TraceHeader:
 @dataclass(frozen=True)
 class StepBlock:
     """One window or decode token as the file stores it: the whole
-    block in qkv, or, for a window that ``TraceReader`` streams, a
-    read_layer that reads one layer of it from the file."""
+    block in qkv, or, for a window that ``TraceReader`` streams, the
+    file it reads its blocks from."""
 
     stage: str  # "pre-filling" | "decoding"
     index: int
     qkv: np.ndarray | None = None  # (layers, heads, 3, rows, d_head)
-    read_layer: Callable[[int], np.ndarray] | None = None
+    file: _WindowFile | None = None
 
-    def layer(self, l: int) -> np.ndarray:
-        """Layer l's (heads, 3, rows, d_head) slab: a view of qkv, or a
-        streamed read into a buffer that the next read overwrites."""
-        return self.qkv[l] if self.read_layer is None else self.read_layer(l)
+    def queries(self, l: int) -> np.ndarray:
+        """Layer l's (heads, rows, d_head) queries: a view of qkv, or a
+        streamed read into a buffer that the next one overwrites."""
+        if self.file is None:
+            return self.qkv[l, :, 0]
+        for h in range(len(self.file.queries)):
+            self.file.read(l, h, 0)
+        return self.file.queries
+
+    def keys(self, l: int, h: int) -> np.ndarray:
+        """Layer l's head h's (rows, d_head) keys: a view of qkv, or a
+        streamed read into a buffer that the next K or V read
+        overwrites; values(l, h) likewise."""
+        if self.file is None:
+            return self.qkv[l, h, 1]
+        return self.file.read(l, h, 1)
+
+    def values(self, l: int, h: int) -> np.ndarray:
+        if self.file is None:
+            return self.qkv[l, h, 2]
+        return self.file.read(l, h, 2)
 
     @property
     def q(self) -> np.ndarray:
@@ -163,6 +184,28 @@ class StepBlock:
     @property
     def v(self) -> np.ndarray:
         return self.qkv[:, :, 2]
+
+
+@dataclass(frozen=True)
+class _WindowFile:
+    """Where a streamed window's blocks are read from, and the buffers
+    that every window of a reader reuses."""
+
+    fh: BinaryIO
+    start: int  # the window's first byte
+    index: int
+    queries: np.ndarray  # (heads, window, d_head)
+    block: np.ndarray  # (window, d_head)
+
+    def read(self, l: int, h: int, i: int) -> np.ndarray:
+        """Block (l, h, i) of the window, i = 0, 1, 2 for Q, K, V, one
+        contiguous range of the file: read into queries[h] (Q) or into
+        block (K or V)."""
+        out = self.queries[h] if i == 0 else self.block
+        self.fh.seek(self.start + ((l * len(self.queries) + h) * 3 + i)
+                     * out.nbytes)
+        return _read_block(self.fh, out, f"pre-filling block {self.index}, "
+                                         f"layer {l}, head {h}, {'QKV'[i]}")
 
 
 @dataclass
@@ -263,11 +306,13 @@ class TraceReader:
 
     def blocks(self) -> Iterator[StepBlock]:
         """Every window, then every decode token, in file order. A decode
-        token is read whole. A window is read one layer at a time by
-        ``StepBlock.layer``, into one (heads, 3, window, d_head) buffer
-        that every window reuses and that is freed after the last one;
-        a layer read seeks to its own bytes, one contiguous range of
-        the block."""
+        token is read whole. A window is read one (layer, head, Q/K/V)
+        block at a time, each seeking to its own contiguous range of the
+        file: by ``StepBlock.queries`` a layer's queries into one
+        (heads, window, d_head) buffer, and by ``StepBlock.keys`` and
+        ``values`` a head's keys or values into one (window, d_head)
+        buffer. Every window reuses both, and both are freed after the
+        last one."""
         h = self.header
         size = os.path.getsize(self.path)
         if size < self._payload_start + h.payload_bytes():
@@ -276,11 +321,12 @@ class TraceReader:
         at = self._payload_start + h.task_bytes()
         window_bytes = 4 * math.prod(shape)
         with open(self.path, "rb") as fh:
-            slab = np.empty(shape[1:], dtype="<f4")
+            queries = np.empty((h.heads, h.window, h.d_head), dtype="<f4")
+            block = np.empty(queries.shape[1:], dtype="<f4")
             for t in range(windows):
-                yield StepBlock("pre-filling", t, read_layer=partial(
-                    _read_layer, fh, at + t * window_bytes, slab, t))
-            del slab  # no decode step needs a window-sized buffer
+                yield StepBlock("pre-filling", t, file=_WindowFile(
+                    fh, at + t * window_bytes, t, queries, block))
+            del queries, block  # no decode step needs a window's buffers
             fh.seek(at + windows * window_bytes)
             for s in range(tokens):
                 # no local keeps the token, so once the caller drops it
@@ -298,17 +344,12 @@ class TraceReader:
         for blk in self.blocks():
             out = (win if blk.stage == "pre-filling" else dec)[blk.index]
             for l in range(h.layers):
-                out[l] = blk.layer(l)
+                out[l, :, 0] = blk.queries(l)
+                for hd in range(h.heads):
+                    out[l, hd, 1] = blk.keys(l, hd)
+                    out[l, hd, 2] = blk.values(l, hd)
         return TraceData(header=h, windows=win, decode=dec,
                          task_queries=task, ground_truth=gt)
-
-
-def _read_layer(fh, start: int, slab: np.ndarray, t: int, l: int
-                ) -> np.ndarray:
-    """Layer l of window t, whose block starts at byte `start`, read
-    into slab."""
-    fh.seek(start + l * slab.nbytes)
-    return _read_block(fh, slab, f"pre-filling block {t}, layer {l}")
 
 
 def _read_block(fh, out: np.ndarray, what: str) -> np.ndarray:

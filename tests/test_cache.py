@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kvprobe.cache import LayerCache, rep_key_of
+from kvprobe.linalg import DimMismatch
 from oracles import layer_view
 
 
@@ -129,29 +130,35 @@ def test_snapshot_is_isolated_from_later_appends():
 
 
 def test_staged_rows_are_unseen_until_append_commits_them():
-    """Rows written in place through staged() are in no snapshot until
-    append commits them, and appending the staged views stores what
-    appending copies of them stores, across regrowths."""
+    """Key and value-sum rows written in place through staged() are in
+    no snapshot until append commits them, and appending the staged
+    views stores what appending copies of the d_head-wide values
+    stores, across regrowths."""
     rng = np.random.default_rng(3)
     geometry = dict(dim=(2, 3, 4), n_sink=2, n_local=3, chunk=2)
     staged, copied = LayerCache(**geometry), LayerCache(**geometry)
     for rows in (3, 5, 1, 8):
         keys = rng.standard_normal((rows, 2, 3, 4)).astype(np.float32)
         before = staged.snapshot()
-        k, v = staged.staged(rows)
-        k[...], v[...] = keys, keys + 1.0
-        assert staged.snapshot().keys.tobytes() == before.keys.tobytes()
-        assert staged.append(k, v) == copied.append(keys, keys + 1.0)
+        k, sums = staged.staged(rows)
+        assert sums.shape == (rows, 2, 3, 1)
+        k[...] = keys
+        sums[...] = (keys + 1.0).sum(axis=-1, dtype=np.float64,
+                                     keepdims=True)
+        for field in ("keys", "values"):
+            assert (getattr(staged.snapshot(), field).tobytes()
+                    == getattr(before, field).tobytes())
+        assert staged.append(k, sums) == copied.append(keys, keys + 1.0)
     got, want = staged.snapshot(), copied.snapshot()
     for field in ("keys", "values", "key_norms", "rep_keys", "rep_norms"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
-def test_cache_holds_one_window_of_d_head_wide_values():
+def test_cache_holds_no_d_head_wide_values():
     """Over many staged windows a cache grows by its keys, one-wide
-    values and reps, plus one window of d_head-wide values in a staging
-    buffer that every window reuses: a row's d_head values are summed
-    when it is appended and not kept."""
+    values and reps alone: a window's keys and value sums are written
+    straight into the cache's rows, and no buffer of d_head-wide values
+    is kept beside them."""
     L, H, d, window, windows, chunk = 2, 4, 64, 32, 16, 8
     rows = window * windows
     tracemalloc.start()
@@ -159,12 +166,10 @@ def test_cache_holds_one_window_of_d_head_wide_values():
         cache = LayerCache(dim=(L, H, d), n_sink=4, n_local=16, chunk=chunk,
                            key_norms=False)
         cache.reserve(rows)  # as Engine.run does: no regrowth
-        first = cache.staged(window)[1]
         for i in range(windows):
-            k, v = cache.staged(window)
-            assert np.shares_memory(v, first)
-            k[...], v[...] = i, 1.0
-            cache.append(k, v)
+            k, sums = cache.staged(window)
+            k[...], sums[...] = i, d
+            cache.append(k, sums)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -172,20 +177,22 @@ def test_cache_holds_one_window_of_d_head_wide_values():
     assert (cache.values == d).all()
     chunks = -(-(rows - 4) // chunk)
     held = (rows * L * H * (d + 1) * 4  # float32 keys and value sums
-            + chunks * L * H * (d + 1) * 8  # float64 reps and their norms
-            + window * L * H * d * 4)  # one window of values
-    # 128 KiB covers append's temporaries: numpy's 64 KiB buffer for the
-    # float64 sum and a chunk's float64 copy for its rep. Keeping every
-    # row's values would add 15 windows' worth (960 KiB)
-    assert peak < held + 128 * 1024, (peak, held)
+            + chunks * L * H * (d + 1) * 8)  # float64 reps and their norms
+    # 64 KiB covers append's temporaries, ~45 KiB: a chunk's float64
+    # copies for its rep (32 KiB and more) and the float64 value sums of
+    # one window (2 KiB). One window of d_head-wide values would add
+    # another 64 KiB
+    assert peak < held + 64 * 1024, (peak, held)
 
 
 @pytest.mark.parametrize("dim", [4, (2, 4), (3, 2, 4)])
 def test_value_sums_add_each_rows_values_in_float64_once(dim):
     """A row's cached value is its values' sum, added in float64 and
     rounded once to float32: 1 + 2**-24 + 2**-24 is 1 + 2**-23, which a
-    float32 sum from the left rounds to 1. It is kept for staged and
-    copied rows alike, (rows, *dim[:-1], 1), and read-only."""
+    float32 sum from the left rounds to 1. It is kept alike for rows
+    whose values are appended d_head-wide and for rows whose sums are
+    written through staged() and appended as they are, (rows,
+    *dim[:-1], 1), and read-only."""
     rng = np.random.default_rng(7)
     shape = np.empty(dim).shape
     cache = LayerCache(dim=dim, n_sink=2, n_local=3, chunk=2)
@@ -193,10 +200,11 @@ def test_value_sums_add_each_rows_values_in_float64_once(dim):
     for rows in (3, 1, 6):
         values = rng.standard_normal((rows, *shape)).astype(np.float32)
         values[0, ...] = (1.0, 2.0**-24, 2.0**-24, 0.0)
-        if rows > 1:  # written in place through staged()
-            k, v = cache.staged(rows)
-            k[...] = v[...] = values
-            cache.append(k, v)
+        if rows > 1:  # summed in place into staged() rows
+            k, sums = cache.staged(rows)
+            k[...] = values
+            sums[...] = values.sum(axis=-1, dtype=np.float64, keepdims=True)
+            cache.append(k, sums)
         else:
             cache.append(values, values)
         written.append(values)
@@ -210,6 +218,20 @@ def test_value_sums_add_each_rows_values_in_float64_once(dim):
     assert cache.values.tobytes() == got.tobytes()
     with pytest.raises(ValueError):
         got[0] = 0.0
+
+
+def test_append_takes_values_d_head_wide_or_summed():
+    """append takes values shaped like the keys or already summed, last
+    axis 1; any other shape is rejected before a row is written."""
+    cache = LayerCache(dim=(2, 4), n_sink=1, n_local=1, chunk=2)
+    keys = np.ones((3, 2, 4), dtype=np.float32)
+    for bad in ((3, 2, 2), (3, 1, 4), (2, 2, 1), (3, 2)):
+        with pytest.raises(DimMismatch):
+            cache.append(keys, np.ones(bad, dtype=np.float32))
+    assert cache.total_pairs == 0
+    cache.append(keys, np.ones((3, 2, 4), dtype=np.float32))
+    cache.append(keys, np.full((3, 2, 1), 4.0, dtype=np.float32))
+    assert (cache.values == 4.0).all()
 
 
 def test_one_cache_holds_every_layer_stored_layer_major():

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kvprobe
@@ -65,6 +66,31 @@ def test_report_omits_timing_but_manifest_carries_it(tmp_path):
     assert doc["elapsed_seconds"] >= 0
     assert doc["max_rss_mb"] > 0
     assert doc["trace_sha256"] == json.loads(report.read_text())["trace_sha256"]
+
+
+def test_manifest_names_the_numeric_stack(tmp_path, monkeypatch):
+    """The manifest names the numeric stack a report's last bits depend
+    on, as np.show_config gives it: numpy's version, its SIMD extensions
+    and its BLAS name and version; null where show_config cannot give
+    dicts."""
+    trace = gen(tmp_path)
+    manifest = tmp_path / "m.json"
+    argv = ["run", "--trace", str(trace), "--report",
+            str(tmp_path / "r.json"), "--manifest", str(manifest)] + RUN_GEOM
+    assert main(argv) == 0
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    assert json.loads(manifest.read_text())["numeric_stack"] == {
+        "numpy": np.__version__, "simd": config["SIMD Extensions"]["found"],
+        "blas": {"name": blas["name"], "version": blas["version"]}}
+
+    def old_show_config():  # numpy before 1.26 takes no mode
+        raise TypeError("show_config() got an unexpected keyword argument")
+
+    monkeypatch.setattr(np, "show_config", old_show_config)
+    assert main(argv) == 0
+    assert json.loads(manifest.read_text())["numeric_stack"] == {
+        "numpy": np.__version__, "simd": None, "blas": None}
 
 
 def test_manifest_explains_the_run_and_leaves_the_report_alone(tmp_path):
@@ -260,8 +286,9 @@ def test_non_finite_trace_exits_2(tmp_path):
     payload = 12 + hlen
     h = json.loads(original[12:payload])
     last = payload + h["payload_bytes"] - 4
-    # a window is read one layer at a time: the last layer's last head
-    # in a middle window, whose Q, K and V rows are `rows` bytes each
+    # a window is read one (layer, head, Q/K/V) block at a time: the last
+    # layer's last head in a middle window, whose Q, K and V blocks are
+    # `rows` bytes each
     d_head = h["d"] // h["heads"]
     rows = h["window"] * d_head * 4
     layer = h["heads"] * 3 * rows
@@ -273,9 +300,11 @@ def test_non_finite_trace_exits_2(tmp_path):
         ("--csv", "r.csv"), ("--manifest", "m.json"))}
     trace = tmp_path / "nan.akvt"
     # inside the first window; in that late layer's K rows and in its V
-    # rows; and the last value of the last decode token, which is only
-    # read after every other step has run
-    for at in (payload + 400, late + rows + 36, late + 2 * rows + 36, last):
+    # rows; the last value of those V rows, the window's last block; and
+    # the last value of the last decode token, which is only read after
+    # every other step has run
+    for at in (payload + 400, late + rows + 36, late + 2 * rows + 36,
+               late + 3 * rows - 4, last):
         raw = bytearray(original)
         raw[at:at + 4] = struct.pack("<f", float("nan"))
         trace.write_bytes(bytes(raw))
@@ -307,11 +336,9 @@ def test_geometry_mismatch_exits_4_before_the_replay(tmp_path):
 
 
 def cache_bytes(header) -> int:
-    """A replay's cache: float32 keys and value sums of every token, and
-    one staged window of d_head-wide values."""
+    """A replay's cache: float32 keys and value sums of every token."""
     tokens = header.num_windows * header.window + header.num_decode_steps
-    return 4 * header.layers * (tokens * (header.d + header.heads)
-                                + header.window * header.d)
+    return 4 * header.layers * tokens * (header.d + header.heads)
 
 
 def test_run_holds_one_step_block_of_the_payload(tmp_path):
@@ -335,20 +362,25 @@ def test_run_holds_one_step_block_of_the_payload(tmp_path):
 
 def test_run_holds_less_than_one_step_block_beyond_its_cache(tmp_path):
     """Traced peak of `run` on criterion 6's geometry with 8 heads of
-    d_head 64 stays under the cache plus one (L, H, 3, window, d_head)
-    float32 step block: a window goes from the file into the cache one
-    layer at a time, so no whole step block is ever held (reading the
-    block whole and then copying it peaks ~1.5 blocks above the
-    cache), and the cache keeps no d_head-wide value row beyond one
-    window (keeping them all would add 24 MiB here)."""
+    d_head 64 stays under the cache (keys, value sums and float64 chunk
+    reps) plus one layer's float32 queries and two float64 copies of
+    them, the most a probe holds at once (its float64 queries and its
+    float32 bias, with room for the step's smaller arrays). A window
+    goes from the file into the cache one block at a time: reading a
+    layer of every head's Q, K and V at once, or keeping a window of
+    d_head-wide values beside the cache, each adds 1.5 MiB or more
+    here."""
     trace = tmp_path / "t.akvt"
     assert main(["gen-trace", "--dim", "512", "--heads", "8",
                  "--windows", "12", "--decode-steps", "5", "--planted", "3",
                  "--anchor-scale", "4.0", "--drift", "3.0", "--seed", "0",
                  "--out", str(trace)]) == 0
     header, _ = read_trace(trace)
-    cache = cache_bytes(header)
-    block = header.layers * 3 * header.window * header.d * 4
+    tokens = header.num_windows * header.window + header.num_decode_steps
+    chunks = -(-(tokens - 64) // 32)  # the default --sinks and --chunk
+    reps = 8 * header.layers * chunks * (header.d + header.heads)
+    queries = 4 * header.window * header.d  # one layer, every head
+    bound = cache_bytes(header) + reps + queries + 2 * 2 * queries
     tracemalloc.start()
     try:
         assert main(["run", "--trace", str(trace), "--budget", "256",
@@ -356,7 +388,7 @@ def test_run_holds_less_than_one_step_block_beyond_its_cache(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < cache + block, (peak - cache, block)
+    assert peak < bound, (peak - cache_bytes(header), bound - peak)
 
 
 def test_bad_engine_config_exits_3(tmp_path):

@@ -63,3 +63,13 @@ def test_digests_are_repeatable(monkeypatch, capsys):
     for name in ("long-context", "multi-head", "max-score", "criterion-6",
                  "odd-h2", "odd-h3"):
         assert f"{name}.akvt" in names
+
+
+def test_replay_memory_runs(monkeypatch, capsys):
+    run_script("replay_memory", ["--dim", "16", "--heads", "2"], monkeypatch)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(None, 4)[0] for line in lines] == [
+        "cache", "peak", "above cache"]
+    cache, peak, above = (int(line.split()[-2].replace(",", ""))
+                          for line in lines)
+    assert 0 < cache < peak and above == peak - cache

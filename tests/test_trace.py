@@ -25,6 +25,16 @@ def small_trace(seed=0, planted="auto"):
     return generate_synthetic(SMALL, spec, seed=seed)
 
 
+def assert_block_is(got, qkv):
+    """got gives, layer by layer and head by head, the queries, keys and
+    values of the (layers, heads, 3, rows, d_head) block qkv."""
+    for l, layer in enumerate(qkv):
+        assert np.array_equal(got.queries(l), layer[:, 0])
+        for h, head in enumerate(layer):
+            assert np.array_equal(got.keys(l, h), head[1])
+            assert np.array_equal(got.values(l, h), head[2])
+
+
 def test_header_validation():
     with pytest.raises(TraceFormatError):
         TraceHeader(d=7, layers=1, heads=2, window=4, num_windows=1,
@@ -89,8 +99,7 @@ def test_round_trip_bit_exact(heads, d_head, layers, window, windows,
         assert header == trace.header
         for got, want in zip(reader.blocks(), trace.blocks(), strict=True):
             assert (got.stage, got.index) == (want.stage, want.index)
-            for l in range(layers):
-                assert np.array_equal(got.layer(l), want.qkv[l])
+            assert_block_is(got, want.qkv)
         loaded = reader.load()
         assert np.array_equal(loaded.windows, trace.windows)
         assert np.array_equal(loaded.decode, trace.decode)
@@ -117,38 +126,49 @@ def test_streaming_blocks_match_eager_load(tmp_path):
         stages.append(blk.stage)
         for got in (blk, eager):
             assert (got.stage, got.index) == (want.stage, want.index)
-            for l in range(trace.header.layers):
-                assert np.array_equal(got.layer(l), want.qkv[l])
+            assert_block_is(got, want.qkv)
         # the file's axis of length 3 holds Q, K, V in that order
         assert np.array_equal(np.stack((eager.q, eager.k, eager.v), axis=2),
                               eager.qkv)
         assert np.array_equal(eager.q, want.q)
         assert np.array_equal(eager.k, want.k)
         assert np.array_equal(eager.v, want.v)
-        # a window streams one layer at a time; a decode token is whole
+        # a window streams one block at a time; a decode token is whole
         assert (blk.qkv is None) == (blk.stage == "pre-filling")
     assert stages == ["pre-filling"] * 4 + ["decoding"] * 2
 
 
-def test_streamed_windows_share_one_layer_buffer(tmp_path):
-    """Every layer of every window is read into the same (heads, 3,
-    window, d_head) buffer, and each read overwrites the last."""
+def test_streamed_windows_share_one_query_and_one_block_buffer(tmp_path):
+    """Every window's queries are read, layer by layer, into the same
+    (heads, window, d_head) buffer, and every key and value block of
+    every window into the same (window, d_head) buffer; each read
+    overwrites the last."""
     trace = small_trace(seed=5)
     path = tmp_path / "t.akvt"
     write_trace(path, trace)
     _, reader = read_trace(path)
     h = trace.header
-    slabs = []
+    queries, blocks = [], []
     for blk in reader.blocks():
         if blk.stage != "pre-filling":
             break
+        want = trace.windows[blk.index]
         for l in range(h.layers):
-            slab = blk.layer(l)
-            assert slab.shape == (h.heads, 3, h.window, h.d_head)
-            assert np.array_equal(slab, trace.windows[blk.index, l])
-            slabs.append(slab)
-    assert len(slabs) == h.num_windows * h.layers
-    assert all(slab is slabs[0] for slab in slabs)
+            q = blk.queries(l)
+            assert q.shape == (h.heads, h.window, h.d_head)
+            assert np.array_equal(q, want[l, :, 0])
+            queries.append(q)
+            for hd in range(h.heads):
+                for i, read in ((1, blk.keys), (2, blk.values)):
+                    part = read(l, hd)
+                    assert part.shape == (h.window, h.d_head)
+                    assert np.array_equal(part, want[l, hd, i])
+                    blocks.append(part)
+    assert len(queries) == h.num_windows * h.layers
+    assert len(blocks) == 2 * h.num_windows * h.layers * h.heads
+    assert all(q is queries[0] for q in queries)
+    assert all(b is blocks[0] for b in blocks)
+    assert not np.shares_memory(queries[0], blocks[0])
 
 
 def test_concurrent_iterators(tmp_path):
