@@ -7,7 +7,11 @@ rows, 5 decode steps, 3 planted chunks per step) at the given --dim,
 go through ``kvprobe.cli.main`` in-process, the replay under
 tracemalloc. Prints the bytes of the replay's cache (float32 keys and
 value sums of every token, float64 chunk reps and their norms), the
-traced peak of the run and their difference:
+traced peak of the run and their difference, and then the traced peak
+of each stage: pre-fill's is the peak up to the first decode step,
+where the peak is reset, and decode's the peak from there to the end
+of the run (the report included), so the larger of the two sets the
+run's peak:
 
     PYTHONPATH=src python3 scripts/replay_memory.py
     PYTHONPATH=src python3 scripts/replay_memory.py --dim 64 --heads 1
@@ -21,6 +25,7 @@ import tracemalloc
 from pathlib import Path
 
 from kvprobe.cli import main as kvprobe
+from kvprobe.engine import Engine
 from kvprobe.tracefile import read_trace
 
 SINKS, CHUNK = 64, 32  # run's defaults
@@ -50,19 +55,32 @@ def main():
                         "--anchor-scale", "4.0", "--drift", "3.0",
                         "--seed", "0", "--out", str(trace)]) != 0:
                 raise SystemExit("gen-trace failed")
+            prefill = []
+            decode_step = Engine.decode_step
+
+            def first_decode_resets_peak(engine, token, index):
+                if not prefill:
+                    prefill.append(tracemalloc.get_traced_memory()[1])
+                    tracemalloc.reset_peak()
+                return decode_step(engine, token, index)
+
+            Engine.decode_step = first_decode_resets_peak
             tracemalloc.start()
             try:
                 code = kvprobe(["run", "--trace", str(trace),
                                 "--budget", "256", "--report", str(report)])
-                _, peak = tracemalloc.get_traced_memory()
+                _, decode = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
+                Engine.decode_step = decode_step
         if code != 0:
             raise SystemExit(f"run exited {code}")
         header, _ = read_trace(trace)
     cache = cache_bytes(header)
+    peak = max(prefill[0], decode)
     for name, n in (("cache", cache), ("peak", peak),
-                    ("above cache", peak - cache)):
+                    ("above cache", peak - cache),
+                    ("pre-fill", prefill[0]), ("decode", decode)):
         print(f"{name:<12}{n / 2**20:8.2f} MiB {n:>12,} bytes")
 
 

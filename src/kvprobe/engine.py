@@ -7,17 +7,20 @@ gathering the retrieved chunks runs one layer at a time.
 
 pre-filling
     Windows arrive a block of rows at a time. The snapshot is taken
-    first. Then each layer reads the window's queries for every head,
-    folds them (plus any task queries) into its running statistics
-    and builds one (heads, d_head) probe; then, one head at a time,
-    it reads the window's keys straight into the cache's next key rows
-    and its values, summed over d_head in float64 and rounded once,
-    into the cache's next value-sum rows. So a replay holds the cache
-    plus one layer's queries and one head's keys or values, never a
-    window of every layer. The append then commits the rows; the
-    snapshot's slices stop at the old total, so scoring and the tiers
-    still see only the history. Every layer's
-    retrievable chunks are scored and each layer greedily selects up
+    first. Then, one (layer, head) at a time, the step reads the
+    head's window queries, keeps their last row for attention, and
+    converts them (plus any task queries) to float64 once; that one
+    copy feeds the head's running statistics, its activation weights
+    and its (d_head,) probe, each of which makes one temporary of its
+    size. It then reads the head's keys straight into the cache's next
+    key rows and its values, summed over d_head in float64 and rounded
+    once, into the cache's next value-sum rows. So beyond the cache a
+    replay's reads and probes hold one head's (window, d_head) block
+    and two float64 arrays of its size, never a layer's or a window's
+    worth. The append then commits the
+    rows; the snapshot's slices stop at the old total, so scoring and
+    the tiers still see only the history. Every layer's retrievable
+    chunks are scored and each layer greedily selects up
     to the layer budget; reference attention runs over [sinks,
     retrieved, local tail, window] for the window's last query row,
     every layer and head in one call; that row sees the whole window
@@ -59,9 +62,8 @@ import numpy as np
 from .cache import CacheView, LayerCache
 from .cutoff import allocate, layer_density, recall_layer
 from .linalg import DimMismatch, EmptyInput
-from .probe import (ProbeQuery, StatsUndefined, StreamingStats,
-                    activation_bias, build_probe, decoding_probe,
-                    uniform_bias)
+from .probe import (StatsUndefined, StreamingStats, activation_bias,
+                    build_probe, decoding_probe, uniform_bias)
 from .retrieval import Gathered, score_chunks_across_heads, selected_rows
 from .tracefile import StepBlock, TraceData, TraceHeader, TraceReader
 
@@ -254,7 +256,8 @@ class Engine:
                                 n_sink=config.n_sink, n_local=config.n_local,
                                 chunk=config.chunk,
                                 key_norms=config.rep_mode == "max-score")
-        self.stats = [StreamingStats((H, config.d_head)) for _ in range(L)]
+        self.stats = [[StreamingStats(config.d_head) for _ in range(H)]
+                      for _ in range(L)]
         if task_queries is not None:
             task_queries = np.asarray(task_queries, dtype=np.float32)
             want = (L, H, *task_queries.shape[2:3], config.d_head)
@@ -266,16 +269,22 @@ class Engine:
 
     # -- stage steps --------------------------------------------------
 
-    def _probe_for(self, layer: int, queries: np.ndarray) -> ProbeQuery:
-        """One (heads, d_head) probe from (heads, rows, d_head) queries."""
+    def _probe_for(self, l: int, h: int, queries: np.ndarray) -> np.ndarray:
+        """Layer l's head h's (d_head,) probe from its (rows, d_head)
+        window queries, plus any task queries, after folding them into
+        its statistics: one float64 copy, which the statistics, the
+        weights and the probe read in place and which is freed on
+        return."""
+        q = (queries.astype(np.float64) if self.task_queries is None
+             else np.concatenate([queries, self.task_queries[l, h]],
+                                 dtype=np.float64))
+        stats = self.stats[l][h].update(q)
         if self.config.probe_mode == "act":
             try:
-                bias = activation_bias(queries, self.stats[layer])
-                return build_probe(queries, bias)
+                return build_probe(q, activation_bias(q, stats)).vector
             except StatsUndefined:
                 pass
-        bias = uniform_bias(*queries.shape[-2:])
-        return build_probe(queries, bias)
+        return build_probe(q, uniform_bias(len(q))).vector
 
     def _attend(self, q: np.ndarray, view: CacheView, scores: np.ndarray,
                 thetas, budgets, window_k: np.ndarray | None = None,
@@ -327,8 +336,8 @@ class Engine:
                 selections, thetas.tolist(), budgets, checksums)))
 
     def prefill_step(self, window: StepBlock, index: int) -> StepRecord:
-        """window is (layers, heads, 3, rows, d_head), read one layer's
-        queries and one head's keys or values at a time."""
+        """window is (layers, heads, 3, rows, d_head), read one head's
+        queries, keys or values at a time."""
         cfg = self.config
         L, H, dh = cfg.layers, cfg.heads, cfg.d_head
         view = self.cache.snapshot()
@@ -337,20 +346,14 @@ class Engine:
         keys, sums = self.cache.staged(cfg.window)
         probes = np.empty((L, H, dh), dtype=np.float32)
         last_q = np.empty((L, H, 1, dh), dtype=np.float32)
-        # one layer at a time, so a probe's float64 copies of the window
-        # stay one layer's size and a streamed window holds one layer's
-        # queries
         for l in range(L):
-            q_eff = window.queries(l)
-            if q_eff.shape != (H, cfg.window, dh):
-                raise DimMismatch(f"window queries shaped {q_eff.shape}, "
-                                  f"want {(H, cfg.window, dh)}")
-            last_q[l] = q_eff[:, -1:]
-            if self.task_queries is not None:
-                q_eff = np.concatenate([q_eff, self.task_queries[l]], axis=1)
-            self.stats[l].update(q_eff)
-            probes[l] = self._probe_for(l, q_eff).vector
             for h in range(H):
+                q = window.queries(l, h)
+                if q.shape != (cfg.window, dh):
+                    raise DimMismatch(f"window queries shaped {q.shape}, "
+                                      f"want {(cfg.window, dh)}")
+                last_q[l, h] = q[-1:]
+                probes[l, h] = self._probe_for(l, h, q)
                 keys[:, l, h] = window.keys(l, h)
                 # the float64 sum rounded once that append makes
                 sums[:, l, h] = window.values(l, h).sum(

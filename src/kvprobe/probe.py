@@ -7,10 +7,15 @@ query tokens that deviate strongly from what the stream has seen so
 far (anchor tokens) dominate the probe. Forcing uniform weights
 recovers plain mean pooling, which is the comparison baseline.
 
-Statistics are kept per layer and accumulate over all windows seen so
-far, including the window whose bias is being computed. Queries are
-(rows, d), or (heads, rows, d) with (heads, d) statistics; each head
-then gets the same arithmetic as a call of its own.
+Statistics accumulate over all windows seen so far, including the
+window whose bias is being computed; the engine keeps one set per
+layer and head. Queries are (rows, d), or (heads, rows, d) with
+(heads, d) statistics; each head then gets the same arithmetic as a
+call of its own. Float64 queries are read in place, never copied or
+written, and each step makes one temporary of their size (the
+squares, the deviations, the weighted rows), so a caller can convert
+a window's queries to float64 once and pass that copy to all three;
+queries of another dtype are converted to float64 by each call.
 """
 
 from __future__ import annotations
@@ -33,11 +38,12 @@ class LengthMismatch(ValueError):
 
 
 def _queries(window_queries, row_shape=None) -> np.ndarray:
-    """(..., rows, d) queries as float64; rows checked against row_shape."""
-    q = np.asarray(window_queries, dtype=np.float32)
+    """(..., rows, d) queries as float64, not copied when they are
+    float64 already; rows checked against row_shape."""
+    q = np.asarray(window_queries, dtype=np.float64)
     if q.ndim < 2 or row_shape not in (None, q.shape[:-2] + q.shape[-1:]):
         raise DimMismatch(f"queries {q.shape} for rows {row_shape}")
-    return q.astype(np.float64)
+    return q
 
 
 class StreamingStats:
@@ -56,8 +62,7 @@ class StreamingStats:
         q = _queries(window_queries, self.sum.shape)
         self.count += q.shape[-2]
         self.sum += q.sum(axis=-2)
-        # in place: q is this call's own copy
-        self.sumsq += np.square(q, out=q).sum(axis=-2)
+        self.sumsq += np.square(q).sum(axis=-2)
         return self
 
     def mean(self) -> np.ndarray:
@@ -75,7 +80,6 @@ class StreamingStats:
 
 @dataclass(frozen=True)
 class ActivationBias:
-    phi: np.ndarray       # (..., m, d), non-negative
     weights: np.ndarray   # (..., m), each row sums to 1
 
 
@@ -84,17 +88,17 @@ class ProbeQuery:
     vector: np.ndarray    # (d,), (heads, d) or (layers, heads, d)
 
 
-def uniform_bias(rows: int, dim: int) -> ActivationBias:
-    """Degenerate fallback: zero bias, uniform weights (mean pooling)."""
+def uniform_bias(rows: int) -> ActivationBias:
+    """Degenerate fallback: uniform weights (mean pooling)."""
     if rows < 1:
         raise DimMismatch("bias of an empty window")
-    return ActivationBias(phi=np.zeros((rows, dim), dtype=np.float32),
-                          weights=np.full(rows, 1.0 / rows))
+    return ActivationBias(weights=np.full(rows, 1.0 / rows))
 
 
 def activation_bias(window_queries, stats: StreamingStats) -> ActivationBias:
-    """Per-token bias phi_j = (q_j - mean)^2 / max(var, 1e-6), elementwise,
-    with weights[j] proportional to ||phi_j||_1.
+    """Weights[j] proportional to ||phi_j||_1, where the per-token bias
+    phi_j = (q_j - mean)^2 / max(var, 1e-6), elementwise. phi is this
+    call's one temporary and is not returned.
 
     Precondition: stats already include this window's queries. Raises
     StatsUndefined when fewer than two samples exist; callers fall back
@@ -106,14 +110,14 @@ def activation_bias(window_queries, stats: StreamingStats) -> ActivationBias:
         raise DimMismatch("bias of an empty window")
     z = stats.mean()[..., None, :]  # raises StatsUndefined when count < 1
     var = stats.variance()[..., None, :]  # StatsUndefined when count < 2
-    phi = np.subtract(q, z, out=q)  # in place: q is this call's own copy
+    phi = np.subtract(q, z)
     np.square(phi, out=phi)
     phi /= np.maximum(var, VAR_FLOOR)
     row_mass = phi.sum(axis=-1)  # ||phi_j||_1; phi is non-negative
     total = row_mass.sum(axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = np.where(total <= 0.0, 1.0 / q.shape[-2], row_mass / total)
-    return ActivationBias(phi=phi.astype(np.float32), weights=weights)
+    return ActivationBias(weights=weights)
 
 
 def build_probe(window_queries, bias: ActivationBias) -> ProbeQuery:
@@ -123,8 +127,7 @@ def build_probe(window_queries, bias: ActivationBias) -> ProbeQuery:
     if w.shape[-1] != q.shape[-2]:
         raise LengthMismatch(f"{w.shape[-1]} weights for "
                              f"{q.shape[-2]} queries")
-    # in place: q is this call's own copy
-    vec = np.multiply(w[..., None], q, out=q).sum(axis=-2).astype(np.float32)
+    vec = np.multiply(w[..., None], q).sum(axis=-2).astype(np.float32)
     return ProbeQuery(vector=vec)
 
 

@@ -17,17 +17,16 @@ File layout (version 1, all integers little-endian):
 
 In memory a trace keeps this layout: ``TraceData`` holds the two step
 sections and a ``StepBlock`` one (L, H, 3, rows, d_head) block, which
-it gives as one layer's queries and one head's keys or values at a
-time. The payload is read in one place, ``TraceReader.blocks()``, in
-file order. A decode token is read whole. A window is read one
-(layer, head, Q/K/V) block at a time, each one contiguous (window,
-d_head) range of the file: a layer's queries into one reused (H,
-window, d_head) buffer, as the probe reads every head of a layer at
-once, and a head's keys or values into one reused (window, d_head)
-buffer, which the replay copies into its cache's next key rows or
-sums into its next value-sum rows. Every read is checked for NaN and
-infinity, so a replay holds its cache, the task block, one layer's
-queries and one block, never a whole window or the payload.
+it gives one head's queries, keys or values at a time. The payload is
+read in one place, ``TraceReader.blocks()``, in file order. A decode
+token is read whole. A window is read one (layer, head, Q/K/V) block
+at a time, each one contiguous (window, d_head) range of the file,
+into one reused (window, d_head) buffer: the replay converts a head's
+queries to float64 once for its probe, copies its keys into the
+cache's next key rows and sums its values into the next value-sum
+rows. Every read is checked for NaN and infinity, so a replay holds
+its cache, the task block and one block, never a whole window or the
+payload.
 ``_footer`` builds a generated trace's footer, and ``check_footer``
 checks every footer, generated or read alike.
 
@@ -150,27 +149,22 @@ class StepBlock:
     qkv: np.ndarray | None = None  # (layers, heads, 3, rows, d_head)
     file: _WindowFile | None = None
 
-    def queries(self, l: int) -> np.ndarray:
-        """Layer l's (heads, rows, d_head) queries: a view of qkv, or a
-        streamed read into a buffer that the next one overwrites."""
-        if self.file is None:
-            return self.qkv[l, :, 0]
-        for h in range(len(self.file.queries)):
-            self.file.read(l, h, 0)
-        return self.file.queries
+    def queries(self, l: int, h: int) -> np.ndarray:
+        """Layer l's head h's (rows, d_head) queries: a view of qkv, or a
+        streamed read into the window's one buffer, which the next
+        read overwrites; keys(l, h) and values(l, h) likewise."""
+        return self._part(l, h, 0)
 
     def keys(self, l: int, h: int) -> np.ndarray:
-        """Layer l's head h's (rows, d_head) keys: a view of qkv, or a
-        streamed read into a buffer that the next K or V read
-        overwrites; values(l, h) likewise."""
-        if self.file is None:
-            return self.qkv[l, h, 1]
-        return self.file.read(l, h, 1)
+        return self._part(l, h, 1)
 
     def values(self, l: int, h: int) -> np.ndarray:
+        return self._part(l, h, 2)
+
+    def _part(self, l: int, h: int, i: int) -> np.ndarray:
         if self.file is None:
-            return self.qkv[l, h, 2]
-        return self.file.read(l, h, 2)
+            return self.qkv[l, h, i]
+        return self.file.read(l, h, i)
 
     @property
     def q(self) -> np.ndarray:
@@ -188,24 +182,23 @@ class StepBlock:
 
 @dataclass(frozen=True)
 class _WindowFile:
-    """Where a streamed window's blocks are read from, and the buffers
+    """Where a streamed window's blocks are read from, and the buffer
     that every window of a reader reuses."""
 
     fh: BinaryIO
     start: int  # the window's first byte
     index: int
-    queries: np.ndarray  # (heads, window, d_head)
+    heads: int
     block: np.ndarray  # (window, d_head)
 
     def read(self, l: int, h: int, i: int) -> np.ndarray:
         """Block (l, h, i) of the window, i = 0, 1, 2 for Q, K, V, one
-        contiguous range of the file: read into queries[h] (Q) or into
-        block (K or V)."""
-        out = self.queries[h] if i == 0 else self.block
-        self.fh.seek(self.start + ((l * len(self.queries) + h) * 3 + i)
-                     * out.nbytes)
-        return _read_block(self.fh, out, f"pre-filling block {self.index}, "
-                                         f"layer {l}, head {h}, {'QKV'[i]}")
+        contiguous range of the file, read into block."""
+        self.fh.seek(self.start + ((l * self.heads + h) * 3 + i)
+                     * self.block.nbytes)
+        return _read_block(self.fh, self.block,
+                           f"pre-filling block {self.index}, layer {l}, "
+                           f"head {h}, {'QKV'[i]}")
 
 
 @dataclass
@@ -307,12 +300,10 @@ class TraceReader:
     def blocks(self) -> Iterator[StepBlock]:
         """Every window, then every decode token, in file order. A decode
         token is read whole. A window is read one (layer, head, Q/K/V)
-        block at a time, each seeking to its own contiguous range of the
-        file: by ``StepBlock.queries`` a layer's queries into one
-        (heads, window, d_head) buffer, and by ``StepBlock.keys`` and
-        ``values`` a head's keys or values into one (window, d_head)
-        buffer. Every window reuses both, and both are freed after the
-        last one."""
+        block at a time by ``StepBlock.queries``, ``keys`` and
+        ``values``, each seeking to its own contiguous range of the
+        file and reading into one (window, d_head) buffer. Every window
+        reuses it, and it is freed after the last one."""
         h = self.header
         size = os.path.getsize(self.path)
         if size < self._payload_start + h.payload_bytes():
@@ -321,12 +312,11 @@ class TraceReader:
         at = self._payload_start + h.task_bytes()
         window_bytes = 4 * math.prod(shape)
         with open(self.path, "rb") as fh:
-            queries = np.empty((h.heads, h.window, h.d_head), dtype="<f4")
-            block = np.empty(queries.shape[1:], dtype="<f4")
+            block = np.empty((h.window, h.d_head), dtype="<f4")
             for t in range(windows):
                 yield StepBlock("pre-filling", t, file=_WindowFile(
-                    fh, at + t * window_bytes, t, queries, block))
-            del queries, block  # no decode step needs a window's buffers
+                    fh, at + t * window_bytes, t, h.heads, block))
+            del block  # no decode step needs the window's buffer
             fh.seek(at + windows * window_bytes)
             for s in range(tokens):
                 # no local keeps the token, so once the caller drops it
@@ -344,8 +334,8 @@ class TraceReader:
         for blk in self.blocks():
             out = (win if blk.stage == "pre-filling" else dec)[blk.index]
             for l in range(h.layers):
-                out[l, :, 0] = blk.queries(l)
                 for hd in range(h.heads):
+                    out[l, hd, 0] = blk.queries(l, hd)
                     out[l, hd, 1] = blk.keys(l, hd)
                     out[l, hd, 2] = blk.values(l, hd)
         return TraceData(header=h, windows=win, decode=dec,
@@ -359,9 +349,7 @@ def _read_block(fh, out: np.ndarray, what: str) -> np.ndarray:
     got = fh.readinto(out)
     if got < out.nbytes:
         raise TruncatedFile(at + got, f"tensor payload, {what}")
-    # float64 accumulation cannot overflow on finite float32 inputs,
-    # so a non-finite sum means a NaN or infinity in the block
-    if not np.isfinite(out.sum(dtype=np.float64)):
+    if not np.isfinite(out).all():
         raise TraceFormatError(f"trace payload holds NaN or infinity "
                                f"({what})")
     return out

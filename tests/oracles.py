@@ -66,6 +66,16 @@ def max_score_scores(probe, view: CacheView) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(best, -2, -1)).mean(axis=-1)
 
 
+def activation_phi(queries, history) -> np.ndarray:
+    """The per-token activation bias of (rows, d) queries against the
+    (n, d) history rows, n >= 2, in float64: (q - mean)^2 / max(var,
+    1e-6) elementwise, with the Bessel-corrected variance. The probe's
+    weights are its row sums, normalized."""
+    hist = np.asarray(history, dtype=np.float64)
+    dev = np.asarray(queries, dtype=np.float64) - hist.mean(axis=0)
+    return dev ** 2 / np.maximum(hist.var(axis=0, ddof=1), 1e-6)
+
+
 def cosine(a, b) -> float:
     """Cosine similarity of two vectors in float64, in [-1, 1].
 

@@ -12,6 +12,7 @@ from kvprobe.linalg import entropy, softmax
 from kvprobe.metrics import build_report
 from kvprobe.probe import StreamingStats, activation_bias, build_probe, uniform_bias
 from kvprobe.retrieval import select_topk
+from oracles import activation_phi
 from kvprobe.tracefile import (PlantedSpec, SyntheticConfig,
                                generate_synthetic, read_trace, write_trace)
 
@@ -71,10 +72,7 @@ def test_criterion_1_formula_oracles():
                                    batch.var(axis=0, ddof=1)))
         window = rng.standard_normal((rows, d)).astype(np.float32)
         bias = activation_bias(window, stats)
-        phi_ref = ((window.astype(np.float64) - batch.mean(axis=0)) ** 2 /
-                   np.maximum(batch.var(axis=0, ddof=1), 1e-6))
-        worst = max(worst, rel_err(bias.phi, phi_ref))
-        mass = phi_ref.sum(axis=1)
+        mass = activation_phi(window, batch).sum(axis=1)
         worst = max(worst, rel_err(bias.weights, mass / mass.sum()))
         probe = build_probe(window, bias)
         worst = max(worst, rel_err(
@@ -153,7 +151,7 @@ def test_criterion_4_baseline_reduction():
         rows = int(rng.integers(1, 20))
         d = int(rng.integers(1, 16))
         window = rng.standard_normal((rows, d)).astype(np.float32)
-        probe = build_probe(window, uniform_bias(rows, d))
+        probe = build_probe(window, uniform_bias(rows))
         assert rel_err(probe.vector, window.astype(np.float64).mean(axis=0)) \
             <= 1e-6
         # identical rows: zero variance and zero deviation, no signal
@@ -162,7 +160,7 @@ def test_criterion_4_baseline_reduction():
         stats = StreamingStats(d).update(flat)
         bias = activation_bias(flat, stats)
         act_probe = build_probe(flat, bias)
-        mean_probe = build_probe(flat, uniform_bias(flat.shape[0], d))
+        mean_probe = build_probe(flat, uniform_bias(flat.shape[0]))
         assert np.max(np.abs(act_probe.vector - mean_probe.vector)) <= 1e-6
     print("criterion 4 PASS: mean probes are per-dimension means; "
           "degenerate activation windows reduce to mean pooling")

@@ -299,20 +299,24 @@ def test_non_finite_trace_exits_2(tmp_path):
         ("--report", "r.json"), ("--records", "steps.jsonl"),
         ("--csv", "r.csv"), ("--manifest", "m.json"))}
     trace = tmp_path / "nan.akvt"
-    # inside the first window; in that late layer's K rows and in its V
-    # rows; the last value of those V rows, the window's last block; and
-    # the last value of the last decode token, which is only read after
-    # every other step has run
-    for at in (payload + 400, late + rows + 36, late + 2 * rows + 36,
-               late + 3 * rows - 4, last):
+    nan, inf = float("nan"), float("inf")
+    # NaN inside the first window; in that late head's Q rows, its K
+    # rows and its V rows; the last value of those V rows, the window's
+    # last block; and the last value of the last decode token, which is
+    # only read after every other step has run. Then +inf and -inf in
+    # the late head's Q and K rows.
+    for at, bad in ((payload + 400, nan), (late + 36, nan),
+                    (late + rows + 36, nan), (late + 2 * rows + 36, nan),
+                    (late + 3 * rows - 4, nan), (last, nan),
+                    (late + 40, inf), (late + rows + 40, -inf)):
         raw = bytearray(original)
-        raw[at:at + 4] = struct.pack("<f", float("nan"))
+        raw[at:at + 4] = struct.pack("<f", bad)
         trace.write_bytes(bytes(raw))
         argv = ["run", "--trace", str(trace)] + RUN_GEOM
         for flag, path in outputs.items():
             argv += [flag, str(path)]
-        assert main(argv) == 2, at
-        assert not any(path.exists() for path in outputs.values()), at
+        assert main(argv) == 2, (at, bad)
+        assert not any(path.exists() for path in outputs.values()), (at, bad)
 
 
 def test_geometry_mismatch_exits_4_before_the_replay(tmp_path):
@@ -363,13 +367,14 @@ def test_run_holds_one_step_block_of_the_payload(tmp_path):
 def test_run_holds_less_than_one_step_block_beyond_its_cache(tmp_path):
     """Traced peak of `run` on criterion 6's geometry with 8 heads of
     d_head 64 stays under the cache (keys, value sums and float64 chunk
-    reps) plus one layer's float32 queries and two float64 copies of
-    them, the most a probe holds at once (its float64 queries and its
-    float32 bias, with room for the step's smaller arrays). A window
-    goes from the file into the cache one block at a time: reading a
-    layer of every head's Q, K and V at once, or keeping a window of
-    d_head-wide values beside the cache, each adds 1.5 MiB or more
-    here."""
+    reps) plus what pre-fill attention holds, which now sets the peak:
+    one layer's gathered keys (`--budget` rows), the float64 logits of
+    every layer and head over sinks, retrieved rows, tail and window
+    and their float32 copy, beside the reader's one (window, d_head)
+    block, with 128 KiB for the records and the smaller arrays. A
+    window's probe works one head at a time: building it from a
+    layer's queries, as a replay did before, holds 1.5 MiB more here
+    and fails this bound."""
     trace = tmp_path / "t.akvt"
     assert main(["gen-trace", "--dim", "512", "--heads", "8",
                  "--windows", "12", "--decode-steps", "5", "--planted", "3",
@@ -379,11 +384,15 @@ def test_run_holds_less_than_one_step_block_beyond_its_cache(tmp_path):
     tokens = header.num_windows * header.window + header.num_decode_steps
     chunks = -(-(tokens - 64) // 32)  # the default --sinks and --chunk
     reps = 8 * header.layers * chunks * (header.d + header.heads)
-    queries = 4 * header.window * header.d  # one layer, every head
-    bound = cache_bytes(header) + reps + queries + 2 * 2 * queries
+    budget, attended = 256, 64 + 256 + 512 + header.window
+    gathered = 4 * budget * header.d
+    logits = (8 + 4) * header.layers * header.heads * attended
+    block = 4 * header.window * header.d_head
+    bound = (cache_bytes(header) + reps + gathered + logits + block
+             + 128 * 1024)
     tracemalloc.start()
     try:
-        assert main(["run", "--trace", str(trace), "--budget", "256",
+        assert main(["run", "--trace", str(trace), "--budget", str(budget),
                      "--report", str(tmp_path / "r.json")]) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:

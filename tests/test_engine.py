@@ -14,6 +14,8 @@ from kvprobe.engine import (CUTOFF_MODES, PROBE_MODES, REP_MODES,
                             ConfigError, Engine, EngineConfig,
                             reference_attention, run_trace)
 from kvprobe.linalg import DimMismatch, EmptyInput
+from kvprobe.probe import (StreamingStats, activation_bias, build_probe,
+                           uniform_bias)
 from kvprobe.retrieval import (Gathered, materialize,
                                score_chunks_across_heads, select_topk,
                                selected_rows)
@@ -206,7 +208,8 @@ def _decode_peak(cfg: SyntheticConfig, **engine_config):
 
 
 def _last_prefill_peak(cfg: SyntheticConfig):
-    """The last pre-fill step on cfg's trace and its tracemalloc peak."""
+    """The last pre-fill step on cfg's trace, its tracemalloc peak and
+    the peak up to its append: the window's reads and probes."""
     engine = Engine(EngineConfig(d=cfg.d, layers=cfg.layers,
                                  heads=cfg.heads, window=cfg.window))
     # as Engine.run does: no regrowth
@@ -215,13 +218,21 @@ def _last_prefill_peak(cfg: SyntheticConfig):
     *history, last = blocks[:cfg.num_windows]
     for blk in history:
         engine.prefill_step(blk, blk.index)
+    probes_peak = []
+    append = engine.cache.append
+
+    def peak_then_append(*args):
+        probes_peak.append(tracemalloc.get_traced_memory()[1])
+        return append(*args)
+
+    engine.cache.append = peak_then_append
     tracemalloc.start()
     try:
         step = engine.prefill_step(last, last.index)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return step, peak
+    return step, peak, probes_peak[0]
 
 
 def test_decode_step_copies_only_the_retrieved_pairs():
@@ -268,7 +279,7 @@ def test_prefill_step_attends_only_the_last_query_row():
     weights for one query row per head, not a float64 (rows, keys)
     buffer."""
     cfg = SyntheticConfig()
-    step, peak = _last_prefill_peak(cfg)
+    step, peak, _ = _last_prefill_peak(cfg)
     assert {rec.pairs_used for rec in step.layers} == {38 * 32}
     assert {rec.attended_pairs for rec in step.layers} == {2048}
     gathered = 2 * 38 * 32 * cfg.d * 4
@@ -279,7 +290,7 @@ def test_multi_head_prefill_step_holds_one_layers_gather():
     """The same pre-fill window with 8 heads of d_head 64 allocates less
     than one layer's gathered float32 K/V."""
     cfg = SyntheticConfig(d=512, heads=8)
-    step, peak = _last_prefill_peak(cfg)
+    step, peak, _ = _last_prefill_peak(cfg)
     assert {rec.pairs_used for rec in step.layers} == {38 * 32}
     assert peak < 2 * 38 * 32 * cfg.d * 4, peak
 
@@ -290,10 +301,19 @@ def test_multi_head_prefill_step_holds_one_layers_gather():
 def test_mean_mode_prefill_step_makes_no_window_sized_float64_copy(cfg):
     """The last mean-mode pre-fill window on criterion 5's geometry
     allocates less than the window's queries or keys in float64: no
-    member-key norms are computed, and the probe squares and weighs its
-    own float64 copy of each layer's queries in place."""
-    _, peak = _last_prefill_peak(cfg)
+    member-key norms are computed. Up to its append, where its reads
+    and probes end, it holds no more than one head's (window, d_head)
+    float32 block, two float64 arrays of that size (the head's one
+    float64 copy and a probe step's temporary), numpy's 64 KiB buffer
+    for broadcast operands (8192 float64), the step's probes and last
+    query rows, and 16 KiB to spare. A probe built from a layer's
+    queries at once holds 1.67 MB here at 8 heads, and fails."""
+    _, peak, probes_peak = _last_prefill_peak(cfg)
     assert peak < cfg.window * cfg.layers * cfg.d * 8, peak
+    block = 4 * cfg.window * cfg.d_head
+    rows = 4 * cfg.layers * cfg.d  # (layers, heads, d_head) float32
+    bound = block + 2 * 2 * block + 8192 * 8 + 2 * rows + 16 * 1024
+    assert probes_peak < bound, (probes_peak, bound)
 
 
 @pytest.mark.parametrize("rep_mode", REP_MODES)
@@ -301,9 +321,10 @@ def test_mean_mode_prefill_step_makes_no_window_sized_float64_copy(cfg):
 @pytest.mark.parametrize("probe_mode", PROBE_MODES)
 def test_streamed_and_in_memory_traces_replay_alike(tmp_path, probe_mode,
                                                     cutoff_mode, rep_mode):
-    """run_trace on a TraceReader, which reads each window one layer at a
-    time into one reused buffer, gives the same records as on the
-    TraceData the file was written from: two heads, task queries."""
+    """run_trace on a TraceReader, which reads each window one (layer,
+    head, Q/K/V) block at a time into one reused buffer, gives the same
+    records as on the TraceData the file was written from: two heads,
+    task queries."""
     trace = tiny_trace(seed=2, task_rows=3)
     path = tmp_path / "t.akvt"
     write_trace(path, trace)
@@ -545,9 +566,52 @@ def test_task_queries_feed_probe_statistics():
     config = tiny_config()
     engine = Engine(config, task_queries=trace.task_queries)
     engine.run(trace)
-    # every pre-filling window contributed its rows plus the task rows
+    # every pre-filling window contributed its rows plus the task rows,
+    # to the statistics of every layer and head
     want = TINY.num_windows * (TINY.window + 4)
-    assert engine.stats[0].count == want
+    assert [[s.count for s in layer] for layer in engine.stats] == \
+        [[want] * TINY.heads] * TINY.layers
+
+
+@pytest.mark.parametrize("probe_mode", PROBE_MODES)
+def test_prefill_probes_equal_the_whole_layers_probe(tmp_path, monkeypatch,
+                                                     probe_mode):
+    """The probes each pre-fill step scores with, built one head at a
+    time, are bit for bit the probe math on each whole layer: its
+    (heads, rows, d_head) window queries plus task rows, folded into
+    (heads, d_head) statistics. Two heads, read from memory and
+    streamed from the file."""
+    trace = tiny_trace(seed=3, task_rows=3)
+    path = tmp_path / "t.akvt"
+    write_trace(path, trace)
+    _, reader = read_trace(path)
+    L = TINY.layers
+    stats = [StreamingStats((TINY.heads, TINY.d_head)) for _ in range(L)]
+    want = []
+    for window in trace.windows:
+        probes = np.empty((L, TINY.heads, TINY.d_head), dtype=np.float32)
+        for l in range(L):
+            q = np.concatenate([window[l, :, 0], trace.task_queries[l]],
+                               axis=1)
+            stats[l].update(q)
+            bias = (activation_bias(q, stats[l]) if probe_mode == "act"
+                    else uniform_bias(q.shape[1]))
+            probes[l] = build_probe(q, bias).vector
+        want.append(probes)
+    score = engine_module.score_chunks_across_heads
+    for source in (trace, reader):
+        got = []
+        monkeypatch.setattr(engine_module, "score_chunks_across_heads",
+                            lambda probe, *a, **k: got.append(probe.copy())
+                            or score(probe, *a, **k))
+        engine = Engine(tiny_config(probe_mode=probe_mode),
+                        task_queries=source.task_queries)
+        for blk in source.blocks():
+            if blk.stage == "pre-filling":
+                engine.prefill_step(blk, blk.index)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 def test_task_queries_shape_checked():

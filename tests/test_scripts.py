@@ -69,7 +69,9 @@ def test_replay_memory_runs(monkeypatch, capsys):
     run_script("replay_memory", ["--dim", "16", "--heads", "2"], monkeypatch)
     lines = capsys.readouterr().out.splitlines()
     assert [line.rsplit(None, 4)[0] for line in lines] == [
-        "cache", "peak", "above cache"]
-    cache, peak, above = (int(line.split()[-2].replace(",", ""))
-                          for line in lines)
+        "cache", "peak", "above cache", "pre-fill", "decode"]
+    cache, peak, above, prefill, decode = (
+        int(line.split()[-2].replace(",", "")) for line in lines)
     assert 0 < cache < peak and above == peak - cache
+    # each stage holds the cache; the larger stage peak is the run's
+    assert min(prefill, decode) > cache and peak == max(prefill, decode)

@@ -26,11 +26,11 @@ def small_trace(seed=0, planted="auto"):
 
 
 def assert_block_is(got, qkv):
-    """got gives, layer by layer and head by head, the queries, keys and
-    values of the (layers, heads, 3, rows, d_head) block qkv."""
+    """got gives, head by head, the queries, keys and values of the
+    (layers, heads, 3, rows, d_head) block qkv."""
     for l, layer in enumerate(qkv):
-        assert np.array_equal(got.queries(l), layer[:, 0])
         for h, head in enumerate(layer):
+            assert np.array_equal(got.queries(l, h), head[0])
             assert np.array_equal(got.keys(l, h), head[1])
             assert np.array_equal(got.values(l, h), head[2])
 
@@ -138,53 +138,49 @@ def test_streaming_blocks_match_eager_load(tmp_path):
     assert stages == ["pre-filling"] * 4 + ["decoding"] * 2
 
 
-def test_streamed_windows_share_one_query_and_one_block_buffer(tmp_path):
-    """Every window's queries are read, layer by layer, into the same
-    (heads, window, d_head) buffer, and every key and value block of
-    every window into the same (window, d_head) buffer; each read
-    overwrites the last."""
+def test_streamed_windows_share_one_block_buffer(tmp_path):
+    """Every Q, K and V block of every window is read into the same
+    (window, d_head) buffer; each read overwrites the last."""
     trace = small_trace(seed=5)
     path = tmp_path / "t.akvt"
     write_trace(path, trace)
     _, reader = read_trace(path)
     h = trace.header
-    queries, blocks = [], []
+    parts = []
     for blk in reader.blocks():
         if blk.stage != "pre-filling":
             break
         want = trace.windows[blk.index]
         for l in range(h.layers):
-            q = blk.queries(l)
-            assert q.shape == (h.heads, h.window, h.d_head)
-            assert np.array_equal(q, want[l, :, 0])
-            queries.append(q)
             for hd in range(h.heads):
-                for i, read in ((1, blk.keys), (2, blk.values)):
+                for i, read in enumerate((blk.queries, blk.keys,
+                                          blk.values)):
                     part = read(l, hd)
                     assert part.shape == (h.window, h.d_head)
                     assert np.array_equal(part, want[l, hd, i])
-                    blocks.append(part)
-    assert len(queries) == h.num_windows * h.layers
-    assert len(blocks) == 2 * h.num_windows * h.layers * h.heads
-    assert all(q is queries[0] for q in queries)
-    assert all(b is blocks[0] for b in blocks)
-    assert not np.shares_memory(queries[0], blocks[0])
+                    parts.append(part)
+    assert len(parts) == 3 * h.num_windows * h.layers * h.heads
+    assert all(part is parts[0] for part in parts)
 
 
 def test_concurrent_iterators(tmp_path):
+    """Two iterators over one trace, in memory or streamed from its
+    file, each give every block, and reading from one leaves what the
+    other gave untouched: each streamed iterator reads into a buffer of
+    its own."""
     trace = small_trace(seed=1)
     path = tmp_path / "t.akvt"
     write_trace(path, trace)
     _, reader = read_trace(path)
-    loaded = reader.load()
-    a, b = loaded.blocks(), loaded.blocks()
-    first_a = next(a)
-    first_b = next(b)
-    assert np.array_equal(first_a.q, first_b.q)
-    # advancing one iterator leaves the other untouched
-    next(a)
-    second_b = next(b)
-    assert second_b.index == 1
+    for source in (reader, reader.load()):
+        a, b = source.blocks(), source.blocks()
+        got = next(a).queries(1, 1)
+        next(b).keys(0, 0)
+        next(b).values(1, 0)
+        assert np.array_equal(got, trace.windows[0, 1, 1, 0])
+        second = next(a)
+        assert second.index == 1
+        assert_block_is(second, trace.windows[1])
 
 
 def test_bad_magic(tmp_path):
