@@ -19,16 +19,18 @@ run's peak:
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import tempfile
 import tracemalloc
 from pathlib import Path
 
 from kvprobe.cli import main as kvprobe
-from kvprobe.engine import Engine
+from kvprobe.engine import Engine, EngineConfig
 from kvprobe.tracefile import read_trace
 
-SINKS, CHUNK = 64, 32  # run's defaults
+DEFAULTS = {f.name: f.default for f in dataclasses.fields(EngineConfig)}
+SINKS, CHUNK = DEFAULTS["n_sink"], DEFAULTS["chunk"]  # run's, EngineConfig's
 
 
 def cache_bytes(header) -> int:

@@ -291,12 +291,6 @@ class LayerCache:
         return full - first
 
     @property
-    def values(self) -> np.ndarray:
-        """Read-only value sums of every committed row, as in a snapshot
-        taken now."""
-        return _read_only(self._v[:self.total_pairs])
-
-    @property
     def tail_start(self) -> int:
         return tail_start_of(self.total_pairs, self.n_sink, self.n_local)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .engine import ConfigError, EngineConfig, run_trace
 from .metrics import (ConfigMismatch, build_report, check_geometry,
-                      compare_runs, report_to_csv)
+                      compare_runs, percentiles, report_to_csv)
 from .tracefile import (PlantedSpec, SpecOutOfRange, SyntheticConfig,
                         TraceFormatError, generate_synthetic, read_trace,
                         write_trace)
@@ -93,8 +93,8 @@ def _max_rss_mb() -> float | None:
 
 def _step_timing(seconds: list[float]) -> dict:
     """Count, total and p50/p90 wall time of one stage's step calls."""
-    p50, p90 = (np.percentile(seconds, [50, 90]) * 1e3 if seconds
-                else (None, None))
+    p50, p90 = ([p * 1e3 for p in percentiles(np.asarray(seconds), (50, 90))]
+                if seconds else (None, None))
     return {"steps": len(seconds), "total_s": sum(seconds),
             "p50_ms": p50, "p90_ms": p90}
 

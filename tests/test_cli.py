@@ -157,6 +157,22 @@ def test_replay_leaves_openssl_unloaded_and_digests_the_trace(tmp_path):
         trace.read_bytes()).hexdigest()
 
 
+def test_run_leaves_numpy_ma_unloaded(tmp_path):
+    """A run that writes a report and a manifest never imports numpy.ma
+    (np.percentile would, about 1 MB of the run's peak): their
+    percentiles are worked by hand."""
+    src = Path(kvprobe.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    trace = gen(tmp_path, extra=["--planted", "1"])
+    argv = ["run", "--trace", str(trace), "--report", str(tmp_path / "r.json"),
+            "--manifest", str(tmp_path / "m.json")] + RUN_GEOM
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; from kvprobe.cli import main; "
+         f"assert main({argv!r}) == 0; print('numpy.ma' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"
+
+
 def test_max_score_report_is_the_same_on_any_openblas_kernel(
         tmp_path, monkeypatch):
     """The smoke max-score workload's report is byte-identical whether

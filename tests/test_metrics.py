@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kvprobe.cutoff import layer_density
 from kvprobe.engine import EngineConfig, run_trace
 from kvprobe.metrics import (ConfigMismatch, EmptyTruth, build_report,
-                             compare_runs, recall_at_budget, report_to_csv)
+                             compare_runs, percentiles, recall_at_budget,
+                             report_to_csv)
 from kvprobe.tracefile import (PlantedSpec, SyntheticConfig, TraceFormatError,
                                generate_synthetic)
 
@@ -37,6 +39,18 @@ def test_score_perplexity_uniform_equals_count():
 def test_score_perplexity_sharp_scores_head_toward_one():
     sharp = perplexity([50.0, 0.0, 0.0, 0.0])
     assert sharp == pytest.approx(1.0, abs=1e-6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.5]),
+                          st.floats(-1e6, 1e6)), min_size=1, max_size=64))
+def test_percentiles_are_numpys_bit_for_bit(values):
+    """The hand-worked percentiles equal np.percentile's bytes, ties,
+    signed zeros and negative values included (sampled values repeat)."""
+    vals = np.asarray(values, dtype=np.float64)
+    qs = (25, 50, 75, 90)
+    got = np.asarray(percentiles(vals, qs))
+    assert got.tobytes() == np.percentile(vals, qs).tobytes()
 
 
 def test_recall_at_budget():

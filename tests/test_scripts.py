@@ -18,20 +18,24 @@ def run_script(name: str, argv: list[str], monkeypatch) -> None:
     assert mod.main() is None
 
 
-def test_probe_comparison_runs(tmp_path, monkeypatch):
-    out = tmp_path / "cmp.json"
-    run_script("probe_comparison", TOY + ["--out", str(out)], monkeypatch)
-    assert json.loads(out.read_text())["pairs"] == 1
-
-
-def test_budget_sweep_runs(tmp_path, monkeypatch):
-    out = tmp_path / "sweep.csv"
-    run_script("budget_sweep", TOY + ["--budgets", "64", "--csv", str(out)],
-               monkeypatch)
-    lines = out.read_text().splitlines()
+def test_claims_runs_and_repeats(tmp_path, monkeypatch):
+    """Two runs write byte-identical files: the csv's means in (budget,
+    probe) order and one comparison per budget, keyed by budget."""
+    files = []
+    for run in range(2):
+        csv, out = tmp_path / f"{run}.csv", tmp_path / f"{run}.json"
+        run_script("claims", TOY + ["--budgets", "64", "128", "--csv",
+                                    str(csv), "--out", str(out)], monkeypatch)
+        files.append((csv.read_bytes(), out.read_bytes()))
+    assert files[0] == files[1]
+    lines = files[0][0].decode().splitlines()
     assert lines[0] == "budget,probe,recall,perplexity"
-    assert [line.split(",")[:2] for line in lines[1:]] == [["64", "act"],
-                                                          ["64", "mean"]]
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["64", "act"], ["64", "mean"], ["128", "act"], ["128", "mean"]]
+    diffs = json.loads(files[0][1])
+    assert sorted(diffs) == ["128", "64"]
+    assert all(diffs[b]["pairs"] == 1 and diffs[b]["a_config"]["budget"]
+               == int(b) for b in diffs)
 
 
 def test_decode_calls_runs(monkeypatch, capsys):
