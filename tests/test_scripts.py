@@ -18,6 +18,25 @@ def run_script(name: str, argv: list[str], monkeypatch) -> None:
     assert mod.main() is None
 
 
+def test_probe_comparison_runs(tmp_path, monkeypatch):
+    """claims.py at its default single budget writes one comparison."""
+    out = tmp_path / "cmp.json"
+    run_script("claims", TOY + ["--out", str(out)], monkeypatch)
+    diffs = json.loads(out.read_text())
+    assert list(diffs) == ["256"] and diffs["256"]["pairs"] == 1
+
+
+def test_budget_sweep_runs(tmp_path, monkeypatch):
+    """claims.py --csv writes one row of means per (budget, probe)."""
+    out = tmp_path / "sweep.csv"
+    run_script("claims", TOY + ["--budgets", "64", "--csv", str(out)],
+               monkeypatch)
+    lines = out.read_text().splitlines()
+    assert lines[0] == "budget,probe,recall,perplexity"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["64", "act"],
+                                                          ["64", "mean"]]
+
+
 def test_claims_runs_and_repeats(tmp_path, monkeypatch):
     """Two runs write byte-identical files: the csv's means in (budget,
     probe) order and one comparison per budget, keyed by budget."""
