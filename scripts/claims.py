@@ -19,8 +19,7 @@ import numpy as np
 from kvprobe import (EngineConfig, PlantedSpec, SyntheticConfig,
                      build_report, compare_runs, generate_synthetic,
                      run_trace)
-
-MODES = ("act", "mean")
+from kvprobe.engine import CUTOFF_MODES, PROBE_MODES
 
 
 def parse_args():
@@ -29,12 +28,14 @@ def parse_args():
     p.add_argument("--windows", type=int, default=12)
     p.add_argument("--decode-steps", type=int, default=5)
     p.add_argument("--planted", type=int, default=3)
-    p.add_argument("--signal", type=float, default=0.8)
-    p.add_argument("--anchor-fraction", type=float, default=0.10)
+    p.add_argument("--signal", type=float, default=PlantedSpec.signal)
+    p.add_argument("--anchor-fraction", type=float,
+                   default=PlantedSpec.anchor_fraction)
     p.add_argument("--anchor-scale", type=float, default=4.0)
     p.add_argument("--drift", type=float, default=3.0)
     p.add_argument("--budgets", type=int, nargs="+", default=[256])
-    p.add_argument("--cutoff", choices=["dynamic", "fixed"], default="dynamic")
+    p.add_argument("--cutoff", choices=CUTOFF_MODES,
+                   default=EngineConfig.cutoff_mode)
     p.add_argument("--csv", default=None, help="write the budget means here")
     p.add_argument("--out", default=None, help="write the comparisons here")
     return p.parse_args()
@@ -46,9 +47,10 @@ def replay(trace, seed, configs, reports):
         reports[budget, mode].append(build_report(
             run_trace(trace, ec), trace.ground_truth,
             trace_sha256=f"seed-{seed}"))
-        if mode == MODES[-1]:
+        if mode == PROBE_MODES[-1]:
             ra, rm, pa, pm = (reports[budget, x][-1]["overall"][k]["mean"]
-                              for k in ("recall", "perplexity") for x in MODES)
+                              for k in ("recall", "perplexity")
+                              for x in PROBE_MODES)
             print(f"{seed:>4}  {budget:>6}  {ra:>10.4f}  {rm:>11.4f}  "
                   f"{pa:>8.3f}  {pm:>8.3f}")
 
@@ -68,7 +70,7 @@ def main():
     configs = {(b, m): EngineConfig(
         d=cfg.d, layers=cfg.layers, heads=cfg.heads, window=cfg.window,
         budget=b, probe_mode=m, cutoff_mode=args.cutoff)
-        for b in args.budgets for m in MODES}
+        for b in args.budgets for m in PROBE_MODES}
     reports = {key: [] for key in configs}
     for seed in range(args.seeds):  # one trace held at a time
         replay(generate_synthetic(cfg, spec, seed=seed), seed, configs,
@@ -82,7 +84,8 @@ def main():
         rows.append(f"{budget},{mode},{r:.6f},{p:.6f}")
     diffs = {}
     for budget in args.budgets:
-        diffs[str(budget)] = compare_runs(*(reports[budget, m] for m in MODES))
+        diffs[str(budget)] = compare_runs(*(reports[budget, m]
+                                            for m in PROBE_MODES))
         ov = diffs[str(budget)]["overall"]
         print(f"\nbudget {budget}: act wins recall in "
               f"{ov['a_better_recall_fraction']:.0%} of seeds (mean delta "

@@ -29,13 +29,13 @@ PACKAGE = str(Path(sys.modules["kvprobe"].__file__).parent)
 def parse_args():
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--windows", type=int, nargs="+", default=[16, 64])
-    p.add_argument("--window-size", type=int, default=256)
-    p.add_argument("--dim", type=int, default=64)
+    p.add_argument("--window-size", type=int, default=SyntheticConfig.window)
+    p.add_argument("--dim", type=int, default=SyntheticConfig.d)
     p.add_argument("--decode-steps", type=int, default=5)
     p.add_argument("--planted", type=int, default=3,
                    help="target chunks per decode step; 0 plants none")
     p.add_argument("--budget", type=int, default=256)
-    p.add_argument("--rep", choices=REP_MODES, default="mean")
+    p.add_argument("--rep", choices=REP_MODES, default=EngineConfig.rep_mode)
     p.add_argument("--seed", type=int, default=0)
     return p.parse_args()
 
@@ -55,11 +55,10 @@ def owner(frame) -> str | None:
 def count_last_decode_step(windows: int, args) -> tuple[int, Counter]:
     """(candidates, calls per kvprobe function) of the trace's last
     decode step, the other steps replayed unprofiled."""
-    cfg = SyntheticConfig(d=args.dim, layers=4, heads=1,
-                          window=args.window_size, num_windows=windows,
+    cfg = SyntheticConfig(d=args.dim, window=args.window_size,
+                          num_windows=windows,
                           num_decode_steps=args.decode_steps)
-    spec = PlantedSpec.auto(cfg, per_step=args.planted, signal=0.8,
-                            anchor_fraction=0.10, anchor_scale=4.0,
+    spec = PlantedSpec.auto(cfg, per_step=args.planted, anchor_scale=4.0,
                             drift_scale=3.0) if args.planted else None
     trace = generate_synthetic(cfg, spec, seed=args.seed)
     engine = Engine(EngineConfig(d=cfg.d, layers=cfg.layers, heads=cfg.heads,

@@ -52,10 +52,8 @@ def load_workloads():
 
 def criterion_6(smoke: bool) -> list[str]:
     size = (["--dim", "16", "--windows", "6", "--decode-steps", "2"] if smoke
-            else ["--dim", "64", "--windows", "12", "--decode-steps", "5"])
-    return ["gen-trace", *size, "--layers", "4", "--heads", "1",
-            "--window-size", "256", "--planted", "3", "--signal", "0.8",
-            "--anchor-fraction", "0.1", "--anchor-scale", "4.0",
+            else ["--windows", "12", "--decode-steps", "5"])
+    return ["gen-trace", *size, "--planted", "3", "--anchor-scale", "4.0",
             "--drift", "3.0"]
 
 

@@ -51,6 +51,8 @@ import numpy as np
 
 from .linalg import DimMismatch, row_norms
 
+N_SINK, CHUNK, N_LOCAL = 64, 32, 512  # the default tier geometry
+
 
 def tail_start_of(total: int, n_sink: int, n_local: int) -> int:
     """First row of the local tail: the newest n_local rows, no sinks."""
@@ -208,8 +210,8 @@ class LayerCache:
     before the last two, if any, are layers. key_norms=False keeps no
     per-row key norms, which only max-score scoring reads."""
 
-    def __init__(self, dim: int | tuple[int, ...], n_sink: int = 64,
-                 n_local: int = 512, chunk: int = 32,
+    def __init__(self, dim: int | tuple[int, ...], n_sink: int = N_SINK,
+                 n_local: int = N_LOCAL, chunk: int = CHUNK,
                  key_norms: bool = True):
         if np.min(dim) < 1 or chunk < 1 or n_sink < 0 or n_local < 0:
             raise ValueError("cache geometry must be positive")

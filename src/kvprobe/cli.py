@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from .engine import ConfigError, EngineConfig, run_trace
+from .engine import FIELD_MODES, ConfigError, EngineConfig, run_trace
 from .metrics import (ConfigMismatch, build_report, check_geometry,
                       compare_runs, percentiles, report_to_csv)
 from .tracefile import (PlantedSpec, SpecOutOfRange, SyntheticConfig,
@@ -99,6 +99,40 @@ def _step_timing(seconds: list[float]) -> dict:
             "p50_ms": p50, "p90_ms": p90}
 
 
+# {config class: {flag: field}}: each flag takes its field's default and
+# type, and a mode field's choices from FIELD_MODES.
+FIELD_FLAGS = {
+    SyntheticConfig: {
+        "--dim": "d", "--layers": "layers", "--heads": "heads",
+        "--window-size": "window", "--windows": "num_windows",
+        "--decode-steps": "num_decode_steps", "--sinks": "n_sink",
+        "--chunk": "chunk", "--local": "n_local", "--task-rows": "task_rows"},
+    PlantedSpec: {
+        "--signal": "signal", "--anchor-fraction": "anchor_fraction",
+        "--anchor-scale": "anchor_scale", "--drift": "drift_scale"},
+    EngineConfig: {
+        "--probe": "probe_mode", "--cutoff": "cutoff_mode",
+        "--budget": "budget", "--chunk": "chunk", "--sinks": "n_sink",
+        "--local": "n_local", "--rep": "rep_mode"},
+}
+FLAG_HELP = {"--drift": "correlated background query offset magnitude"}
+
+
+def _add_field_flags(parser: argparse.ArgumentParser, *classes) -> None:
+    for cls in classes:
+        for flag, name in FIELD_FLAGS[cls].items():
+            default, choices = getattr(cls, name), FIELD_MODES.get(name)
+            parser.add_argument(flag, default=default, choices=choices,
+                                type=None if choices else type(default),
+                                help=FLAG_HELP.get(flag))
+
+
+def _field_values(args: argparse.Namespace, cls) -> dict:
+    """{field: parsed value} of the flags that set a cls field."""
+    return {name: getattr(args, flag[2:].replace("-", "_"))
+            for flag, name in FIELD_FLAGS[cls].items()}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="kvprobe",
@@ -106,37 +140,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-trace", help="generate a synthetic trace")
-    g.add_argument("--dim", type=int, default=64)
-    g.add_argument("--layers", type=int, default=4)
-    g.add_argument("--heads", type=int, default=1)
-    g.add_argument("--window-size", type=int, default=256)
-    g.add_argument("--windows", type=int, default=8)
-    g.add_argument("--decode-steps", type=int, default=16)
+    _add_field_flags(g, SyntheticConfig, PlantedSpec)
     g.add_argument("--planted", type=int, default=1,
                    help="early target chunks per decode step; 0 disables "
                         "planting entirely")
-    g.add_argument("--signal", type=float, default=0.8)
-    g.add_argument("--anchor-fraction", type=float, default=0.10)
-    g.add_argument("--anchor-scale", type=float, default=3.0)
-    g.add_argument("--drift", type=float, default=1.0,
-                   help="correlated background query offset magnitude")
-    g.add_argument("--sinks", type=int, default=64)
-    g.add_argument("--chunk", type=int, default=32)
-    g.add_argument("--local", type=int, default=512)
-    g.add_argument("--task-rows", type=int, default=0)
     g.add_argument("--seed", type=int, default=7)
     g.add_argument("--out", required=True)
 
     r = sub.add_parser("run", help="replay a trace through the engine")
     r.add_argument("--trace", required=True)
-    r.add_argument("--probe", choices=["act", "mean"], default="act")
-    r.add_argument("--cutoff", choices=["dynamic", "fixed"],
-                   default="dynamic")
-    r.add_argument("--budget", type=int, default=1472)
-    r.add_argument("--chunk", type=int, default=32)
-    r.add_argument("--sinks", type=int, default=64)
-    r.add_argument("--local", type=int, default=512)
-    r.add_argument("--rep", choices=["mean", "max-score"], default="mean")
+    _add_field_flags(r, EngineConfig)
     r.add_argument("--records", default=None,
                    help="write per-step records as JSON lines")
     r.add_argument("--report", default=None,
@@ -154,18 +167,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_trace(args) -> int:
-    cfg = SyntheticConfig(d=args.dim, layers=args.layers, heads=args.heads,
-                          window=args.window_size, num_windows=args.windows,
-                          num_decode_steps=args.decode_steps,
-                          n_sink=args.sinks, chunk=args.chunk,
-                          n_local=args.local, task_rows=args.task_rows)
+    cfg = SyntheticConfig(**_field_values(args, SyntheticConfig))
     planted = None
     if args.planted != 0:  # auto rejects a negative count
         planted = PlantedSpec.auto(cfg, per_step=args.planted,
-                                   signal=args.signal,
-                                   anchor_fraction=args.anchor_fraction,
-                                   anchor_scale=args.anchor_scale,
-                                   drift_scale=args.drift)
+                                   **_field_values(args, PlantedSpec))
     trace = generate_synthetic(cfg, planted, seed=args.seed)
     write_trace(args.out, trace)
     h = trace.header
@@ -181,10 +187,7 @@ def _cmd_run(args) -> int:
     ground_truth = reader.ground_truth()
     config = EngineConfig(d=header.d, layers=header.layers,
                           heads=header.heads, window=header.window,
-                          chunk=args.chunk, n_sink=args.sinks,
-                          n_local=args.local, budget=args.budget,
-                          probe_mode=args.probe, cutoff_mode=args.cutoff,
-                          rep_mode=args.rep)
+                          **_field_values(args, EngineConfig))
     if ground_truth is not None:
         # known from the header and footer alone, so no replay runs first
         check_geometry(config, ground_truth)
@@ -271,10 +274,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_compare(args)
-    except TraceFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FORMAT
-    except OSError as e:
+    except (TraceFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FORMAT
     except (ConfigError, SpecOutOfRange) as e:

@@ -59,7 +59,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .cache import CacheView, LayerCache
+from .cache import CHUNK, N_LOCAL, N_SINK, CacheView, LayerCache
 from .cutoff import allocate, layer_density, recall_layer
 from .linalg import DimMismatch, EmptyInput
 from .probe import (StatsUndefined, StreamingStats, activation_bias,
@@ -70,6 +70,9 @@ from .tracefile import StepBlock, TraceData, TraceHeader, TraceReader
 PROBE_MODES = ("act", "mean")
 CUTOFF_MODES = ("dynamic", "fixed")
 REP_MODES = ("mean", "max-score")
+# each mode field of EngineConfig and the values it may take
+FIELD_MODES = {"probe_mode": PROBE_MODES, "cutoff_mode": CUTOFF_MODES,
+               "rep_mode": REP_MODES}
 
 
 class ConfigError(ValueError):
@@ -82,9 +85,9 @@ class EngineConfig:
     layers: int
     heads: int = 1
     window: int = 256
-    chunk: int = 32
-    n_sink: int = 64
-    n_local: int = 512
+    chunk: int = CHUNK
+    n_sink: int = N_SINK
+    n_local: int = N_LOCAL
     budget: int = 1472
     probe_mode: str = "act"
     cutoff_mode: str = "dynamic"
@@ -104,14 +107,9 @@ class EngineConfig:
         if self.budget % self.chunk != 0:
             raise ConfigError(
                 f"budget {self.budget} not a multiple of chunk {self.chunk}")
-        if self.probe_mode not in PROBE_MODES:
-            raise ConfigError(f"probe_mode {self.probe_mode!r} not in "
-                              f"{PROBE_MODES}")
-        if self.cutoff_mode not in CUTOFF_MODES:
-            raise ConfigError(f"cutoff_mode {self.cutoff_mode!r} not in "
-                              f"{CUTOFF_MODES}")
-        if self.rep_mode not in REP_MODES:
-            raise ConfigError(f"rep_mode {self.rep_mode!r} not in {REP_MODES}")
+        for name, modes in FIELD_MODES.items():
+            if (value := getattr(self, name)) not in modes:
+                raise ConfigError(f"{name} {value!r} not in {modes}")
 
     @property
     def d_head(self) -> int:

@@ -56,7 +56,7 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
-from .cache import sealed_chunks, tail_start_of
+from .cache import CHUNK, N_LOCAL, N_SINK, sealed_chunks, tail_start_of
 
 MAGIC = b"AKVT"
 VERSION = 1
@@ -460,9 +460,9 @@ class SyntheticConfig:
     window: int = 256
     num_windows: int = 8
     num_decode_steps: int = 16
-    n_sink: int = 64
-    chunk: int = 32
-    n_local: int = 512
+    n_sink: int = N_SINK
+    chunk: int = CHUNK
+    n_local: int = N_LOCAL
     task_rows: int = 0
 
     def __post_init__(self):

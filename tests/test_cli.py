@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import kvprobe
+from kvprobe.cache import CHUNK, N_LOCAL, N_SINK
 from kvprobe.cli import _dumps, main
 from kvprobe.tracefile import read_trace
 
@@ -398,9 +399,10 @@ def test_run_holds_less_than_one_step_block_beyond_its_cache(tmp_path):
                  "--out", str(trace)]) == 0
     header, _ = read_trace(trace)
     tokens = header.num_windows * header.window + header.num_decode_steps
-    chunks = -(-(tokens - 64) // 32)  # the default --sinks and --chunk
+    chunks = -(-(tokens - N_SINK) // CHUNK)  # the default --sinks, --chunk
     reps = 8 * header.layers * chunks * (header.d + header.heads)
-    budget, attended = 256, 64 + 256 + 512 + header.window
+    budget = 256
+    attended = N_SINK + budget + N_LOCAL + header.window
     gathered = 4 * budget * header.d
     logits = (8 + 4) * header.layers * header.heads * attended
     block = 4 * header.window * header.d_head
@@ -558,8 +560,9 @@ def test_gen_trace_without_planting(tmp_path):
 
 
 def test_cli_defaults_are_the_librarys(tmp_path, monkeypatch):
-    """Criterion 5 builds SyntheticConfig() as the CLI's defaults, and
-    cli.py restates each default as a literal: pin that they agree."""
+    """Criterion 5 builds SyntheticConfig() as the CLI's defaults: pin
+    that a bare gen-trace and run reach the library's defaults, and that
+    run's choices are the engine's mode lists."""
     import argparse
 
     import kvprobe.cli as cli
@@ -595,3 +598,68 @@ def test_cli_defaults_are_the_librarys(tmp_path, monkeypatch):
                for a in sub.choices["run"]._actions if a.choices}
     assert choices == {"probe": PROBE_MODES, "cutoff": CUTOFF_MODES,
                        "rep": REP_MODES}
+
+
+class Captured(Exception):
+    """Stops main() once the call under test has its arguments."""
+
+
+def test_every_field_flag_reaches_its_field(tmp_path, monkeypatch):
+    """Give every field flag of gen-trace and run a non-default value at
+    once: each value lands in its own field of what generate_synthetic,
+    PlantedSpec.auto and run_trace receive. The flags come from
+    cli.FIELD_FLAGS, so a new row there is covered here unedited."""
+    import kvprobe.cli as cli
+    from kvprobe.engine import FIELD_MODES, EngineConfig
+    from kvprobe.tracefile import PlantedSpec, SyntheticConfig
+
+    def other(default, choices):
+        """A valid non-default value: another mode, twice an int (so
+        the budget stays a multiple of the chunk; 0 becomes 1), or half
+        a float (so a magnitude stays in range)."""
+        if choices:
+            return next(c for c in choices if c != default)
+        return (2 * default or 1) if isinstance(default, int) else default / 2
+
+    values = {cls: {name: other(getattr(cls, name), FIELD_MODES.get(name))
+                    for name in flags.values()}
+              for cls, flags in cli.FIELD_FLAGS.items()}
+
+    def argv(*classes):
+        return [arg for cls in classes
+                for flag, name in cli.FIELD_FLAGS[cls].items()
+                for arg in (flag, str(values[cls][name]))]
+
+    trace = tmp_path / "t.akvt"
+    assert main(["gen-trace", "--dim", "8", "--layers", "1",
+                 "--window-size", "8", "--windows", "2", "--decode-steps",
+                 "1", "--planted", "0", "--out", str(trace)]) == 0
+    calls = {}
+
+    def capture(owner, name, stop):
+        fn = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] = args, kwargs
+            if stop:
+                raise Captured
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    capture(PlantedSpec, "auto", stop=False)
+    capture(cli, "generate_synthetic", stop=True)
+    capture(cli, "run_trace", stop=True)
+    with pytest.raises(Captured):
+        main(["gen-trace", *argv(SyntheticConfig, PlantedSpec),
+              "--out", str(tmp_path / "unwritten.akvt")])
+    with pytest.raises(Captured):
+        main(["run", "--trace", str(trace), *argv(EngineConfig)])
+    assert calls["auto"][1] == {"per_step": 1, **values[PlantedSpec]}
+    (cfg, planted), _ = calls["generate_synthetic"]
+    (_, config), _ = calls["run_trace"]
+    for obj, cls in ((cfg, SyntheticConfig), (planted, PlantedSpec),
+                     (config, EngineConfig)):
+        for name, value in values[cls].items():
+            assert value != getattr(cls, name), name
+            assert getattr(obj, name) == value, (cls.__name__, name)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -29,11 +30,7 @@ TINY = SyntheticConfig(d=8, layers=2, heads=2, window=8, num_windows=6,
 
 
 def tiny_trace(seed=0, task_rows=0, planted=True):
-    cfg = SyntheticConfig(d=TINY.d, layers=TINY.layers, heads=TINY.heads,
-                          window=TINY.window, num_windows=TINY.num_windows,
-                          num_decode_steps=TINY.num_decode_steps,
-                          n_sink=TINY.n_sink, chunk=TINY.chunk,
-                          n_local=TINY.n_local, task_rows=task_rows)
+    cfg = dataclasses.replace(TINY, task_rows=task_rows)
     spec = PlantedSpec.auto(cfg, per_step=1) if planted else None
     return generate_synthetic(cfg, spec, seed=seed)
 
@@ -51,10 +48,15 @@ def test_config_validation():
         EngineConfig(d=10, layers=1, heads=3)  # d not divisible by heads
     with pytest.raises(ConfigError):
         EngineConfig(d=8, layers=1, budget=100, chunk=32)  # budget % chunk
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape(
+            "probe_mode 'average' not in ('act', 'mean')")):
         EngineConfig(d=8, layers=1, probe_mode="average")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape(
+            "cutoff_mode 'adaptive' not in ('dynamic', 'fixed')")):
         EngineConfig(d=8, layers=1, cutoff_mode="adaptive")
+    with pytest.raises(ConfigError, match=re.escape(
+            "rep_mode 'max' not in ('mean', 'max-score')")):
+        EngineConfig(d=8, layers=1, rep_mode="max")
     with pytest.raises(ConfigError):
         EngineConfig(d=8, layers=2, probe_mode="activation")  # no aliases
     cfg = EngineConfig(d=8, layers=2, probe_mode="act")
