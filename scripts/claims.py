@@ -42,10 +42,11 @@ def parse_args():
 
 
 def replay(trace, seed, configs, reports):
-    """Replay one seed's trace under every (budget, mode) config."""
+    """Replay one seed's trace under every (budget, mode) config, without
+    attention: a report reads none of its output."""
     for (budget, mode), ec in configs.items():
         reports[budget, mode].append(build_report(
-            run_trace(trace, ec), trace.ground_truth,
+            run_trace(trace, ec, attend=False), trace.ground_truth,
             trace_sha256=f"seed-{seed}"))
         if mode == PROBE_MODES[-1]:
             ra, rm, pa, pm = (reports[budget, x][-1]["overall"][k]["mean"]

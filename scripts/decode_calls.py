@@ -2,13 +2,16 @@
 """Python and C calls made by one decode step, per kvprobe function.
 
 Replays a planted trace at acceptance criterion 6's geometry (d=64,
-4 layers, 1 head, 256-row windows, budget 256) once per --windows
-value, scoring chunks with --rep (mean or max-score), and wraps the
-last decode step in sys.setprofile. Every call
-event, Python or C, is charged to the innermost kvprobe function on
-the stack when it is made, so a function's count includes the numpy
-internals it runs. Prints one column per geometry, headed by its
-candidate count; the total row is the step's whole call count.
+4 layers, 1 head, 256-row windows, budget 256) twice per --windows
+value, scoring chunks with --rep (mean or max-score): once without
+attention, as ``kvprobe run`` replays, and once with it, as ``run
+--records`` does. Each replay wraps its last decode step in
+sys.setprofile. Every call event, Python or C, is charged to the
+innermost kvprobe function on the stack when it is made, so a
+function's count includes the numpy internals it runs. Prints two
+columns per geometry, the first headed by its candidate count and the
+second, "records", by the attending step; the total row is each
+step's whole call count.
 
     PYTHONPATH=src python3 scripts/decode_calls.py --windows 16 64
     PYTHONPATH=src python3 scripts/decode_calls.py --rep max-score
@@ -52,9 +55,11 @@ def owner(frame) -> str | None:
     return None
 
 
-def count_last_decode_step(windows: int, args) -> tuple[int, Counter]:
+def count_last_decode_step(windows: int, args, attend: bool
+                           ) -> tuple[int, Counter]:
     """(candidates, calls per kvprobe function) of the trace's last
-    decode step, the other steps replayed unprofiled."""
+    decode step, the other steps replayed unprofiled, by an engine that
+    attends or not."""
     cfg = SyntheticConfig(d=args.dim, window=args.window_size,
                           num_windows=windows,
                           num_decode_steps=args.decode_steps)
@@ -63,7 +68,7 @@ def count_last_decode_step(windows: int, args) -> tuple[int, Counter]:
     trace = generate_synthetic(cfg, spec, seed=args.seed)
     engine = Engine(EngineConfig(d=cfg.d, layers=cfg.layers, heads=cfg.heads,
                                  window=cfg.window, budget=args.budget,
-                                 rep_mode=args.rep))
+                                 rep_mode=args.rep), attend=attend)
     *blocks, last = trace.blocks()
     for blk in blocks:
         step = (engine.prefill_step if blk.stage == "pre-filling"
@@ -91,10 +96,14 @@ def count_last_decode_step(windows: int, args) -> tuple[int, Counter]:
 
 def main():
     args = parse_args()
-    columns = [count_last_decode_step(w, args) for w in args.windows]
+    columns = []  # (heading, calls per function)
+    for w in args.windows:
+        for attend in (False, True):
+            n, calls = count_last_decode_step(w, args, attend)
+            columns.append(("records" if attend else f"{n} cand.", calls))
     names = sorted(set().union(*(c for _, c in columns)),
                    key=lambda n: (-columns[-1][1][n], n))
-    head = "".join(f"{f'{n} cand.':>12}" for n, _ in columns)
+    head = "".join(f"{heading:>12}" for heading, _ in columns)
     print(f"{'kvprobe function':52s}{head}")
     for name in names:
         print(f"{name:52s}" + "".join(f"{c[name]:>12}" for _, c in columns))

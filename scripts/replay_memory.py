@@ -3,8 +3,9 @@
 
 Generates acceptance criterion 6's trace (4 layers, 12 windows of 256
 rows, 5 decode steps, 3 planted chunks per step) at the given --dim,
---heads and --windows, then replays it with ``run --budget 256``; both
-go through ``kvprobe.cli.main`` in-process, the replay under
+--heads and --windows, then replays it with ``run --budget 256`` (with
+--records, ``run --budget 256 --records``, which attends); both go
+through ``kvprobe.cli.main`` in-process, the replay under
 tracemalloc. Prints the bytes of the replay's cache (float32 keys and
 value sums of every token, float64 chunk reps and their norms), the
 traced peak of the run and their difference, and then the traced peak
@@ -15,6 +16,7 @@ run's peak:
 
     PYTHONPATH=src python3 scripts/replay_memory.py
     PYTHONPATH=src python3 scripts/replay_memory.py --dim 64 --heads 1
+    PYTHONPATH=src python3 scripts/replay_memory.py --records
 """
 
 import argparse
@@ -46,6 +48,8 @@ def main():
     ap.add_argument("--dim", type=int, default=512)
     ap.add_argument("--heads", type=int, default=8)
     ap.add_argument("--windows", type=int, default=12)
+    ap.add_argument("--records", action="store_true",
+                    help="also write records, so the replay attends")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         trace, report = Path(tmp) / "t.akvt", Path(tmp) / "r.json"
@@ -67,10 +71,13 @@ def main():
                 return decode_step(engine, token, index)
 
             Engine.decode_step = first_decode_resets_peak
+            records = (["--records", str(Path(tmp) / "steps.jsonl")]
+                       if args.records else [])
             tracemalloc.start()
             try:
                 code = kvprobe(["run", "--trace", str(trace),
-                                "--budget", "256", "--report", str(report)])
+                                "--budget", "256", "--report", str(report),
+                                *records])
                 _, decode = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

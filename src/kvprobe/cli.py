@@ -192,8 +192,9 @@ def _cmd_run(args) -> int:
         # known from the header and footer alone, so no replay runs first
         check_geometry(config, ground_truth)
     # streamed: the payload is read one step block at a time, and any
-    # NaN it holds stops the run before a file is written
-    result = run_trace(reader, config)
+    # NaN it holds stops the run before a file is written; attention
+    # feeds only the records' checksums
+    result = run_trace(reader, config, attend=args.records is not None)
     digest = _sha256(args.trace)
     report = build_report(result, ground_truth=ground_truth,
                           trace_sha256=digest)

@@ -3,12 +3,17 @@
 Two stages over a trace. The cache holds every layer, so each stage
 step makes one append, one snapshot, one scoring call, one density
 call, one selection call and one attention call for all layers; only
-gathering the retrieved chunks runs one layer at a time.
+gathering the retrieved chunks runs one layer at a time. Attention's
+only output is each record's attn_checksum, which no report reads, so
+an engine built with attend=False (``kvprobe run`` without --records)
+stops each step at the selection: it gathers no chunk, copies no query
+row and makes no attention call, and its records differ only in their
+checksums, which are None.
 
 pre-filling
     Windows arrive a block of rows at a time. The snapshot is taken
     first. Then, one (layer, head) at a time, the step reads the
-    head's window queries, keeps their last row for attention, and
+    head's window queries, keeps their last row if it attends, and
     converts them (plus any task queries) to float64 once; that one
     copy feeds the head's running statistics, its activation weights
     and its (d_head,) probe, each of which makes one temporary of its
@@ -21,10 +26,10 @@ pre-filling
     rows; the snapshot's slices stop at the old total, so scoring and
     the tiers still see only the history. Every layer's retrievable
     chunks are scored and each layer greedily selects up
-    to the layer budget; reference attention runs over [sinks,
-    retrieved, local tail, window] for the window's last query row,
-    every layer and head in one call; that row sees the whole window
-    and all of the history.
+    to the layer budget; when the engine attends, reference attention
+    runs over [sinks, retrieved, local tail, window] for the window's
+    last query row, every layer and head in one call; that row sees
+    the whole window and all of the history.
 
 decoding
     One token at a time, two phases. The token's key/value pair enters
@@ -34,8 +39,8 @@ decoding
     distribution; then the shared budget (layers x budget) is split
     across layers, evenly in fixed mode or entropy-proportional in
     dynamic mode, and each layer retrieves under its share. The
-    attended set is exactly sinks + retrieved + local, and every layer
-    and head attends it in one call.
+    attended set is exactly sinks + retrieved + local, and (when the
+    engine attends) every layer and head attends it in one call.
 
 A record keeps only the attention output's sum over heads and d_head,
 and attention is linear in V, so the value blocks are the rows' value
@@ -65,7 +70,8 @@ from .linalg import DimMismatch, EmptyInput
 from .probe import (StatsUndefined, StreamingStats, activation_bias,
                     build_probe, decoding_probe, uniform_bias)
 from .retrieval import Gathered, score_chunks_across_heads, selected_rows
-from .tracefile import StepBlock, TraceData, TraceHeader, TraceReader
+from .tracefile import (StepBlock, SyntheticConfig, TraceData, TraceHeader,
+                        TraceReader)
 
 PROBE_MODES = ("act", "mean")
 CUTOFF_MODES = ("dynamic", "fixed")
@@ -83,8 +89,8 @@ class ConfigError(ValueError):
 class EngineConfig:
     d: int
     layers: int
-    heads: int = 1
-    window: int = 256
+    heads: int = SyntheticConfig.heads
+    window: int = SyntheticConfig.window
     chunk: int = CHUNK
     n_sink: int = N_SINK
     n_local: int = N_LOCAL
@@ -135,7 +141,7 @@ class LayerStepRecord:
     selected: tuple[int, ...]
     pairs_used: int
     attended_pairs: int
-    attn_checksum: float
+    attn_checksum: float | None  # None when the engine does not attend
 
     def to_json(self) -> dict:
         return {**vars(self), "candidate_ids": list(self.candidate_ids),
@@ -244,11 +250,14 @@ def _blocks(x) -> list:
 
 
 class Engine:
-    """Stateful run over one trace; not reusable across traces."""
+    """Stateful run over one trace; not reusable across traces. With
+    attend=False no step attends, and every attn_checksum is None."""
 
     def __init__(self, config: EngineConfig,
-                 task_queries: np.ndarray | None = None):
+                 task_queries: np.ndarray | None = None, *,
+                 attend: bool = True):
         self.config = config
+        self.attend = attend
         L, H = config.layers, config.heads
         self.cache = LayerCache(dim=(L, H, config.d_head),
                                 n_sink=config.n_sink, n_local=config.n_local,
@@ -288,36 +297,40 @@ class Engine:
                 thetas, budgets, window_k: np.ndarray | None = None,
                 window_sums: np.ndarray | None = None
                 ) -> tuple[LayerStepRecord, ...]:
-        """Select every layer's chunks under its budget in one call, then
-        attend every layer's and head's query row over sinks, its
-        retrieved chunks, the local tail and (pre-fill) the window in
-        one call. The value blocks are the cache's values, each row's
-        value sum, so the output is (layers, heads, 1, 1).
+        """Select every layer's chunks under its budget in one call, then,
+        if the engine attends, attend every layer's and head's query row
+        over sinks, its retrieved chunks, the local tail and (pre-fill)
+        the window in one call. The value blocks are the cache's values,
+        each row's value sum, so the output is (layers, heads, 1, 1).
 
-        q has shape (layers, heads, 1, d_head); window_k is (layers,
-        heads, window rows, d_head) and window_sums (layers, heads,
-        window rows, 1); scores is (layers, n), thetas its (layers,)
-        densities and budgets one int per layer.
+        q, read only when the engine attends, has shape (layers, heads,
+        1, d_head); window_k is (layers, heads, window rows, d_head) and
+        window_sums (layers, heads, window rows, 1); scores is (layers,
+        n), thetas its (layers,) densities and budgets one int per layer.
         """
         selections = recall_layer(scores, budgets, view.candidate_rows)
-        rows = selected_rows(selections, view)
-        retrieved = Gathered(view.keys, rows)
-        # the cache is token-major; attention reads
-        # (layers, heads, pairs, d_head)
-        k_blocks = [view.sink_keys.transpose(1, 2, 0, 3), retrieved,
-                    view.local_keys.transpose(1, 2, 0, 3)]
-        v_blocks = [view.sink_values.transpose(1, 2, 0, 3),
-                    Gathered(view.values, rows),
-                    view.local_values.transpose(1, 2, 0, 3)]
-        if window_k is not None:
-            k_blocks.append(window_k)
-            v_blocks.append(window_sums)
-        out = reference_attention(q, k_blocks, v_blocks)
+        sink_keys, local_keys = view.sink_keys, view.local_keys
         # every layer attends the sinks, the tail and the window
-        shared = sum(b.shape[-2] for b in k_blocks if b is not retrieved)
+        shared = (len(sink_keys) + len(local_keys)
+                  + (0 if window_k is None else window_k.shape[-2]))
+        checksums = [None] * len(selections)
+        if self.attend:
+            rows = selected_rows(selections, view)
+            # the cache is token-major; attention reads
+            # (layers, heads, pairs, d_head)
+            k_blocks = [sink_keys.transpose(1, 2, 0, 3),
+                        Gathered(view.keys, rows),
+                        local_keys.transpose(1, 2, 0, 3)]
+            v_blocks = [view.sink_values.transpose(1, 2, 0, 3),
+                        Gathered(view.values, rows),
+                        view.local_values.transpose(1, 2, 0, 3)]
+            if window_k is not None:
+                k_blocks.append(window_k)
+                v_blocks.append(window_sums)
+            out = reference_attention(q, k_blocks, v_blocks)
+            # Python floats, one conversion per array
+            checksums = out.reshape(len(out), -1).sum(axis=1).tolist()
         candidates = range(scores.shape[1])
-        # Python floats, one conversion per array
-        checksums = out.reshape(len(out), -1).sum(axis=1).tolist()
         return tuple(
             LayerStepRecord(
                 layer=l,
@@ -327,7 +340,7 @@ class Engine:
                 budget_pairs=budget,
                 selected=sel.selected,
                 pairs_used=sel.pairs_used,
-                attended_pairs=shared + retrieved.sizes[l],
+                attended_pairs=shared + sel.pairs_used,
                 attn_checksum=checksum,
             )
             for l, (sel, theta, budget, checksum) in enumerate(zip(
@@ -350,7 +363,8 @@ class Engine:
                 if q.shape != (cfg.window, dh):
                     raise DimMismatch(f"window queries shaped {q.shape}, "
                                       f"want {(cfg.window, dh)}")
-                last_q[l, h] = q[-1:]
+                if self.attend:
+                    last_q[l, h] = q[-1:]
                 probes[l, h] = self._probe_for(l, h, q)
                 keys[:, l, h] = window.keys(l, h)
                 # the float64 sum rounded once that append makes
@@ -420,7 +434,7 @@ class Engine:
                          step_seconds=seconds)
 
 
-def run_trace(trace: TraceData | TraceReader,
-              config: EngineConfig) -> RunResult:
-    engine = Engine(config, task_queries=trace.task_queries)
+def run_trace(trace: TraceData | TraceReader, config: EngineConfig, *,
+              attend: bool = True) -> RunResult:
+    engine = Engine(config, task_queries=trace.task_queries, attend=attend)
     return engine.run(trace)

@@ -8,9 +8,11 @@ another kernel may move in the last bit, and densities (theta) use
 numpy's SIMD exp and log, which another SIMD level
 (NPY_DISABLE_CPU_FEATURES) may move. Attention
 (engine.reference_attention, one call per step for every layer and
-head) keeps less precision: its logits are float32 products on the
-cached keys and its weighted sums float32 products on the cached
-values, each row's value sum; only its softmax runs in float64.
+head, made only by an engine that attends: ``kvprobe run --records``)
+keeps less precision: its logits are float32 products on the cached
+keys and its weighted sums float32 products on the cached values,
+each row's value sum; only its softmax runs in float64. No report
+reads it, so reports never depend on its bits.
 """
 
 from __future__ import annotations

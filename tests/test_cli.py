@@ -213,6 +213,36 @@ def test_records_and_csv_outputs(tmp_path):
     assert csv.read_text().startswith("layer,metric,mean")
 
 
+@pytest.mark.parametrize("settings", [[], ["--rep", "max-score", "--probe",
+                                           "mean", "--cutoff", "fixed"]])
+def test_run_without_records_attends_nothing(tmp_path, monkeypatch,
+                                            settings):
+    """Attention's only output is the records' attn_checksum, so a run
+    without --records makes no attention call, and its report and CSV
+    are byte for byte those of a run with records."""
+    import kvprobe.engine as engine_module
+
+    trace = gen(tmp_path)
+    run = ["run", "--trace", str(trace)] + RUN_GEOM + settings
+    records = tmp_path / "steps.jsonl"
+    assert main(run + ["--report", str(tmp_path / "with.json"),
+                       "--csv", str(tmp_path / "with.csv"),
+                       "--records", str(records)]) == 0
+    assert all(isinstance(rec["attn_checksum"], float)
+               for line in records.read_text().splitlines()
+               for rec in json.loads(line)["layers"])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("attention in a run without --records")
+
+    monkeypatch.setattr(engine_module, "reference_attention", refuse)
+    assert main(run + ["--report", str(tmp_path / "without.json"),
+                       "--csv", str(tmp_path / "without.csv")]) == 0
+    for suffix in ("json", "csv"):
+        assert ((tmp_path / f"without.{suffix}").read_bytes()
+                == (tmp_path / f"with.{suffix}").read_bytes())
+
+
 def test_malformed_trace_exits_2(tmp_path):
     bad = tmp_path / "junk.akvt"
     bad.write_bytes(b"this is not a trace")
@@ -381,17 +411,10 @@ def test_run_holds_one_step_block_of_the_payload(tmp_path):
     assert peak < header.payload_bytes() + cache_bytes(header), peak
 
 
-def test_run_holds_less_than_one_step_block_beyond_its_cache(tmp_path):
-    """Traced peak of `run` on criterion 6's geometry with 8 heads of
-    d_head 64 stays under the cache (keys, value sums and float64 chunk
-    reps) plus what pre-fill attention holds, which now sets the peak:
-    one layer's gathered keys (`--budget` rows), the float64 logits of
-    every layer and head over sinks, retrieved rows, tail and window
-    and their float32 copy, beside the reader's one (window, d_head)
-    block, with 128 KiB for the records and the smaller arrays. A
-    window's probe works one head at a time: building it from a
-    layer's queries, as a replay did before, holds 1.5 MiB more here
-    and fails this bound."""
+def wide_trace_peak(tmp_path, *flags):
+    """(traced peak, cache with its float64 chunk reps, trace header) of
+    `run --budget 256` with flags on criterion 6's trace with 8 heads
+    of d_head 64, generated before tracing starts."""
     trace = tmp_path / "t.akvt"
     assert main(["gen-trace", "--dim", "512", "--heads", "8",
                  "--windows", "12", "--decode-steps", "5", "--planted", "3",
@@ -401,21 +424,53 @@ def test_run_holds_less_than_one_step_block_beyond_its_cache(tmp_path):
     tokens = header.num_windows * header.window + header.num_decode_steps
     chunks = -(-(tokens - N_SINK) // CHUNK)  # the default --sinks, --chunk
     reps = 8 * header.layers * chunks * (header.d + header.heads)
+    tracemalloc.start()
+    try:
+        assert main(["run", "--trace", str(trace), "--budget", "256",
+                     "--report", str(tmp_path / "r.json"), *flags]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, cache_bytes(header) + reps, header
+
+
+def test_run_holds_less_than_one_step_block_beyond_its_cache(tmp_path):
+    """Traced peak of `run --records` on criterion 6's geometry with 8
+    heads of d_head 64 stays under the cache (keys, value sums and
+    float64 chunk reps) plus what pre-fill attention holds, which sets
+    that run's peak: one layer's gathered keys (`--budget` rows), the
+    float64 logits of every layer and head over sinks, retrieved rows,
+    tail and window and their float32 copy, beside the reader's one
+    (window, d_head) block, with 128 KiB for the records and the
+    smaller arrays. A window's probe works one head at a time: building
+    it from a layer's queries, as a replay did before, holds 1.5 MiB
+    more here and fails this bound."""
+    peak, cache, header = wide_trace_peak(
+        tmp_path, "--records", str(tmp_path / "steps.jsonl"))
     budget = 256
     attended = N_SINK + budget + N_LOCAL + header.window
     gathered = 4 * budget * header.d
     logits = (8 + 4) * header.layers * header.heads * attended
     block = 4 * header.window * header.d_head
-    bound = (cache_bytes(header) + reps + gathered + logits + block
-             + 128 * 1024)
-    tracemalloc.start()
-    try:
-        assert main(["run", "--trace", str(trace), "--budget", str(budget),
-                     "--report", str(tmp_path / "r.json")]) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < bound, (peak - cache_bytes(header), bound - peak)
+    bound = cache + gathered + logits + block + 128 * 1024
+    assert peak < bound, (peak - cache, bound - peak)
+
+
+def test_run_without_records_holds_no_attention(tmp_path):
+    """Without --records nothing attends, and the peak of the same run
+    is set by the append that seals a window's chunks: one chunk's keys
+    of every layer in float64, for its mean key. Beside it sit the
+    reader's one (window, d_head) block, the probe statistics (two
+    float64 vectors per layer and head) and 160 KiB for the records and
+    the smaller arrays. A run that attends, as every run did before,
+    holds attention's gathered keys and logits instead of the sealing
+    copy, and fails this bound."""
+    peak, cache, header = wide_trace_peak(tmp_path)
+    sealing = 8 * CHUNK * header.layers * header.d
+    block = 4 * header.window * header.d_head
+    stats = 2 * 8 * header.layers * header.d
+    bound = cache + sealing + block + stats + 160 * 1024
+    assert peak < bound, (peak - cache, bound - peak)
 
 
 def test_bad_engine_config_exits_3(tmp_path):
@@ -561,9 +616,11 @@ def test_gen_trace_without_planting(tmp_path):
 
 def test_cli_defaults_are_the_librarys(tmp_path, monkeypatch):
     """Criterion 5 builds SyntheticConfig() as the CLI's defaults: pin
-    that a bare gen-trace and run reach the library's defaults, and that
+    that a bare gen-trace and run reach the library's defaults, that
+    EngineConfig's geometry defaults are SyntheticConfig's, and that
     run's choices are the engine's mode lists."""
     import argparse
+    import dataclasses
 
     import kvprobe.cli as cli
     from kvprobe.engine import (CUTOFF_MODES, PROBE_MODES, REP_MODES,
@@ -592,6 +649,13 @@ def test_cli_defaults_are_the_librarys(tmp_path, monkeypatch):
     assert planted == PlantedSpec.auto(SyntheticConfig(), per_step=1)
     assert calls["run_trace"][1] == EngineConfig(d=64, layers=4, heads=1,
                                                  window=256)
+    # the trace geometry's defaults are written once, in SyntheticConfig
+    shared = {f.name for f in dataclasses.fields(EngineConfig)
+              if f.default is not dataclasses.MISSING}.intersection(
+                  f.name for f in dataclasses.fields(SyntheticConfig))
+    assert shared == {"heads", "window", "chunk", "n_sink", "n_local"}
+    for name in shared:
+        assert getattr(EngineConfig, name) == getattr(SyntheticConfig, name)
     sub = next(a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     choices = {a.dest: tuple(a.choices)

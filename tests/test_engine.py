@@ -885,3 +885,42 @@ def test_each_phase_is_one_call_per_step(monkeypatch):
         calls.clear()
         stages.add(blk.stage)
     assert stages == {"pre-filling", "decoding"}
+
+
+@pytest.mark.parametrize("n_local", [0, 4])
+@pytest.mark.parametrize("cutoff_mode", CUTOFF_MODES)
+@pytest.mark.parametrize("rep_mode", REP_MODES)
+def test_records_without_attention_differ_only_in_the_checksum(
+        monkeypatch, rep_mode, cutoff_mode, n_local):
+    """An engine built with attend=False makes no attention call, and its
+    records are those of an attending engine field for field, but for
+    attn_checksum, which is None. The trace has task rows and chunk 7;
+    with n_local = 0 the partly filled open chunk is selected, so a
+    layer's pairs_used is not a multiple of the chunk."""
+    cfg = SyntheticConfig(d=8, layers=3, heads=2, window=8, num_windows=6,
+                          num_decode_steps=5, n_sink=2, chunk=7,
+                          n_local=n_local, task_rows=3)
+    trace = generate_synthetic(cfg, None, seed=2)
+    config = EngineConfig(d=cfg.d, layers=cfg.layers, heads=cfg.heads,
+                          window=cfg.window, chunk=cfg.chunk,
+                          n_sink=cfg.n_sink, n_local=n_local,
+                          budget=2 * cfg.chunk, rep_mode=rep_mode,
+                          cutoff_mode=cutoff_mode)
+    attended = run_trace(trace, config)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("attention in a replay without attend")
+
+    monkeypatch.setattr(engine_module, "reference_attention", refuse)
+    skipped = run_trace(trace, config, attend=False)
+    partial = False
+    for want, got in zip(attended.steps, skipped.steps, strict=True):
+        assert (got.stage, got.index) == (want.stage, want.index)
+        for a, b in zip(want.layers, got.layers, strict=True):
+            assert isinstance(a.attn_checksum, float)
+            assert b.attn_checksum is None
+            assert b.scores.tobytes() == a.scores.tobytes()
+            assert ({**a.to_json(), "attn_checksum": None}
+                    == b.to_json())
+            partial |= b.pairs_used % cfg.chunk != 0
+    assert partial == (n_local == 0)

@@ -65,13 +65,19 @@ def test_decode_calls_runs(monkeypatch, capsys):
         lines = capsys.readouterr().out.splitlines()
         # 3 and 4 windows of 256 rows leave 6 and 14 candidates behind
         # the 64 sinks and the 512-row tail
-        assert lines[0].split()[-4:] == ["6", "cand.", "14", "cand."]
-        counts = {line.rsplit(None, 2)[0]: line.split()[-2:]
+        # each geometry's step without attention, as `run` makes it, then
+        # the step of `run --records`, which attends
+        assert lines[0].split()[-6:] == ["6", "cand.", "records",
+                                         "14", "cand.", "records"]
+        counts = {line.rsplit(None, 4)[0]: [int(n) for n in
+                                            line.split()[-4:]]
                   for line in lines[1:]}
-        assert int(counts["total"][0]) > 0
-        for name in ("engine.Engine.decode_step", "retrieval.select_topk",
-                     "engine.reference_attention"):
-            assert int(counts[name][0]) > 0
+        run, records = counts["total"][:2]
+        assert 0 < run < records
+        for name in ("engine.Engine.decode_step", "retrieval.select_topk"):
+            assert min(counts[name]) > 0
+        assert counts["engine.reference_attention"][1] > 0
+        assert counts["engine.reference_attention"][0::2] == [0, 0]
         assert ("retrieval._screened_max" in counts) == (rep == "max-score")
 
 
@@ -89,12 +95,14 @@ def test_digests_are_repeatable(monkeypatch, capsys):
 
 
 def test_replay_memory_runs(monkeypatch, capsys):
-    run_script("replay_memory", ["--dim", "16", "--heads", "2"], monkeypatch)
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.rsplit(None, 4)[0] for line in lines] == [
-        "cache", "peak", "above cache", "pre-fill", "decode"]
-    cache, peak, above, prefill, decode = (
-        int(line.split()[-2].replace(",", "")) for line in lines)
-    assert 0 < cache < peak and above == peak - cache
-    # each stage holds the cache; the larger stage peak is the run's
-    assert min(prefill, decode) > cache and peak == max(prefill, decode)
+    for flags in ([], ["--records"]):
+        run_script("replay_memory", ["--dim", "16", "--heads", "2", *flags],
+                   monkeypatch)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.rsplit(None, 4)[0] for line in lines] == [
+            "cache", "peak", "above cache", "pre-fill", "decode"]
+        cache, peak, above, prefill, decode = (
+            int(line.split()[-2].replace(",", "")) for line in lines)
+        assert 0 < cache < peak and above == peak - cache
+        # each stage holds the cache; the larger stage peak is the run's
+        assert min(prefill, decode) > cache and peak == max(prefill, decode)
