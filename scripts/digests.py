@@ -4,7 +4,9 @@ set of ``gen-trace`` and ``run`` cases writes: a byte-identity check of
 the whole pipeline between two checkouts.
 
 Each case runs ``kvprobe.cli.main`` in-process into a temporary
-directory; one ``sha256  name`` line is printed per file written. The
+directory, each run twice: without --records, which attends nothing,
+then with it. One ``sha256  name`` line is printed per file written,
+the first report as ``name.report.json (no records)``. The
 script needs only the CLI, so PYTHONPATH picks the checkout it checks:
 
     PYTHONPATH=src python3 scripts/digests.py > after.txt
@@ -20,8 +22,10 @@ Cases, all at --seed (default 0):
   ``--rep max-score`` and under ``--probe mean --cutoff fixed
   --budget 96``;
 - two odd geometries: 2 heads, chunk 7 with an open partial chunk,
-  ``--local 0``, task rows and max-score; 3 heads, chunk 6, no sinks
-  and a non-zero local tail, at budgets 12 and 600.
+  ``--local 0`` and task rows, under max-score and the mean rep (whose
+  run without records reads the cached rows of the open chunk); 3
+  heads, chunk 6, no sinks and a non-zero local tail, at budgets 12
+  and 600.
 
 --smoke runs the workloads' ``Workload.smoke()`` geometries and
 criterion 6 at toy size, in a few seconds.
@@ -93,7 +97,8 @@ def cases(seed: int, smoke: bool, out: Path):
                          "--windows", "6", "--decode-steps", "3",
                          "--task-rows", "4", *ODD_H2],
               {"max-score": ["--rep", "max-score", "--budget", "21",
-                             *ODD_H2]})
+                             *ODD_H2],
+               "mean": ["--budget", "21", *ODD_H2]})
     yield own("odd-h3", ["gen-trace", "--dim", "24", "--layers", "3",
                          "--heads", "3", "--window-size", "18",
                          "--windows", "8", "--decode-steps", "3",
@@ -125,9 +130,12 @@ def main() -> None:
             cli(gen)
             print(f"{sha256(trace)}  {trace.name}")
             for name, run in runs:
-                records = out / f"{name}.records.jsonl"
+                report, records = (out / f"{name}.report.json",
+                                   out / f"{name}.records.jsonl")
+                cli(run)
+                print(f"{sha256(report)}  {report.name} (no records)")
                 cli([*run, "--records", str(records)])
-                for path in (out / f"{name}.report.json", records):
+                for path in (report, records):
                     print(f"{sha256(path)}  {path.name}")
             trace.unlink()  # a workload trace may be 100 MB
 

@@ -6,9 +6,11 @@ rows, 5 decode steps, 3 planted chunks per step) at the given --dim,
 --heads and --windows, then replays it with ``run --budget 256`` (with
 --records, ``run --budget 256 --records``, which attends); both go
 through ``kvprobe.cli.main`` in-process, the replay under
-tracemalloc. Prints the bytes of the replay's cache (float32 keys and
-value sums of every token, float64 chunk reps and their norms), the
-traced peak of the run and their difference, and then the traced peak
+tracemalloc. Prints the bytes of the replay's cache when the run ends
+(its float64 chunk reps and their norms, and its float32 key and
+value-sum buffers: every token's when the replay attends, a window
+and a chunk of rows when it does not), the traced peak of the run and
+their difference, and then the traced peak
 of each stage: pre-fill's is the peak up to the first decode step,
 where the peak is reset, and decode's the peak from there to the end
 of the run (the report included), so the larger of the two sets the
@@ -21,26 +23,13 @@ run's peak:
 
 import argparse
 import contextlib
-import dataclasses
 import io
 import tempfile
 import tracemalloc
 from pathlib import Path
 
 from kvprobe.cli import main as kvprobe
-from kvprobe.engine import Engine, EngineConfig
-from kvprobe.tracefile import read_trace
-
-DEFAULTS = {f.name: f.default for f in dataclasses.fields(EngineConfig)}
-SINKS, CHUNK = DEFAULTS["n_sink"], DEFAULTS["chunk"]  # run's, EngineConfig's
-
-
-def cache_bytes(header) -> int:
-    """Keys, value sums, chunk reps and rep norms of a mean-mode replay."""
-    tokens = header.num_windows * header.window + header.num_decode_steps
-    chunks = -(-max(0, tokens - SINKS) // CHUNK)
-    return header.layers * (4 * tokens * (header.d + header.heads)
-                            + 8 * chunks * (header.d + header.heads))
+from kvprobe.engine import Engine
 
 
 def main():
@@ -61,13 +50,14 @@ def main():
                         "--anchor-scale", "4.0", "--drift", "3.0",
                         "--seed", "0", "--out", str(trace)]) != 0:
                 raise SystemExit("gen-trace failed")
-            prefill = []
+            prefill, engines = [], []
             decode_step = Engine.decode_step
 
             def first_decode_resets_peak(engine, token, index):
                 if not prefill:
                     prefill.append(tracemalloc.get_traced_memory()[1])
                     tracemalloc.reset_peak()
+                    engines.append(engine)
                 return decode_step(engine, token, index)
 
             Engine.decode_step = first_decode_resets_peak
@@ -84,8 +74,7 @@ def main():
                 Engine.decode_step = decode_step
         if code != 0:
             raise SystemExit(f"run exited {code}")
-        header, _ = read_trace(trace)
-    cache = cache_bytes(header)
+    cache = engines[0].cache.nbytes
     peak = max(prefill[0], decode)
     for name, n in (("cache", cache), ("peak", peak),
                     ("above cache", peak - cache),

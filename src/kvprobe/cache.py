@@ -33,7 +33,21 @@ float64 norms (one per layer and head) go to (chunks, *dim) arrays. A
 cache built with key_norms (the default, and what the engine asks for
 in max-score mode only, the one reader) also writes every appended
 row's float64 key norms at append time; without it no member-key norm
-exists. Scoring reads only these arrays.
+exists. Scoring reads only these arrays, and the rows of the open
+chunk when it is a candidate.
+
+A cache built with rows=False, as the engine builds it when no step
+attends and scoring reads only the reps (mean mode), keeps only the
+rows from the open chunk's first on: a view's start. Sinks, sealed
+chunks and the tail before it lose their keys and value sums (a tier
+or chunk that begins before start shows no rows); the reps stay. Its
+row buffers hold one append (a window) plus a chunk. When an append
+does not fit, the open chunk's fewer than a chunk of rows move to new
+buffers of that size, as in a regrowth, and never within the old
+ones, so a snapshot taken before the move keeps its open chunk; the
+rows past the append are zeroed then, so the decode tokens that fill
+them later find their pages resident. A replay moves them once per
+pre-fill window and once per window of decode tokens.
 
 The retrieval candidates are the chunks whose span ends before
 tail_start. A chunk that straddles tail_start is not one, and its
@@ -74,7 +88,8 @@ def rep_key_of(keys) -> np.ndarray:
     k = np.asarray(keys, dtype=np.float32)
     if k.ndim < 2 or k.shape[0] < 1:
         raise DimMismatch(f"representative of keys shaped {k.shape}")
-    return np.mean(k.astype(np.float64), axis=0).astype(np.float32)
+    # summed in float64 a buffer at a time: no float64 copy of the chunk
+    return np.mean(k, axis=0, dtype=np.float64).astype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -103,7 +118,9 @@ class CacheView:
     norms.
     rep_keys (float64) and rep_norms hold one row per sealed chunk.
     All are read-only slices of the cache's buffers, indexed token
-    first: keys is (pairs, *dim).
+    first: keys is (pairs, *dim). keys[0] is stream row start, 0
+    unless the cache drops rows; a tier or chunk that begins before
+    start shows no rows.
     """
 
     n_sink: int
@@ -114,26 +131,32 @@ class CacheView:
     rep_keys: np.ndarray
     rep_norms: np.ndarray
     tail_start: int
+    start: int
 
     @property
     def total_pairs(self) -> int:
-        return int(self.keys.shape[0])
+        return self.start + int(self.keys.shape[0])
+
+    def _held(self, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Stream rows [lo, hi) of keys or values; none if lo < start."""
+        at = self.start
+        return a[lo - at:hi - at] if lo >= at else a[:0]
 
     @property
     def sink_keys(self) -> np.ndarray:
-        return self.keys[:self.n_sink]
+        return self._held(self.keys, 0, self.n_sink)
 
     @property
     def sink_values(self) -> np.ndarray:
-        return self.values[:self.n_sink]
+        return self._held(self.values, 0, self.n_sink)
 
     @property
     def local_keys(self) -> np.ndarray:
-        return self.keys[self.tail_start:]
+        return self._held(self.keys, self.tail_start, self.total_pairs)
 
     @property
     def local_values(self) -> np.ndarray:
-        return self.values[self.tail_start:]
+        return self._held(self.values, self.tail_start, self.total_pairs)
 
     @property
     def n_candidates(self) -> int:
@@ -183,10 +206,11 @@ class _Chunks(Sequence):
         if isinstance(i, slice):
             return tuple(self[j] for j in range(self._n)[i])
         j = range(self._n)[i]
-        start, stop = self._view.chunk_rows(j)
+        view = self._view
+        start, stop = view.chunk_rows(j)
         return KVChunk(chunk_id=j, start=start, end=stop - 1,
-                       keys=self._view.keys[start:stop],
-                       values=self._view.values[start:stop])
+                       keys=view._held(view.keys, start, stop),
+                       values=view._held(view.values, start, stop))
 
 
 def _resized(a: np.ndarray, rows: int, keep: int, lead: int) -> np.ndarray:
@@ -208,18 +232,24 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class LayerCache:
     """Single-writer cache for a stream of rows shaped dim, whose axes
     before the last two, if any, are layers. key_norms=False keeps no
-    per-row key norms, which only max-score scoring reads."""
+    per-row key norms, which only max-score scoring reads. rows=False
+    keeps only the rows from the open chunk's first on (see start),
+    and needs key_norms=False."""
 
     def __init__(self, dim: int | tuple[int, ...], n_sink: int = N_SINK,
                  n_local: int = N_LOCAL, chunk: int = CHUNK,
-                 key_norms: bool = True):
+                 key_norms: bool = True, rows: bool = True):
         if np.min(dim) < 1 or chunk < 1 or n_sink < 0 or n_local < 0:
             raise ValueError("cache geometry must be positive")
+        if key_norms and not rows:
+            raise ValueError("key norms are kept only with the rows")
         self.n_sink = n_sink
         self.n_local = n_local
         self.chunk = chunk
+        self.keeps_rows = rows
         self.total_pairs = 0
         self._sealed = 0
+        self._base = 0  # stream row of the row buffers' first row
         row = np.empty(dim).shape  # dim as a shape tuple
         self._lead = max(0, len(row) - 2)  # layer axes
         self._k = np.empty((0, *row), dtype=np.float32)
@@ -230,31 +260,70 @@ class LayerCache:
 
     @property
     def capacity(self) -> int:
+        """Rows the row buffers hold."""
         return int(self._k.shape[0])
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of every buffer the cache holds."""
+        return sum(a.nbytes for a in (self._k, self._v, self._knorm,
+                                      self._rep, self._rep_norm)
+                   if a is not None)
+
+    @property
+    def start(self) -> int:
+        """First row a snapshot shows: 0, or without rows the open
+        chunk's first row (total_pairs while sinks are still arriving)."""
+        if self.keeps_rows:
+            return 0
+        return min(self.total_pairs, self.n_sink + self._sealed * self.chunk)
+
     def reserve(self, rows: int) -> None:
-        """Size the buffers for at least `rows` pairs, so appends up to
-        that total never regrow them; a regrowth at least doubles them."""
-        if rows <= self.capacity:
-            return
-        rows = max(rows, 2 * self.capacity)
+        """Size the reps, and the row buffers if the cache keeps its
+        rows, for at least `rows` pairs, so appends up to that total
+        never regrow them; a regrowth at least doubles them."""
         chunks = -(-max(0, rows - self.n_sink) // self.chunk)
-        n, sealed, lead = self.total_pairs, self._sealed, self._lead
-        self._k = _resized(self._k, rows, n, lead)
-        self._v = _resized(self._v, rows, n, lead)
-        if self._knorm is not None:
-            self._knorm = _resized(self._knorm, rows, n, lead)
-        self._rep = _resized(self._rep, chunks, sealed, lead)
-        self._rep_norm = _resized(self._rep_norm, chunks, sealed, lead)
+        if chunks > len(self._rep):
+            chunks = max(chunks, 2 * len(self._rep))
+            self._rep = _resized(self._rep, chunks, self._sealed, self._lead)
+            self._rep_norm = _resized(self._rep_norm, chunks, self._sealed,
+                                      self._lead)
+        if self.keeps_rows:
+            self._room(rows)
+
+    def _room(self, stop: int) -> None:
+        """Make the row buffers reach stream row `stop`. If they do not,
+        the rows from start on move to new buffers, never in place, as a
+        snapshot may still read the old ones. Without rows the new ones
+        hold the rows to append plus a chunk, so the fewer than a chunk
+        of rows they carry over always fit; they never shrink."""
+        if stop <= self._base + self.capacity:
+            return
+        base, lead = self.start, self._lead
+        rows = (max(stop, 2 * self.capacity) if self.keeps_rows else
+                max(self.capacity, stop - self.total_pairs + self.chunk))
+        at, n = base - self._base, self.total_pairs - base
+        self._k, self._v, self._knorm = (
+            None if a is None else _resized(a[at:], rows, n, lead)
+            for a in (self._k, self._v, self._knorm))
+        self._base = base
+        if not self.keeps_rows:
+            # touch the rows past this append now, so later decode rows
+            # land on resident pages: buffers this small get no huge pages
+            # (numpy asks for them from 4 MiB), and each token's row would
+            # fault in pages of its own (+5 % on multi-head's decode step)
+            self._k[stop - base:] = 0
+            self._v[stop - base:] = 0
 
     def staged(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
         """Writable views of the (rows, *dim) K rows and the (rows,
         *dim[:-1], 1) value-sum rows that the next append of `rows` rows
         fills. They lie past total_pairs, so no snapshot sees them until
         that append commits them."""
-        start, stop = self.total_pairs, self.total_pairs + rows
-        self.reserve(stop)
-        return self._k[start:stop], self._v[start:stop]
+        stop = self.total_pairs + rows
+        self._room(stop)
+        at = self.total_pairs - self._base
+        return self._k[at:at + rows], self._v[at:at + rows]
 
     def append(self, keys, values) -> int:
         """Append KV pairs, rows first: keys (rows, *dim) and values of
@@ -271,21 +340,22 @@ class LayerCache:
                               f"{self._k.shape[1:]}")
         if k.shape[0] < 1:
             raise DimMismatch("append of zero rows")
-        start, stop = self.total_pairs, self.total_pairs + k.shape[0]
-        self.reserve(stop)
-        self._k[start:stop] = k
-        self._v[start:stop] = v.sum(axis=-1, dtype=np.float64, keepdims=True)
+        stop = self.total_pairs + k.shape[0]
+        self._room(stop)
+        base = self._base
+        at, to = self.total_pairs - base, stop - base
+        self._k[at:to] = k
+        self._v[at:to] = v.sum(axis=-1, dtype=np.float64, keepdims=True)
         if self._knorm is not None:
-            self._knorm[start:stop] = row_norms(self._k[start:stop])
+            self._knorm[at:to] = row_norms(self._k[at:to])
         self.total_pairs = stop
         full = sealed_chunks(stop, self.n_sink, self.chunk)
+        if full > len(self._rep):
+            self.reserve(stop)
         first = self._sealed
-        # one chunk at a time on purpose: a one-call mean over a window's
-        # chunks gives the same reps but holds a window-sized float64 copy
-        # (4 MiB for 256 rows x 4 layers x 8 heads x 64), more than the
-        # pre-fill memory bounds in test_engine and test_cli allow
+        # one chunk at a time, so each rep is rep_key_of's, bit for bit
         for j in range(first, full):
-            lo = self.n_sink + j * self.chunk
+            lo = self.n_sink + j * self.chunk - base
             rep = rep_key_of(self._k[lo:lo + self.chunk]).astype(np.float64)
             self._rep[j] = rep
             self._rep_norm[j] = row_norms(rep)
@@ -297,14 +367,15 @@ class LayerCache:
         return tail_start_of(self.total_pairs, self.n_sink, self.n_local)
 
     def snapshot(self) -> CacheView:
-        n = self.total_pairs
+        start = self.start
+        at, n = start - self._base, self.total_pairs - self._base
         return CacheView(
             n_sink=self.n_sink, chunk=self.chunk,
-            keys=_read_only(self._k[:n]),
-            values=_read_only(self._v[:n]),
+            keys=_read_only(self._k[at:n]),
+            values=_read_only(self._v[at:n]),
             key_norms=(None if self._knorm is None
-                       else _read_only(self._knorm[:n])),
+                       else _read_only(self._knorm[at:n])),
             rep_keys=_read_only(self._rep[:self._sealed]),
             rep_norms=_read_only(self._rep_norm[:self._sealed]),
-            tail_start=self.tail_start,
+            tail_start=self.tail_start, start=start,
         )

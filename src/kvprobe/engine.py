@@ -8,11 +8,15 @@ only output is each record's attn_checksum, which no report reads, so
 an engine built with attend=False (``kvprobe run`` without --records)
 stops each step at the selection: it gathers no chunk, copies no query
 row and makes no attention call, and its records differ only in their
-checksums, which are None.
+checksums, which are None. In mean mode nothing then reads a sealed
+chunk's rows, so its cache keeps none: only the open chunk's rows,
+the float64 chunk reps and their norms (see cache).
 
 pre-filling
-    Windows arrive a block of rows at a time. The snapshot is taken
-    first. Then, one (layer, head) at a time, the step reads the
+    Windows arrive a block of rows at a time. The step first takes
+    the cache's rows that the window's append commits (a cache that
+    keeps no sealed rows may move its open chunk to new buffers here),
+    then the snapshot. Then, one (layer, head) at a time, it reads the
     head's window queries, keeps their last row if it attends, and
     converts them (plus any task queries) to float64 once; that one
     copy feeds the head's running statistics, its activation weights
@@ -259,10 +263,12 @@ class Engine:
         self.config = config
         self.attend = attend
         L, H = config.layers, config.heads
+        # only attention and max-score scoring read a sealed chunk's rows
+        max_score = config.rep_mode == "max-score"
         self.cache = LayerCache(dim=(L, H, config.d_head),
                                 n_sink=config.n_sink, n_local=config.n_local,
-                                chunk=config.chunk,
-                                key_norms=config.rep_mode == "max-score")
+                                chunk=config.chunk, key_norms=max_score,
+                                rows=attend or max_score)
         self.stats = [[StreamingStats(config.d_head) for _ in range(H)]
                       for _ in range(L)]
         if task_queries is not None:
@@ -309,18 +315,19 @@ class Engine:
         n), thetas its (layers,) densities and budgets one int per layer.
         """
         selections = recall_layer(scores, budgets, view.candidate_rows)
-        sink_keys, local_keys = view.sink_keys, view.local_keys
-        # every layer attends the sinks, the tail and the window
-        shared = (len(sink_keys) + len(local_keys)
+        # every layer attends the sinks, the tail and the window, counted
+        # without their rows, which a cache that keeps none drops
+        total = view.total_pairs
+        shared = (min(total, view.n_sink) + total - view.tail_start
                   + (0 if window_k is None else window_k.shape[-2]))
         checksums = [None] * len(selections)
         if self.attend:
             rows = selected_rows(selections, view)
             # the cache is token-major; attention reads
             # (layers, heads, pairs, d_head)
-            k_blocks = [sink_keys.transpose(1, 2, 0, 3),
+            k_blocks = [view.sink_keys.transpose(1, 2, 0, 3),
                         Gathered(view.keys, rows),
-                        local_keys.transpose(1, 2, 0, 3)]
+                        view.local_keys.transpose(1, 2, 0, 3)]
             v_blocks = [view.sink_values.transpose(1, 2, 0, 3),
                         Gathered(view.values, rows),
                         view.local_values.transpose(1, 2, 0, 3)]
@@ -351,10 +358,11 @@ class Engine:
         queries, keys or values at a time."""
         cfg = self.config
         L, H, dh = cfg.layers, cfg.heads, cfg.d_head
-        view = self.cache.snapshot()
         # the key and value-sum rows this window's append commits;
         # token-major, so a head's keys are keys[:, l, h], (rows, d)
         keys, sums = self.cache.staged(cfg.window)
+        # taken after staged(): no snapshot holds the buffers it may leave
+        view = self.cache.snapshot()
         probes = np.empty((L, H, dh), dtype=np.float32)
         last_q = np.empty((L, H, 1, dh), dtype=np.float32)
         for l in range(L):
@@ -416,8 +424,8 @@ class Engine:
         if h.window != cfg.window:
             raise ConfigError(f"trace window {h.window} != configured "
                               f"{cfg.window}")
-        # presized, so no append regrows a buffer (a regrowth briefly
-        # holds the old and the new copy of a stream)
+        # presized, so no append regrows the reps or a kept row buffer (a
+        # regrowth briefly holds the old and the new copy of a stream)
         rows = h.num_windows * h.window + h.num_decode_steps
         self.cache.reserve(rows)
         seconds: dict[str, list[float]] = {"pre-filling": [], "decoding": []}

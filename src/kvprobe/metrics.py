@@ -54,9 +54,9 @@ def recall_at_budget(selected: Iterable[int], truth: Iterable[int]) -> float:
 def percentiles(vals: np.ndarray, qs) -> list[float]:
     """np.percentile(vals, qs) bit for bit, for finite float64 values:
     numpy's default linear method worked by hand, since np.percentile
-    imports numpy.ma (~1 MB of a run's peak). It reads the same
-    partitioned copy numpy does, whose order of equal values (0.0 and
-    -0.0) sets the sign of a zero result."""
+    imports numpy.ma (~1 MB of a run's peak). It partitions vals in
+    place, in the order numpy partitions its copy, whose order of equal
+    values (0.0 and -0.0) sets the sign of a zero result."""
     last = vals.size - 1
     cuts = []
     for q in qs:
@@ -65,22 +65,26 @@ def percentiles(vals: np.ndarray, qs) -> list[float]:
         lo, hi = (math.floor(v), math.floor(v) + 1) if v < last else (-1, -1)
         cuts.append((lo, hi, v - lo))
     # np.unique's kth, as a set (np.unique imports numpy.ma too)
-    part = np.partition(vals, sorted(
-        {0, -1, *(i for lo, hi, _ in cuts for i in (lo, hi))}))
+    vals.partition(sorted({0, -1, *(i for lo, hi, _ in cuts
+                                    for i in (lo, hi))}))
     out = []
     for lo, hi, t in cuts:
-        a, b = float(part[lo]), float(part[hi])
+        a, b = float(vals[lo]), float(vals[hi])
         out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
     return out
 
 
-def _summary(values) -> dict:
-    vals = np.asarray(values, dtype=np.float64)
+def _summary(samples: list) -> dict:
+    """Count, mean and quartiles of samples, floats or float64 arrays,
+    pooled in order into one array, which is partitioned in place once
+    its mean is taken."""
+    vals = np.concatenate([np.empty(0), *map(np.atleast_1d, samples)])
     if vals.size == 0:
         return {"count": 0, "mean": None, "p25": None, "p50": None,
                 "p75": None}
+    mean = float(vals.mean())
     q25, q50, q75 = percentiles(vals, (25, 50, 75))
-    return {"count": int(vals.size), "mean": float(vals.mean()),
+    return {"count": int(vals.size), "mean": mean,
             "p25": q25, "p50": q50, "p75": q75}
 
 
@@ -111,7 +115,7 @@ def build_report(result: RunResult, ground_truth: dict | None = None,
     for step, rec in result.layer_records():
         index[(step.stage, step.index, rec.layer)] = rec
         bucket = by_layer[rec.layer]
-        bucket["score"].append(rec.scores)  # arrays, pooled once below
+        bucket["score"].append(rec.scores)  # arrays, pooled by _summary
         bucket["perplexity"].append(math.exp(rec.theta))
         if step.stage == "decoding":
             bucket["budget"].append(float(rec.budget_pairs))
@@ -133,14 +137,14 @@ def build_report(result: RunResult, ground_truth: dict | None = None,
                     by_layer[l]["recall"].append(r)
                     by_layer[l]["prefill_recall"].append(r)
 
-    layers = []
-    for l, bucket in by_layer.items():
-        bucket["score"] = np.concatenate([np.empty(0), *bucket["score"]])
-        layers.append({"layer": l, "metrics": {
-            name: _summary(bucket[name]) for name in METRIC_ORDER}})
-    overall = {name: _summary(np.concatenate(
-        [bucket[name] for bucket in by_layer.values()]))
-        for name in METRIC_ORDER}
+    layers = [{"layer": l, "metrics": {
+        name: _summary(bucket[name]) for name in METRIC_ORDER}}
+        for l, bucket in by_layer.items()]
+    # every layer's samples in layer order: each score array is a
+    # record's, so _summary's pool is the one score-sized copy
+    overall = {name: _summary([x for bucket in by_layer.values()
+                               for x in bucket[name]])
+               for name in METRIC_ORDER}
     return {
         "version": REPORT_VERSION,
         "trace_sha256": trace_sha256,

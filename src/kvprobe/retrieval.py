@@ -193,8 +193,8 @@ def score_chunks_across_heads(probe, view: CacheView,
         dots = _dots(view.rep_keys[:sealed], vec)
         norms = view.rep_norms[:sealed]
         if n > sealed:  # the open chunk, a candidate when the tail is empty
-            rep = rep_key_of(view.keys[slice(*view.chunk_rows(sealed))]
-                             ).astype(np.float64)[None]
+            rep = rep_key_of(view.chunks[sealed].keys).astype(
+                np.float64)[None]
             dots = np.concatenate([dots, _dots(rep, vec)], axis=-2)
             norms = np.concatenate([norms, row_norms(rep)])
         cos = _cosines(dots, _layered(norms, vec.shape[:-1]),
@@ -271,15 +271,18 @@ def select_topk(scores: np.ndarray, budget_pairs, rows):
 
 def selected_rows(selections: Sequence[SelectionResult], view: CacheView
                   ) -> list[np.ndarray]:
-    """Token rows of each selection's chunks, ascending: one array per
-    selection (per layer)."""
+    """Rows of view.keys that each selection's chunks hold, ascending:
+    one array per selection (per layer). They are token rows less
+    view.start, so a chunk whose rows the cache dropped is unknown."""
     n, c, total = view.n_candidates, view.chunk, view.total_pairs
-    offsets = view.n_sink + np.arange(c)
+    offsets = view.n_sink - view.start + np.arange(c)
     out = []
     for sel in selections:
         ids = sorted(sel.selected)
-        if ids and (ids[0] < 0 or ids[-1] >= n):
-            raise UnknownChunk(ids[0] if ids[0] < 0 else ids[-1])
+        if ids and (ids[0] < 0 or view.n_sink + c * ids[0] < view.start):
+            raise UnknownChunk(ids[0])
+        if ids and ids[-1] >= n:
+            raise UnknownChunk(ids[-1])
         rows = (c * np.array(ids, dtype=np.intp)[:, None] + offsets).ravel()
         # only the open chunk, the last id, may be partial
         extra = view.n_sink + c * (ids[-1] + 1) - total if ids else 0

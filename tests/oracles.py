@@ -14,7 +14,7 @@ def layer_view(view: CacheView, l: int) -> CacheView:
     norms = None if view.key_norms is None else view.key_norms[:, l]
     return CacheView(view.n_sink, view.chunk, view.keys[:, l],
                      view.values[:, l], norms, view.rep_keys[:, l],
-                     view.rep_norms[:, l], view.tail_start)
+                     view.rep_norms[:, l], view.tail_start, view.start)
 
 
 def trace_values(trace: TraceData) -> np.ndarray:

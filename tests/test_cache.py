@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kvprobe import cache as cache_module
 from kvprobe.cache import LayerCache, rep_key_of
 from kvprobe.linalg import DimMismatch
+from kvprobe.retrieval import score_chunks_across_heads
 from oracles import layer_view
 
 
@@ -179,10 +181,11 @@ def test_cache_holds_no_d_head_wide_values():
     chunks = -(-(rows - 4) // chunk)
     held = (rows * L * H * (d + 1) * 4  # float32 keys and value sums
             + chunks * L * H * (d + 1) * 8)  # float64 reps and their norms
-    # 64 KiB covers append's temporaries, ~45 KiB: a chunk's float64
-    # copies for its rep (32 KiB and more) and the float64 value sums of
-    # one window (2 KiB). One window of d_head-wide values would add
-    # another 64 KiB
+    # 64 KiB covers append's temporaries, ~30 KiB: a rep's float64 sum,
+    # taken a buffer at a time (a float64 copy of the chunk, as the rep
+    # once made, is 32 KiB more), and the float64 value sums of one
+    # window (2 KiB). One window of d_head-wide values would add another
+    # 64 KiB
     assert peak < held + 64 * 1024, (peak, held)
 
 
@@ -261,3 +264,101 @@ def test_one_cache_holds_every_layer_stored_layer_major():
         assert got.tail_start == want.tail_start
         assert np.array_equal(got.candidate_rows, want.candidate_rows)
 
+
+
+def append_staged(cache: LayerCache, keys: np.ndarray) -> None:
+    """Append keys, and their sums as values, through staged() rows."""
+    k, sums = cache.staged(len(keys))
+    k[...] = keys
+    sums[...] = keys.sum(axis=-1, dtype=np.float64, keepdims=True)
+    cache.append(k, sums)
+
+
+@settings(max_examples=80, deadline=None)
+@given(chunk=st.integers(1, 8), n_sink=st.integers(0, 9),
+       n_local=st.sampled_from([0, 1, 6, 13]), window=st.integers(1, 19),
+       windows=st.integers(1, 4), decode=st.integers(0, 12),
+       seed=st.integers(0, 2**16))
+def test_a_cache_without_rows_scores_as_one_with_them(
+        chunk, n_sink, n_local, window, windows, decode, seed):
+    """The same windows and tokens appended to a cache that keeps every
+    row and to one that keeps only its open chunk's give equal candidate
+    counts, candidate rows, tails, reps and mean scores, bit for bit,
+    after every append; with n_local=0 the open chunk is a candidate,
+    scored from the rows the second cache still holds. That one never
+    holds a chunk of rows once an append returns, and its row buffers
+    stay at the largest append plus a chunk."""
+    dim = (2, 2, 4)
+    rng = np.random.default_rng(seed)
+    geometry = dict(dim=dim, n_sink=n_sink, n_local=n_local, chunk=chunk,
+                    key_norms=False)
+    kept, dropped = LayerCache(**geometry), LayerCache(**geometry, rows=False)
+    probe = rng.standard_normal(dim)
+    for rows in [window] * windows + [1] * decode:
+        keys = rng.standard_normal((rows, *dim)).astype(np.float32)
+        append_staged(kept, keys)
+        append_staged(dropped, keys)
+        a, b = kept.snapshot(), dropped.snapshot()
+        assert (a.total_pairs, a.n_candidates, a.tail_start) == (
+            b.total_pairs, b.n_candidates, b.tail_start)
+        assert np.array_equal(a.candidate_rows, b.candidate_rows)
+        for field in ("rep_keys", "rep_norms"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert (score_chunks_across_heads(probe, a).tobytes()
+                == score_chunks_across_heads(probe, b).tobytes())
+        assert len(b.keys) < chunk and len(b.sink_keys) == 0
+        if b.total_pairs > b.start:  # an open chunk: held whole
+            assert (b.chunks[-1].keys.tobytes()
+                    == a.chunks[-1].keys.tobytes())
+    assert dropped.capacity == window + chunk
+
+
+def test_a_snapshot_keeps_its_rows_when_an_append_drops_them():
+    """An append that drops rows moves the open chunk's rows to new
+    buffers: a snapshot taken before it still reads its open chunk, and
+    shows no sinks, sealed rows or tail it no longer holds."""
+    cache = LayerCache(dim=3, n_sink=2, n_local=4, chunk=3, key_norms=False,
+                       rows=False)
+    fill(cache, 7, 3)  # sinks 0-1, chunk 0 = [2, 4] sealed, open [5, 6]
+    before = cache.snapshot()
+    saved = before.keys.tobytes(), before.values.tobytes()
+    assert (before.start, before.total_pairs, before.tail_start) == (5, 7, 3)
+    fill(cache, 9, 3, start=7)  # seals 3 chunks, moves the rows
+    now = cache.snapshot()
+    assert not np.shares_memory(before.keys, now.keys)
+    assert (before.keys.tobytes(), before.values.tobytes()) == saved
+    assert before.chunks[1].keys[:, 0] == pytest.approx([5.0, 6.0])
+    assert [ch.rows for ch in before.chunks] == [0, 2]
+    assert len(before.sink_keys) == len(before.local_keys) == 0
+    assert now.start == 14 and now.keys[:, 0] == pytest.approx([14.0, 15.0])
+
+
+def test_a_cache_without_rows_moves_them_once_a_window(monkeypatch):
+    """Sized once to a window plus a chunk, the row buffers of a cache
+    without rows move once per pre-fill window and at most once in the
+    64 decode tokens after pre-fill."""
+    moves = []
+    resized = cache_module._resized
+
+    def counting(a, *args):
+        moves.append(a.dtype == np.float32 and a.shape[-1] > 1)  # keys
+        return resized(a, *args)
+
+    monkeypatch.setattr(cache_module, "_resized", counting)
+    dim, window, windows, chunk = (2, 3, 4), 67, 4, 5
+    cache = LayerCache(dim=dim, n_sink=3, n_local=16, chunk=chunk,
+                       key_norms=False, rows=False)
+    cache.reserve(window * windows + 64)
+    keys = np.ones((window, *dim), dtype=np.float32)
+    for _ in range(windows):
+        append_staged(cache, keys)
+    assert sum(moves) == windows
+    for _ in range(64):
+        cache.append(keys[:1], keys[:1])
+    assert sum(moves) <= windows + 1
+    assert cache.capacity == window + chunk
+
+
+def test_key_norms_need_the_rows():
+    with pytest.raises(ValueError):
+        LayerCache(dim=2, rows=False)

@@ -457,20 +457,23 @@ def test_run_holds_less_than_one_step_block_beyond_its_cache(tmp_path):
 
 
 def test_run_without_records_holds_no_attention(tmp_path):
-    """Without --records nothing attends, and the peak of the same run
-    is set by the append that seals a window's chunks: one chunk's keys
-    of every layer in float64, for its mean key. Beside it sit the
-    reader's one (window, d_head) block, the probe statistics (two
-    float64 vectors per layer and head) and 160 KiB for the records and
-    the smaller arrays. A run that attends, as every run did before,
-    holds attention's gathered keys and logits instead of the sealing
-    copy, and fails this bound."""
+    """Without --records nothing attends and no sealed chunk's rows are
+    kept: the cache holds its float64 chunk reps and two key and
+    value-sum buffers of a window and a chunk of rows, the one in use
+    and the one a pre-fill window's rows move out of. Beside them sit
+    the reader's one (window, d_head) block, the probe statistics (two
+    float64 vectors per layer and head) and 160 KiB for the records,
+    the float64 sum of the chunk being sealed and the smaller arrays.
+    A cache that keeps every row, as it did before, holds 24 MiB more
+    here and fails this bound."""
     peak, cache, header = wide_trace_peak(tmp_path)
-    sealing = 8 * CHUNK * header.layers * header.d
+    reps = cache - cache_bytes(header)
+    rows = 4 * header.layers * (header.window + CHUNK) * (
+        header.d + header.heads)
     block = 4 * header.window * header.d_head
     stats = 2 * 8 * header.layers * header.d
-    bound = cache + sealing + block + stats + 160 * 1024
-    assert peak < bound, (peak - cache, bound - peak)
+    bound = reps + 2 * rows + block + stats + 160 * 1024
+    assert peak < bound, (peak - reps - 2 * rows, bound - peak)
 
 
 def test_bad_engine_config_exits_3(tmp_path):

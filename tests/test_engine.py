@@ -894,7 +894,9 @@ def test_records_without_attention_differ_only_in_the_checksum(
         monkeypatch, rep_mode, cutoff_mode, n_local):
     """An engine built with attend=False makes no attention call, and its
     records are those of an attending engine field for field, but for
-    attn_checksum, which is None. The trace has task rows and chunk 7;
+    attn_checksum, which is None. Its cache keeps the rows of sealed
+    chunks only under max-score, which scores them. The trace has task
+    rows and chunk 7;
     with n_local = 0 the partly filled open chunk is selected, so a
     layer's pairs_used is not a multiple of the chunk."""
     cfg = SyntheticConfig(d=8, layers=3, heads=2, window=8, num_windows=6,
@@ -910,6 +912,9 @@ def test_records_without_attention_differ_only_in_the_checksum(
 
     def refuse(*args, **kwargs):
         raise AssertionError("attention in a replay without attend")
+
+    assert Engine(config, attend=False).cache.keeps_rows == (
+        rep_mode == "max-score")
 
     monkeypatch.setattr(engine_module, "reference_attention", refuse)
     skipped = run_trace(trace, config, attend=False)

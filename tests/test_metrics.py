@@ -1,12 +1,14 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kvprobe.cutoff import layer_density
-from kvprobe.engine import EngineConfig, run_trace
+from kvprobe.engine import (EngineConfig, LayerStepRecord, RunResult,
+                            StepRecord, run_trace)
 from kvprobe.metrics import (ConfigMismatch, EmptyTruth, build_report,
                              compare_runs, percentiles, recall_at_budget,
                              report_to_csv)
@@ -45,12 +47,42 @@ def test_score_perplexity_sharp_scores_head_toward_one():
 @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.5]),
                           st.floats(-1e6, 1e6)), min_size=1, max_size=64))
 def test_percentiles_are_numpys_bit_for_bit(values):
-    """The hand-worked percentiles equal np.percentile's bytes, ties,
-    signed zeros and negative values included (sampled values repeat)."""
+    """The hand-worked percentiles, which partition their argument in
+    place, equal np.percentile's bytes, ties, signed zeros and negative
+    values included (sampled values repeat)."""
     vals = np.asarray(values, dtype=np.float64)
     qs = (25, 50, 75, 90)
-    got = np.asarray(percentiles(vals, qs))
+    got = np.asarray(percentiles(vals.copy(), qs))
     assert got.tobytes() == np.percentile(vals, qs).tobytes()
+
+
+def test_report_holds_one_score_sized_array():
+    """build_report pools each layer's scores, then every layer's, into
+    one array at a time and partitions it in place: beside the records
+    it holds one copy of a run's scores. Keeping each layer's pool for
+    the overall one, and partitioning a copy of each pool, as it once
+    did, holds three."""
+    layers, steps, n = 4, 8, 6000
+    rng = np.random.default_rng(0)
+    config = EngineConfig(d=8, layers=layers, chunk=2, n_sink=2, n_local=4,
+                          budget=4)
+    records = tuple(StepRecord(stage="decoding", index=i, layers=tuple(
+        LayerStepRecord(layer=l, candidate_ids=range(n),
+                        scores=rng.standard_normal(n), theta=1.0,
+                        budget_pairs=4, selected=(0, 1), pairs_used=4,
+                        attended_pairs=10, attn_checksum=None)
+        for l in range(layers))) for i in range(steps))
+    result = RunResult(config=config, steps=records, header=None,
+                       step_seconds={})
+    pool = 8 * layers * steps * n
+    tracemalloc.start()
+    try:
+        report = build_report(result)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["overall"]["score"]["count"] == pool // 8
+    assert peak < pool + 128 * 1024, (peak, pool)
 
 
 def test_recall_at_budget():

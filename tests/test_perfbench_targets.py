@@ -45,6 +45,17 @@ def test_snapshot_counter_reads_the_open_chunk():
     assert counts == {"bytes": (1 + 2 + 2) * (8 + 4)}
 
 
+def test_snapshot_counter_reads_only_the_open_chunk_of_a_cache_without_rows():
+    cache = LayerCache(dim=2, n_sink=1, n_local=3, chunk=4, key_norms=False,
+                       rows=False)
+    rows = np.ones((7, 2), dtype=np.float32)
+    cache.append(rows, rows)  # sink 0, chunk 0 = [1, 4], open [5, 6]
+    counts = load_child()._snapshot_counts((cache,), cache.snapshot())
+    # the tail [4, 6] begins at a row the cache dropped: the open chunk's
+    # 2 rows alone are counted
+    assert counts == {"bytes": 2 * (8 + 4)}
+
+
 WINDOWS, DECODE, WINDOW, LAYERS = 6, 3, 16, 2
 GEOMETRY = ["--sinks", "4", "--chunk", "4", "--local", "8"]
 

@@ -231,6 +231,17 @@ def test_materialize_unknown_chunk():
             selected_rows([SelectionResult(selected=(0, 1), pairs_used=4),
                            SelectionResult(selected=(bad,), pairs_used=2)],
                           view)
+    # a cache without rows keeps only its open chunk's: no sealed one is
+    # gathered, though it is a candidate
+    cache = LayerCache(dim=2, n_sink=1, n_local=0, chunk=2, key_norms=False,
+                       rows=False)
+    cache.append(np.ones((4, 2), np.float32), np.ones((4, 2), np.float32))
+    view = cache.snapshot()
+    assert view.n_candidates == 2
+    assert materialize(SelectionResult(selected=(1,), pairs_used=1),
+                       view)[0].shape == (1, 2)
+    with pytest.raises(UnknownChunk):
+        materialize(SelectionResult(selected=(0,), pairs_used=2), view)
 
 
 def oracle_scores(probe, view, mode, head) -> list[float]:

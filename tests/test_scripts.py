@@ -87,11 +87,15 @@ def test_digests_are_repeatable(monkeypatch, capsys):
         run_script("digests", ["--smoke"], monkeypatch)
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
-    names = [line.split("  ")[1] for line in outputs[0].splitlines()]
-    assert len(names) == 26 and len(set(names)) == 26
+    digests = dict(line.split("  ")[::-1] for line in outputs[0].splitlines())
+    assert len(digests) == 39  # 6 traces, 11 runs of 3 files each
     for name in ("long-context", "multi-head", "max-score", "criterion-6",
                  "odd-h2", "odd-h3"):
-        assert f"{name}.akvt" in names
+        assert f"{name}.akvt" in digests
+    # a run without records, which attends nothing, reports the same bytes
+    for name, digest in digests.items():
+        if name.endswith(" (no records)"):
+            assert digest == digests[name.removesuffix(" (no records)")]
 
 
 def test_replay_memory_runs(monkeypatch, capsys):
